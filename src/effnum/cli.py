@@ -8,16 +8,17 @@ in json/csv output, 1-based in the human-readable tables.
 from __future__ import annotations
 
 import argparse
-import json
 import math
 import os
 import re
 import sys
+from dataclasses import asdict, astuple
 
 from . import continuum, density, entropy, simulate, states
 from .counting import CountingFunction, effnum, validate_counting_function, weights_from_probs
 from .errors import ConvergenceError, InvalidInput, InvariantViolation
 from .io import (
+    check_file,
     csv_text,
     json_text,
     load_decomposition,
@@ -30,51 +31,61 @@ from .io import (
 )
 
 
-class CommandResult:
-    def __init__(self, payload: dict, csv_header: list[str], csv_rows: list[list], table: str):
-        self.payload = payload
-        self.csv_header = csv_header
-        self.csv_rows = csv_rows
-        self.table = table
+class Result:
+    """One command's output, filled once: the JSON payload plus rows that
+    :meth:`render` turns into the table or the csv text.
+
+    A row is (table part, csv cells).  The table part is a (label, value)
+    pair, aligned with the other pairs, a preformatted line, or None; the
+    csv cells are None for a row shown only in the table.
+    """
+
+    def __init__(self, command: str, title: str, header: list[str]):
+        self.payload = {"command": command}
+        self.title, self.header, self.rows = title, header, []
+
+    def add(self, table, csv: list | None = None) -> None:
+        self.rows.append((table, csv))
+
+    def put(self, key: str, value, label: str | None = None, csv: bool = False) -> None:
+        """Set a payload entry, shown in the table under ``label`` and as
+        the csv row [key, value] if ``csv``."""
+        self.payload[key] = value
+        self.add((label, value) if label else None, [key, value] if csv else None)
+
+    def render(self, fmt: str) -> str:
+        if fmt == "json":
+            return json_text(self.payload) + "\n"
+        if fmt == "csv":
+            return csv_text(self.header, [cells for _, cells in self.rows if cells is not None])
+        width = max((len(t[0]) for t, _ in self.rows if isinstance(t, tuple)), default=0)
+        lines = [self.title]
+        for t, _ in self.rows:
+            if isinstance(t, tuple):
+                value = f"{t[1]:.12g}" if isinstance(t[1], float) else t[1]
+                lines.append(f"  {t[0]:<{width}}  {value}")
+            elif t is not None:
+                lines.append(f"  {t}")
+        return "\n".join(lines) + "\n"
 
 
-def _kv_table(title: str, pairs: list[tuple[str, str]]) -> str:
-    width = max(len(k) for k, _ in pairs)
-    lines = [title]
-    lines += [f"  {k:<{width}}  {v}" for k, v in pairs]
-    return "\n".join(lines) + "\n"
-
-
-def _f(x: float) -> str:
-    return f"{x:.12g}"
-
-
-def _cmd_mu(args) -> CommandResult:
+def _cmd_mu(args) -> Result:
     psi = load_state(args.state)
     dec, basis, _ = load_decomposition(args.decomposition, psi.dim)
     c = parse_counting_selector(args.cf)
-    probs = states.subspace_probs(psi, dec, basis)
-    value = states.mu_uncertainty(psi, dec, basis, c)
-    minimal = states.mu_uncertainty_min(psi, dec, basis)
-    payload = {
-        "command": "mu",
-        "n": psi.dim,
-        "m": dec.m_count,
-        "counting_function": c.label,
-        "block_probs": probs.p,
-        "mu_uncertainty": value,
-        "mu_uncertainty_min": minimal,
-    }
-    header = ["block", "probability"]
-    rows = [[m, p] for m, p in enumerate(probs.p.tolist())]
-    rows.append(["mu_uncertainty", value])
-    rows.append(["mu_uncertainty_min", minimal])
-    pairs = [("dimension N", str(psi.dim)), ("blocks M", str(dec.m_count)),
-             ("kernel", c.label)]
-    pairs += [(f"p[{m + 1}]", _f(p)) for m, p in enumerate(probs.p.tolist())]
-    pairs += [("mu-uncertainty", _f(value)), ("minimal (star)", _f(minimal))]
-    return CommandResult(payload, header, rows,
-                         _kv_table("measurement uncertainty (blocks 1-based)", pairs))
+    probs = states.subspace_probs(psi, dec, basis).p
+    out = Result("mu", "measurement uncertainty (blocks 1-based)", ["block", "probability"])
+    out.put("n", psi.dim, "dimension N")
+    out.put("m", dec.m_count, "blocks M")
+    out.put("counting_function", c.label, "kernel")
+    out.payload["block_probs"] = probs
+    for m, p in enumerate(probs.tolist()):
+        out.add((f"p[{m + 1}]", p), [m, p])
+    out.put("mu_uncertainty", states.mu_uncertainty(psi, dec, basis, c), "mu-uncertainty",
+            csv=True)
+    out.put("mu_uncertainty_min", states.mu_uncertainty_min(psi, dec, basis), "minimal (star)",
+            csv=True)
+    return out
 
 
 def _parse_log_base(text: str) -> tuple[str, float]:
@@ -91,38 +102,23 @@ def _parse_log_base(text: str) -> tuple[str, float]:
     return text, math.log(base)
 
 
-def _cmd_qnum(args) -> CommandResult:
+def _cmd_qnum(args) -> Result:
     rho = load_density(args.density)
     c = parse_counting_selector(args.cf)
     base_label, divisor = _parse_log_base(args.log_base)
     spectrum = density.hermitian_eigen(rho).eigenvalues
-    value = density.quantum_effnum(rho, c)
-    minimal = density.quantum_effnum_min(rho)
-    payload = {
-        "command": "qnum",
-        "n": rho.dim,
-        "counting_function": c.label,
-        "log_base": base_label,
-        "spectrum": spectrum,
-        "qnum": value,
-        "qnum_min": minimal,
-        "entropy": density.quantum_mu_entropy(rho, c) / divisor,
-        "entropy_min": density.quantum_mu_entropy_min(rho) / divisor,
-    }
-    header = ["eigenvalue_rank", "eigenvalue"]
-    rows = [[i, v] for i, v in enumerate(spectrum.tolist())]
-    rows.append(["qnum", value])
-    rows.append(["qnum_min", minimal])
-    pairs = [("dimension N", str(rho.dim)), ("kernel", c.label)]
-    pairs += [(f"rho[{i + 1}]", _f(v)) for i, v in enumerate(spectrum.tolist())]
-    pairs += [
-        ("state components", _f(value)),
-        ("minimal (star)", _f(minimal)),
-        ("entropy", _f(payload["entropy"])),
-        ("entropy (star)", _f(payload["entropy_min"])),
-    ]
-    return CommandResult(payload, header, rows,
-                         _kv_table("density-matrix state content (ranks 1-based)", pairs))
+    out = Result("qnum", "density-matrix state content (ranks 1-based)",
+                 ["eigenvalue_rank", "eigenvalue"])
+    out.put("n", rho.dim, "dimension N")
+    out.put("counting_function", c.label, "kernel")
+    out.payload.update(log_base=base_label, spectrum=spectrum)
+    for i, v in enumerate(spectrum.tolist()):
+        out.add((f"rho[{i + 1}]", v), [i, v])
+    out.put("qnum", density.quantum_effnum(rho, c), "state components", csv=True)
+    out.put("qnum_min", density.quantum_effnum_min(rho), "minimal (star)", csv=True)
+    out.put("entropy", density.quantum_mu_entropy(rho, c) / divisor, "entropy")
+    out.put("entropy_min", density.quantum_mu_entropy_min(rho) / divisor, "entropy (star)")
+    return out
 
 
 def _parse_dims(text: str) -> density.BipartiteStructure:
@@ -132,236 +128,122 @@ def _parse_dims(text: str) -> density.BipartiteStructure:
     return density.BipartiteStructure(int(match.group(1)), int(match.group(2)))
 
 
-def _cmd_entangle(args) -> CommandResult:
+def _cmd_entangle(args) -> Result:
     psi = load_state(args.state)
     bp = _parse_dims(args.dims)
     c = parse_counting_selector(args.cf)
-    side_a = density.mu_entanglement(psi, bp, c, side="A")
-    side_b = density.mu_entanglement(psi, bp, c, side="B")
-    min_a = density.mu_entanglement_min(psi, bp, side="A")
-    min_b = density.mu_entanglement_min(psi, bp, side="B")
-    payload = {
-        "command": "entangle",
-        "dims": [bp.dim_a, bp.dim_b],
-        "counting_function": c.label,
-        "side_a": side_a,
-        "side_b": side_b,
-        "agreement": abs(side_a - side_b),
-        "side_a_min": min_a,
-        "side_b_min": min_b,
-        "agreement_min": abs(min_a - min_b),
-    }
-    header = ["quantity", "value"]
-    rows = [["side_a", side_a], ["side_b", side_b], ["agreement", abs(side_a - side_b)],
-            ["side_a_min", min_a], ["side_b_min", min_b], ["agreement_min", abs(min_a - min_b)]]
-    pairs = [
-        ("partition", f"{bp.dim_a} x {bp.dim_b}"),
-        ("kernel", c.label),
-        ("entanglement (A kept)", _f(side_a)),
-        ("entanglement (B kept)", _f(side_b)),
-        ("side agreement", f"{abs(side_a - side_b):.3e}"),
-        ("minimal (A kept)", _f(min_a)),
-        ("minimal (B kept)", _f(min_b)),
-    ]
-    return CommandResult(payload, header, rows, _kv_table("bipartite state sharing", pairs))
+    side_a, side_b = (density.mu_entanglement(psi, bp, c, side=s) for s in "AB")
+    min_a, min_b = (density.mu_entanglement_min(psi, bp, side=s) for s in "AB")
+    out = Result("entangle", "bipartite state sharing", ["quantity", "value"])
+    out.payload["dims"] = [bp.dim_a, bp.dim_b]
+    out.add(("partition", f"{bp.dim_a} x {bp.dim_b}"))
+    out.put("counting_function", c.label, "kernel")
+    out.put("side_a", side_a, "entanglement (A kept)", csv=True)
+    out.put("side_b", side_b, "entanglement (B kept)", csv=True)
+    out.put("agreement", abs(side_a - side_b), csv=True)
+    out.add(("side agreement", f"{abs(side_a - side_b):.3e}"))
+    out.put("side_a_min", min_a, "minimal (A kept)", csv=True)
+    out.put("side_b_min", min_b, "minimal (B kept)", csv=True)
+    out.put("agreement_min", abs(min_a - min_b), csv=True)
+    return out
 
 
-def _cmd_effvol(args) -> CommandResult:
+def _cmd_effvol(args) -> Result:
     psi = load_grid_wavefunction(args.wavefunction)
     c = parse_counting_selector(args.cf)
     value = continuum.effective_volume(psi, c)
     minimal = continuum.effective_volume(psi, CountingFunction.minimal())
     total = psi.grid.total_volume
-    payload = {
-        "command": "effvol",
-        "d": psi.grid.d,
-        "cells": psi.grid.ncells,
-        "total_volume": total,
-        "counting_function": c.label,
-        "effective_volume": value,
-        "effective_volume_min": minimal,
-        "fraction": value / total,
-    }
-    header = ["quantity", "value"]
-    rows = [["total_volume", total], ["effective_volume", value],
-            ["effective_volume_min", minimal], ["fraction", value / total]]
-    pairs = [
-        ("dimension D", str(psi.grid.d)),
-        ("cells", str(psi.grid.ncells)),
-        ("kernel", c.label),
-        ("box volume", _f(total)),
-        ("effective volume", _f(value)),
-        ("minimal (star)", _f(minimal)),
-        ("occupied fraction", _f(value / total)),
-    ]
-    return CommandResult(payload, header, rows, _kv_table("effective volume", pairs))
+    out = Result("effvol", "effective volume", ["quantity", "value"])
+    out.put("d", psi.grid.d, "dimension D")
+    out.put("cells", psi.grid.ncells, "cells")
+    out.put("total_volume", total, csv=True)
+    out.put("counting_function", c.label, "kernel")
+    out.add(("box volume", total))
+    out.put("effective_volume", value, "effective volume", csv=True)
+    out.put("effective_volume_min", minimal, "minimal (star)", csv=True)
+    out.put("fraction", value / total, "occupied fraction", csv=True)
+    return out
 
 
-def _cmd_refine(args) -> CommandResult:
+def _cmd_refine(args) -> Result:
     problem, description = load_refine_problem(args.problem)
     c = parse_counting_selector(args.cf)
-    result = continuum.refine_sequence(problem, args.levels, c)
-    payload = {
-        "command": "refine",
-        "problem": description,
-        "counting_function": c.label,
-        "levels": [
-            {"level": r.level, "m_count": r.m_count, "spacing": r.spacing, "ratio": r.ratio}
-            for r in result.rows
-        ],
-        "extrapolated": result.extrapolated,
-        "residual": result.residual,
-        "fit_order": result.fit_order,
-        "fit_window": result.window,
-    }
-    header = ["level", "m_count", "spacing", "ratio"]
-    rows = [[r.level, r.m_count, r.spacing, r.ratio] for r in result.rows]
-    rows.append(["extrapolated", "", "", result.extrapolated])
-    lines = [f"refinement of {description} ({c.label})"]
-    lines += [
-        f"  level {r.level}: M = {r.m_count:<8d} h = {r.spacing:<12.6g} F = {_f(r.ratio)}"
-        for r in result.rows
-    ]
-    lines.append(f"  extrapolated F = {_f(result.extrapolated)} "
-                 f"(order {result.fit_order}, window {result.window}, "
-                 f"residual {result.residual:.3e})")
-    return CommandResult(payload, header, rows, "\n".join(lines) + "\n")
+    fit = continuum.refine_sequence(problem, args.levels, c)
+    out = Result("refine", f"refinement of {description} ({c.label})",
+                 ["level", "m_count", "spacing", "ratio"])
+    out.payload.update(problem=description, counting_function=c.label,
+                       levels=[asdict(r) for r in fit.rows], extrapolated=fit.extrapolated,
+                       residual=fit.residual, fit_order=fit.fit_order, fit_window=fit.window)
+    for r in fit.rows:
+        out.add(f"level {r.level}: M = {r.m_count:<8d} h = {r.spacing:<12.6g} F = {r.ratio:.12g}",
+                list(astuple(r)))
+    out.add(f"extrapolated F = {fit.extrapolated:.12g} (order {fit.fit_order}, "
+            f"window {fit.window}, residual {fit.residual:.3e})",
+            ["extrapolated", "", "", fit.extrapolated])
+    return out
 
 
-def _cmd_simulate(args) -> CommandResult:
+def _cmd_simulate(args) -> Result:
     psi = load_state(args.state)
     dec, basis, eigtuples = load_decomposition(args.decomposition, psi.dim)
     c = parse_counting_selector(args.cf)
-    trial_counts = [int(t) for t in str(args.trials).split(",") if t]
+    try:
+        trial_counts = [int(t) for t in str(args.trials).split(",") if t]
+    except ValueError as exc:
+        raise InvalidInput(f"--trials must list integers, got {args.trials!r}") from exc
     if not trial_counts:
         raise InvalidInput("--trials must name at least one trial count")
     probs = states.subspace_probs(psi, dec, basis)
     exact = effnum(weights_from_probs(probs), c)
-    rows = []
-    entries = []
+    out = Result("simulate", f"measurement simulation (seed {args.seed}, {simulate.GENERATOR_ID})",
+                 ["trials", "estimate", "stderr", "exact", "abs_error"])
+    out.payload.update(m=dec.m_count, seed=args.seed, generator=simulate.GENERATOR_ID,
+                       counting_function=c.label, exact=exact, runs=[])
     for t in trial_counts:
         seq = simulate.sample_outcomes(psi, dec, basis, t, args.seed, eigtuples=eigtuples)
         est = simulate.plugin_mu_estimate(seq, dec.m_count, c)
-        deviation = abs(est.estimate - exact)
-        entries.append({"trials": t, "estimate": est.estimate, "stderr": est.stderr,
-                        "exact": exact, "abs_error": deviation})
-        rows.append([t, est.estimate, est.stderr, exact, deviation])
-    payload = {
-        "command": "simulate",
-        "m": dec.m_count,
-        "seed": args.seed,
-        "generator": simulate.GENERATOR_ID,
-        "counting_function": c.label,
-        "exact": exact,
-        "runs": entries,
-    }
-    header = ["trials", "estimate", "stderr", "exact", "abs_error"]
-    lines = [f"measurement simulation (seed {args.seed}, {simulate.GENERATOR_ID})"]
-    lines += [
-        f"  T = {e['trials']:<9d} estimate = {_f(e['estimate'])} "
-        f"+/- {e['stderr']:.3e}   exact = {_f(exact)}"
-        for e in entries
-    ]
-    return CommandResult(payload, header, rows, "\n".join(lines) + "\n")
+        run = {"trials": t, "estimate": est.estimate, "stderr": est.stderr,
+               "exact": exact, "abs_error": abs(est.estimate - exact)}
+        out.payload["runs"].append(run)
+        out.add(f"T = {t:<9d} estimate = {est.estimate:.12g} "
+                f"+/- {est.stderr:.3e}   exact = {exact:.12g}", list(run.values()))
+    return out
 
 
-def _cmd_dfd(args) -> CommandResult:
+def _cmd_dfd(args) -> Result:
     family = load_dfd_family(args.family)
     c = parse_counting_selector(args.cf)
-    result = entropy.dfd_gamma_scan(family, c)
-    payload = {
-        "command": "dfd",
-        "counting_function": c.label,
-        "steps": [{"n": s.n, "ratio": s.ratio, "k_eq": s.k_eq} for s in result.steps],
-        "gamma": result.gamma,
-        "residual": result.residual,
-        "fit_window": result.window,
-    }
-    header = ["n", "ratio", "k_eq"]
-    rows = [[s.n, s.ratio, s.k_eq] for s in result.steps]
-    rows.append(["gamma", result.gamma, ""])
-    lines = [f"degree-of-freedom density scan ({c.label})"]
-    lines += [f"  n = {s.n:<9d} F = {_f(s.ratio):<22} k_eq = {_f(s.k_eq)}" for s in result.steps]
-    lines.append(f"  gamma = {_f(result.gamma)} (window {result.window}, "
-                 f"residual {result.residual:.3e})")
-    return CommandResult(payload, header, rows, "\n".join(lines) + "\n")
+    fit = entropy.dfd_gamma_scan(family, c)
+    out = Result("dfd", f"degree-of-freedom density scan ({c.label})", ["n", "ratio", "k_eq"])
+    out.payload.update(counting_function=c.label, steps=[asdict(s) for s in fit.steps],
+                       gamma=fit.gamma, residual=fit.residual, fit_window=fit.window)
+    for s in fit.steps:
+        out.add(f"n = {s.n:<9d} F = {s.ratio:<22.12g} k_eq = {s.k_eq:.12g}", list(astuple(s)))
+    out.add(f"gamma = {fit.gamma:.12g} (window {fit.window}, residual {fit.residual:.3e})",
+            ["gamma", fit.gamma, ""])
+    return out
 
 
-_LOADERS = {
-    "amps": ("state", load_state),
-    "rows": ("density", load_density),
-    "values": ("grid wave function", load_grid_wavefunction),
-    "kind": ("problem/family", None),
-}
-
-
-def _cmd_check(args) -> CommandResult:
+def _cmd_check(args) -> Result:
     c = parse_counting_selector(args.cf)
     report = validate_counting_function(c)
-    targets = []
-    failures = 0
+    out = Result("check", f"kernel {c.label}:", ["target", "passed", "detail"])
+    out.payload.update(counting_function=c.label, kernel_checks=[asdict(k) for k in report.checks],
+                       kernel_passed=report.passed, files=[])
+    out.add(report.summary().replace("\n", "\n  "))
+    for k in report.checks:
+        out.add(None, list(astuple(k)))
     for path in args.files:
         try:
-            doc = json.loads(open(path).read())
-        except Exception as exc:
-            targets.append({"path": path, "valid": False, "detail": str(exc)})
-            failures += 1
-            continue
-        try:
-            if "amps" in doc:
-                load_state(path)
-                kind = "state"
-            elif "rows" in doc and "dim" in doc:
-                load_density(path)
-                kind = "density"
-            elif "groups" in doc:
-                dim = max(i for g in doc["groups"] for i in g) + 1
-                load_decomposition(path, dim)
-                kind = "decomposition"
-            elif "values" in doc:
-                load_grid_wavefunction(path)
-                kind = "grid wave function"
-            elif doc.get("kind") in ("constant", "half-box-1d", "gaussian-1d"):
-                load_refine_problem(path)
-                kind = "refinement problem"
-            elif doc.get("kind") in ("uniform-power", "explicit"):
-                load_dfd_family(path)
-                kind = "family"
-            else:
-                raise InvalidInput("unrecognized document schema")
-            targets.append({"path": path, "valid": True, "detail": kind})
+            valid, detail = True, check_file(path)
         except (InvalidInput, InvariantViolation) as exc:
-            targets.append({"path": path, "valid": False, "detail": str(exc)})
-            failures += 1
-    payload = {
-        "command": "check",
-        "counting_function": c.label,
-        "kernel_checks": [
-            {"name": chk.name, "passed": chk.passed, "detail": chk.detail}
-            for chk in report.checks
-        ],
-        "kernel_passed": report.passed,
-        "files": targets,
-    }
-    header = ["target", "passed", "detail"]
-    rows = [[chk.name, chk.passed, chk.detail] for chk in report.checks]
-    rows += [[t["path"], t["valid"], t["detail"]] for t in targets]
-    lines = [f"kernel {c.label}:"]
-    lines.append("  " + report.summary().replace("\n", "\n  "))
-    for t in targets:
-        status = "ok" if t["valid"] else "INVALID"
-        lines.append(f"  {t['path']}: {status} ({t['detail']})")
-    if not report.passed or failures:
-        raise InvalidInput("\n".join(lines))
-    return CommandResult(payload, header, rows, "\n".join(lines) + "\n")
-
-
-def _render(result: CommandResult, fmt: str) -> str:
-    if fmt == "json":
-        return json_text(result.payload) + "\n"
-    if fmt == "csv":
-        return csv_text(result.csv_header, result.csv_rows)
-    return result.table
+            valid, detail = False, str(exc)
+        out.payload["files"].append({"path": path, "valid": valid, "detail": detail})
+        out.add(f"{path}: {'ok' if valid else 'INVALID'} ({detail})", [path, valid, detail])
+    if not report.passed or not all(f["valid"] for f in out.payload["files"]):
+        raise InvalidInput(out.render("table")[:-1])
+    return out
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -439,21 +321,17 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+_EXIT_CODES = {InvalidInput: 2, FileNotFoundError: 2, InvariantViolation: 3, ConvergenceError: 4}
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        result = args.handler(args)
-        text = _render(result, args.format)
-    except InvariantViolation as exc:
+        text = args.handler(args).render(args.format)
+    except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 3
-    except ConvergenceError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 4
-    except (InvalidInput, FileNotFoundError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
+        return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
     _emit(text, args.out)
     return 0
 

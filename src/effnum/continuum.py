@@ -139,9 +139,7 @@ class GridWaveFunction:
 
 def effective_volume(psi: GridWaveFunction, c: CountingFunction) -> float:
     """Effective volume occupied by the state: integral of c(V |psi|^2)."""
-    v = psi.grid.total_volume
-    dens = v * np.abs(psi.values) ** 2
-    return riemann_sum(c(dens), psi.grid)
+    return effective_jordan_content(psi.grid, np.abs(psi.values) ** 2, c)
 
 
 def effective_volume_density(psi: GridWaveFunction) -> np.ndarray:
@@ -183,7 +181,7 @@ def effective_jordan_content(
     total = float(np.sum(p * vols))
     if abs(total - 1.0) > GRID_NORM_TOL:
         raise InvalidInput(f"density must integrate to 1 within {GRID_NORM_TOL:g}; got {total!r}")
-    v = float(np.sum(vols))
+    v = region.total_volume if isinstance(region, Grid) else float(np.sum(vols))
     return float(np.sum(c(v * p) * vols))
 
 
@@ -427,14 +425,10 @@ def reparametrization_check(
     h_source = source_grid.spacing[0]
 
     def target_side(p, eta, h):
-        mask = _support_mask(eta)
-        return float(np.sum(eta[mask] * c(p[mask] / eta[mask]) * h))
+        return _relative_mu(p, eta, np.full(p.size, h), c)
 
     def mapped_side(xs, ps, es, f_s, fp_s, h):
-        p2 = np.interp(f_s, xs, ps) * fp_s
-        eta2 = np.interp(f_s, xs, es) * fp_s
-        mask = _support_mask(eta2)
-        return float(np.sum(eta2[mask] * c(p2[mask] / eta2[mask]) * h))
+        return target_side(np.interp(f_s, xs, ps) * fp_s, np.interp(f_s, xs, es) * fp_s, h)
 
     value = target_side(sd.p, sd.eta, h_target)
     value_coarse = target_side(_coarsen(sd.p), _coarsen(sd.eta), 2.0 * h_target)

@@ -125,6 +125,8 @@ def dfd_gamma_scan(
         pv = p_k if isinstance(p_k, ProbabilityVector) else ProbabilityVector(np.asarray(p_k))
         if pv.n != int(n_k):
             raise InvalidInput(f"family member claims n={n_k} but has {pv.n} entries")
+        if pv.n < 2:  # k_eq divides by log2(n)
+            raise InvalidInput(f"family members need n >= 2, got n={n_k}")
         members.append(pv)
     sizes = [pv.n for pv in members]
     if len(sizes) < 3:

@@ -46,18 +46,34 @@ def _load_json(path: str | Path) -> Any:
     path = Path(path)
     try:
         text = path.read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"{path}: cannot read file: {exc}") from exc
     try:
         return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except RecursionError as exc:
+        raise InvalidInput(f"{path}: invalid JSON: nested too deeply") from exc
 
 
 def _require(doc: dict, key: str, path) -> Any:
     if not isinstance(doc, dict) or key not in doc:
         raise InvalidInput(f"{path}: missing required key {key!r}")
     return doc[key]
+
+
+def _int_field(doc: dict, key: str, path, *, listed: bool = False):
+    """``doc[key]`` as a JSON integer, or as a list of them if ``listed``.
+
+    Anything else, a float, a string or a boolean, raises InvalidInput.
+    """
+    value = _require(doc, key, path)
+    if listed and not isinstance(value, list):
+        raise InvalidInput(f"{path}: {key!r} must be a list of JSON integers, got {value!r}")
+    for v in value if listed else [value]:
+        if type(v) is not int:  # bool subclasses int but is no JSON integer
+            raise InvalidInput(f"{path}: {key!r} takes JSON integers only, got {v!r}")
+    return value
 
 
 def _complex_array(entries, path, what: str) -> np.ndarray:
@@ -73,7 +89,7 @@ def _complex_array(entries, path, what: str) -> np.ndarray:
 def load_state(path: str | Path) -> PureState:
     """State file: {"dim": N, "amps": [[re, im], ...]}."""
     doc = _load_json(path)
-    dim = int(_require(doc, "dim", path))
+    dim = _int_field(doc, "dim", path)
     amps = _complex_array(_require(doc, "amps", path), path, "amps")
     if amps.ndim != 1 or amps.size != dim:
         raise InvalidInput(f"{path}: expected {dim} amplitudes, got {amps.size}")
@@ -83,7 +99,7 @@ def load_state(path: str | Path) -> PureState:
 def load_density(path: str | Path) -> DensityMatrix:
     """Density file: {"dim": N, "rows": [[[re, im], ...], ...]} row-major."""
     doc = _load_json(path)
-    dim = int(_require(doc, "dim", path))
+    dim = _int_field(doc, "dim", path)
     mat = _complex_array(_require(doc, "rows", path), path, "rows")
     if mat.shape != (dim, dim):
         raise InvalidInput(f"{path}: expected a {dim}x{dim} matrix, got shape {mat.shape}")
@@ -132,8 +148,8 @@ def load_grid_wavefunction(path: str | Path) -> GridWaveFunction:
     with cells enumerated row-major; "origin" is optional.
     """
     doc = _load_json(path)
-    d = int(_require(doc, "d", path))
-    shape = tuple(int(s) for s in _require(doc, "shape", path))
+    d = _int_field(doc, "d", path)
+    shape = tuple(_int_field(doc, "shape", path, listed=True))
     spacing = tuple(float(s) for s in _require(doc, "spacing", path))
     if len(shape) != d or len(spacing) != d:
         raise InvalidInput(f"{path}: shape/spacing must have {d} entries")
@@ -160,7 +176,7 @@ def load_refine_problem(path: str | Path) -> tuple[Callable[[int], RefinementLev
         return constant_refinement_problem(weights, spacing), "constant weights"
     if kind == "half-box-1d":
         lo, hi = (float(x) for x in _require(doc, "box", path))
-        cells = int(_require(doc, "base_cells", path))
+        cells = _int_field(doc, "base_cells", path)
         mid = 0.5 * (lo + hi)
 
         def indicator(x: np.ndarray) -> np.ndarray:
@@ -171,7 +187,7 @@ def load_refine_problem(path: str | Path) -> tuple[Callable[[int], RefinementLev
         lo, hi = (float(x) for x in _require(doc, "box", path))
         center = float(_require(doc, "center", path))
         sigma = float(_require(doc, "sigma", path))
-        cells = int(_require(doc, "base_cells", path))
+        cells = _int_field(doc, "base_cells", path)
         if sigma <= 0.0:
             raise InvalidInput(f"{path}: sigma must be positive")
 
@@ -196,7 +212,7 @@ def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
         gamma = float(_require(doc, "gamma", path))
         if not 0.0 <= gamma <= 1.0:
             raise InvalidInput(f"{path}: gamma must lie in [0, 1]")
-        exponents = [int(j) for j in _require(doc, "exponents", path)]
+        exponents = _int_field(doc, "exponents", path, listed=True)
         family = []
         for j in exponents:
             n = 2**j
@@ -209,11 +225,52 @@ def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
         members = _require(doc, "members", path)
         family = []
         for member in members:
-            n = int(_require(member, "n", path))
+            n = _int_field(member, "n", path)
             p = np.asarray(_require(member, "p", path), dtype=float)
             family.append((n, ProbabilityVector(p)))
         return family
     raise InvalidInput(f"{path}: unknown family kind {kind!r}")
+
+
+def _load_decomposition_alone(path, doc: dict):
+    """A decomposition checked against the smallest dimension its indices fill."""
+    try:
+        dim = 1 + max(int(i) for g in doc["groups"] for i in g)
+    except (TypeError, ValueError) as exc:
+        raise InvalidInput(f"{path}: groups must be non-empty lists of integer indices") from exc
+    return load_decomposition(path, dim)
+
+
+# The input kinds in the order ``check_file`` tries them: (name, test on the
+# document, loader of the path and document).  Loaders are looked up when
+# called, so a wrapper re-bound on this module (bench/tracing.py) sees them.
+SCHEMAS = (
+    ("state", lambda doc: "amps" in doc, lambda path, doc: load_state(path)),
+    ("density", lambda doc: "rows" in doc and "dim" in doc, lambda path, doc: load_density(path)),
+    ("decomposition", lambda doc: "groups" in doc, _load_decomposition_alone),
+    ("grid wave function", lambda doc: "values" in doc,
+     lambda path, doc: load_grid_wavefunction(path)),
+    ("refinement problem",
+     lambda doc: doc.get("kind") in ("constant", "half-box-1d", "gaussian-1d"),
+     lambda path, doc: load_refine_problem(path)),
+    ("family", lambda doc: doc.get("kind") in ("uniform-power", "explicit"),
+     lambda path, doc: load_dfd_family(path)),
+)
+
+
+def check_file(path: str | Path) -> str:
+    """Load an input file of any kind and return the kind's name.
+
+    The first kind in ``SCHEMAS`` whose test accepts the document decides;
+    a document no kind accepts, a JSON array say, raises InvalidInput.
+    """
+    doc = _load_json(path)
+    if isinstance(doc, dict):
+        for name, accepts, load in SCHEMAS:
+            if accepts(doc):
+                load(path, doc)
+                return name
+    raise InvalidInput("unrecognized document schema")
 
 
 # ---------------------------------------------------------------------------

@@ -79,6 +79,8 @@ def sample_outcomes(
     """
     if t < 1:
         raise InvalidInput("trial count must be >= 1")
+    if not 0 <= seed < 2**64:
+        raise InvalidInput(f"seed must lie in [0, 2**64), got {seed}")
     probs = subspace_probs(psi, dec, basis)
     rng = Generator(Philox(key=np.uint64(seed)))
     uniforms = rng.random(int(t))

@@ -140,6 +140,22 @@ class TestExitCodes:
         )
         assert code == 2
 
+    @pytest.mark.parametrize("dim", ["x", 1.7])
+    def test_non_integer_dim_is_exit_two(self, capsys, tmp_path, dim):
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"dim": dim, "amps": [[1.0, 0.0]]}))
+        code, _, err = run(capsys, "mu", state, FIXTURES / "dec_singletons3.json")
+        assert code == 2
+        assert "state.json" in err and "'dim'" in err
+
+    def test_non_integer_trials_is_exit_two(self, capsys):
+        code, _, err = run(
+            capsys, "simulate", FIXTURES / "state_p525.json",
+            FIXTURES / "dec_singletons3.json", "--trials", "abc",
+        )
+        assert code == 2
+        assert err.startswith("error: --trials")
+
     def test_success_is_exit_zero(self, capsys):
         code, _, _ = run(capsys, "qnum", FIXTURES / "density_mixed4.json")
         assert code == 0
@@ -188,6 +204,24 @@ class TestCheck:
         code, _, err = run(capsys, "check", FIXTURES / "state_bad_norm.json")
         assert code == 2
         assert "INVALID" in err
+
+    @pytest.mark.parametrize("doc", [[1, 2, 3], {"groups": []}], ids=["array", "no-groups"])
+    def test_unloadable_document_fails_the_check(self, capsys, tmp_path, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "check", path)
+        assert code == 2
+        assert err.startswith("error: ") and f"{path}: INVALID" in err
+
+    @pytest.mark.parametrize("command", ["check", "qnum"])
+    @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
+                             ids=["not-utf8", "nested-too-deeply"])
+    def test_undecodable_file_is_exit_two(self, capsys, tmp_path, command, data):
+        path = tmp_path / "doc.json"
+        path.write_bytes(data)
+        code, _, err = run(capsys, command, path)
+        assert code == 2
+        assert err.startswith("error: ") and str(path) in err
 
     def test_entropy_value_matches_library(self, capsys):
         code, out, _ = run(

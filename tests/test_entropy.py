@@ -189,6 +189,12 @@ class TestGammaScan:
         with pytest.raises(InvalidInput):
             dfd_gamma_scan(family, MINIMAL)
 
+    def test_single_state_member_rejected(self):
+        # k_eq divides by log2(n), which vanishes at n = 1
+        family = [(1, probs(1.0)), (2, probs(0.5, 0.5)), (4, probs(0.25, 0.25, 0.25, 0.25))]
+        with pytest.raises(InvalidInput):
+            dfd_gamma_scan(family, MINIMAL)
+
     def test_reports_per_step_table(self):
         result = dfd_gamma_scan(uniform_power_family(0.5, range(4, 12)), MINIMAL)
         assert [s.n for s in result.steps] == [2**j for j in range(4, 12)]

@@ -68,6 +68,12 @@ class TestSampling:
         with pytest.raises(InvalidInput):
             sample_outcomes(psi, dec, None, 0, seed=1)
 
+    @pytest.mark.parametrize("seed", [-1, 2**64])
+    def test_seed_outside_the_generator_key_range_rejected(self, seed):
+        psi, dec = three_outcome_state()
+        with pytest.raises(InvalidInput):
+            sample_outcomes(psi, dec, None, 10, seed=seed)
+
     def test_sequence_indices_validated(self):
         with pytest.raises(InvalidInput):
             OutcomeSequence(trials=np.array([0, 3]), seed=0, m_count=3)
