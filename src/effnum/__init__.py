@@ -52,6 +52,7 @@ from .density import (
     quantum_effnum_min,
     quantum_mu_entropy,
     quantum_mu_entropy_min,
+    schmidt_weights,
 )
 from .continuum import (
     Grid,

@@ -73,17 +73,17 @@ def _cmd_mu(args) -> Result:
     psi = load_state(args.state)
     dec, basis, _ = load_decomposition(args.decomposition, psi.dim)
     c = parse_counting_selector(args.cf)
-    probs = states.subspace_probs(psi, dec, basis).p
+    probs = states.subspace_probs(psi, dec, basis)
+    weights = weights_from_probs(probs)
     out = Result("mu", "measurement uncertainty (blocks 1-based)", ["block", "probability"])
     out.put("n", psi.dim, "dimension N")
     out.put("m", dec.m_count, "blocks M")
     out.put("counting_function", c.label, "kernel")
-    out.payload["block_probs"] = probs
-    for m, p in enumerate(probs.tolist()):
+    out.payload["block_probs"] = probs.p
+    for m, p in enumerate(probs.p.tolist()):
         out.add((f"p[{m + 1}]", p), [m, p])
-    out.put("mu_uncertainty", states.mu_uncertainty(psi, dec, basis, c), "mu-uncertainty",
-            csv=True)
-    out.put("mu_uncertainty_min", states.mu_uncertainty_min(psi, dec, basis), "minimal (star)",
+    out.put("mu_uncertainty", effnum(weights, c), "mu-uncertainty", csv=True)
+    out.put("mu_uncertainty_min", effnum(weights, CountingFunction.minimal()), "minimal (star)",
             csv=True)
     return out
 
@@ -106,7 +106,7 @@ def _cmd_qnum(args) -> Result:
     rho = load_density(args.density)
     c = parse_counting_selector(args.cf)
     base_label, divisor = _parse_log_base(args.log_base)
-    spectrum = density.hermitian_eigen(rho).eigenvalues
+    spectrum = rho.spectrum
     out = Result("qnum", "density-matrix state content (ranks 1-based)",
                  ["eigenvalue_rank", "eigenvalue"])
     out.put("n", rho.dim, "dimension N")

@@ -2,10 +2,15 @@
 
 The effective number of state components of an N x N density matrix is
 the effective count of its spectrum with weights N * rho_i, a
-basis-independent quantity.  For a bipartite pure state the same count
-applied to a reduced density matrix measures entanglement; it is
-symmetric between the two parts because both reductions share their
-non-zero spectrum.
+basis-independent quantity.  The spectrum is computed once, when the
+matrix is validated, and every count and entropy reads that one array.
+
+For a bipartite pure state the same count applied to a reduced density
+matrix measures entanglement.  Both reductions share their non-zero
+spectrum, the Schmidt weights, which :func:`mu_entanglement` takes from
+one SVD of the amplitudes without forming an N x N matrix.
+:func:`partial_trace` and :meth:`DensityMatrix.from_pure` remain as API
+and as the reference path the tests compare against.
 """
 
 from __future__ import annotations
@@ -27,10 +32,16 @@ DEFAULT_DIM_CAP = 4096
 
 @dataclass(frozen=True)
 class DensityMatrix:
-    """Hermitian, trace-one, positive semidefinite complex matrix."""
+    """Hermitian, trace-one, positive semidefinite complex matrix.
+
+    ``spectrum`` holds its eigenvalues, sorted descending, with negatives
+    within ``NEGATIVE_EIGENVALUE_TOL`` clamped to zero, renormalized to sum
+    to one (``math.fsum``) and read-only.
+    """
 
     mat: np.ndarray
     dim: int = field(init=False)
+    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         mat = np.asarray(self.mat, dtype=complex)
@@ -49,15 +60,14 @@ class DensityMatrix:
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise InvariantViolation(f"trace must equal 1 within {TRACE_TOL:g}; got {trace!r}")
-        smallest = float(np.min(np.linalg.eigvalsh(mat)))
-        if smallest < -NEGATIVE_EIGENVALUE_TOL:
-            raise InvariantViolation(
-                f"matrix is not positive semidefinite: smallest eigenvalue {smallest:.3e}"
-            )
         mat = mat.copy()
         mat.flags.writeable = False
+        # eigh, not eigvalsh: the two LAPACK drivers differ in the last bit,
+        # and hermitian_eigen's values must equal this spectrum exactly.
+        vals = _eigh(mat)[0]
         object.__setattr__(self, "mat", mat)
         object.__setattr__(self, "dim", int(n))
+        object.__setattr__(self, "spectrum", _normalized_spectrum(vals[::-1]))
 
     @classmethod
     def from_pure(cls, psi: PureState) -> "DensityMatrix":
@@ -110,27 +120,45 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return out
 
 
+def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """LAPACK's Hermitian solver; non-convergence raises ConvergenceError."""
+    try:
+        return np.linalg.eigh(mat)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+
+
+def _normalized_spectrum(vals: np.ndarray) -> np.ndarray:
+    """Descending eigenvalues, clamped within tolerance and fsum-normalized.
+
+    A negative eigenvalue beyond ``NEGATIVE_EIGENVALUE_TOL`` raises
+    InvariantViolation: the matrix is not positive semidefinite.
+    """
+    smallest = float(np.min(vals))
+    if smallest < -NEGATIVE_EIGENVALUE_TOL:
+        raise InvariantViolation(
+            f"matrix is not positive semidefinite: smallest eigenvalue {smallest:.3e}"
+        )
+    vals = np.where(vals < 0.0, 0.0, vals)
+    vals = vals / math.fsum(vals.tolist())
+    vals.flags.writeable = False
+    return vals
+
+
 def hermitian_eigen(rho: DensityMatrix) -> Eigensystem:
     """Spectral decomposition of a density matrix.
 
     Delegates the diagonalization to LAPACK's Hermitian solver and then
     applies the ordering, clamping and phase conventions of
-    :class:`Eigensystem`.  Raises :class:`ConvergenceError` if the solver
+    :class:`Eigensystem`; the eigenvalues equal ``rho.spectrum`` bit for
+    bit.  Callers that need only the eigenvalues should read
+    ``rho.spectrum``.  Raises :class:`ConvergenceError` if the solver
     fails to converge (pathological input).
     """
-    try:
-        vals, vecs = np.linalg.eigh(rho.mat)
-    except np.linalg.LinAlgError as exc:
-        raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+    vals, vecs = _eigh(rho.mat)
     order = np.argsort(vals, kind="stable")[::-1]
-    vals = vals[order]
     vecs = _fix_phases(vecs[:, order])
-    vals = np.where((vals < 0.0) & (vals >= -NEGATIVE_EIGENVALUE_TOL), 0.0, vals)
-    if np.any(vals < 0.0):
-        raise InvariantViolation("spectrum has negativity beyond tolerance")
-    total = math.fsum(vals.tolist())
-    vals = vals / total
-    return Eigensystem(eigenvalues=vals, eigenvectors=vecs)
+    return Eigensystem(eigenvalues=_normalized_spectrum(vals[order]), eigenvectors=vecs)
 
 
 def quantum_effnum(
@@ -148,8 +176,7 @@ def quantum_effnum(
     n = rho.dim if nominal is None else int(nominal)
     if n < 1:
         raise InvalidInput(f"nominal count must be positive, got {n}")
-    spectrum = hermitian_eigen(rho).eigenvalues
-    return effnum(WeightVector(n * spectrum, n=n), c)
+    return effnum(WeightVector(n * rho.spectrum, n=n), c)
 
 
 def quantum_effnum_min(rho: DensityMatrix, *, nominal: int | None = None) -> float:
@@ -225,6 +252,28 @@ def partial_trace(rho: DensityMatrix, bp: BipartiteStructure, keep: str) -> Dens
     return DensityMatrix(reduced)
 
 
+def schmidt_weights(psi: PureState, bp: BipartiteStructure) -> np.ndarray:
+    """Schmidt weights of a bipartite pure state, descending and read-only.
+
+    They are the squared singular values of the amplitudes reshaped to
+    dim_a x dim_b (Nielsen & Chuang, Thm 2.7), renormalized to sum to one
+    with ``math.fsum``: min(dim_a, dim_b) entries, the non-zero spectrum of
+    either reduced density matrix padded with zeros.
+    """
+    if bp.dim != psi.dim:
+        raise InvalidInput(
+            f"factorization {bp.dim_a}x{bp.dim_b} inconsistent with dimension {psi.dim}"
+        )
+    try:
+        singular = np.linalg.svd(psi.amps.reshape(bp.dim_a, bp.dim_b), compute_uv=False)
+    except np.linalg.LinAlgError as exc:
+        raise ConvergenceError(f"SVD did not converge: {exc}") from exc
+    weights = singular**2
+    weights /= math.fsum(weights.tolist())
+    weights.flags.writeable = False
+    return weights
+
+
 def mu_entanglement(
     psi: PureState,
     bp: BipartiteStructure,
@@ -234,17 +283,16 @@ def mu_entanglement(
     """State content shared across the bipartition: the effective
     component count of the reduced density matrix.
 
-    The weight scale is min(dim_a, dim_b) -- the largest possible number
-    of terms in the biorthogonal expansion -- which makes the value
-    independent of the side kept even for unequal factor dimensions.
+    The count runs over the :func:`schmidt_weights`, so it does not
+    depend on ``side`` ("A" or "B", the factor kept) and is not limited by
+    ``DEFAULT_DIM_CAP``.  The weight scale is min(dim_a, dim_b) -- the
+    largest possible number of terms in the biorthogonal expansion.
     Ranges from 1 (product state) to min(dim_a, dim_b) (maximal).
     """
-    if bp.dim != psi.dim:
-        raise InvalidInput(
-            f"factorization {bp.dim_a}x{bp.dim_b} inconsistent with dimension {psi.dim}"
-        )
-    reduced = partial_trace(DensityMatrix.from_pure(psi), bp, keep=side)
-    return quantum_effnum(reduced, c, nominal=min(bp.dim_a, bp.dim_b))
+    if side.upper() not in ("A", "B"):
+        raise InvalidInput(f'side must be "A" or "B", got {side!r}')
+    weights = schmidt_weights(psi, bp)
+    return effnum(WeightVector(weights.size * weights), c)
 
 
 def mu_entanglement_min(psi: PureState, bp: BipartiteStructure, side: str = "A") -> float:

@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import math
+from itertools import chain
 from pathlib import Path
 from typing import Any, Callable
 
@@ -76,6 +77,52 @@ def _int_field(doc: dict, key: str, path, *, listed: bool = False):
     return value
 
 
+def _json_numbers(value) -> bool:
+    """Whether ``value`` is a JSON number or a list, nested to any depth, of them."""
+    if type(value) is not list:
+        return type(value) in (int, float)  # bool is neither
+    kinds = set(map(type, value))
+    if kinds == {list}:
+        return _json_numbers(list(chain.from_iterable(value)))
+    return kinds <= {int, float}
+
+
+def _float_array(value, path, key: str) -> np.ndarray:
+    """``value`` as a float array: finite JSON numbers in rectangular lists.
+
+    A string, a boolean, null, a ragged list, or NaN or Infinity (which
+    Python's decoder accepts but JSON does not) raises InvalidInput.
+    """
+    if _json_numbers(value):
+        try:
+            arr = np.asarray(value, dtype=float)
+        except (ValueError, OverflowError):  # ragged nesting, an integer beyond float range
+            pass
+        else:
+            if np.all(np.isfinite(arr)):
+                return arr
+    raise InvalidInput(f"{path}: {key!r} takes finite JSON numbers only, got {value!r:.80}")
+
+
+def _float_field(doc: dict, key: str, path, *, listed: bool = False):
+    """``doc[key]`` as a finite JSON number, or as a 1-d float array of them
+    if ``listed``."""
+    arr = _float_array(_require(doc, key, path), path, key)
+    if arr.ndim != (1 if listed else 0):
+        kind = "a list of JSON numbers" if listed else "a JSON number"
+        raise InvalidInput(f"{path}: {key!r} must be {kind}, got {doc[key]!r:.80}")
+    return arr if listed else float(arr)
+
+
+def _index_groups(doc: dict, path) -> tuple[tuple[int, ...], ...]:
+    """``doc["groups"]``: lists of 0-based indices, each a JSON integer."""
+    groups = _require(doc, "groups", path)
+    if not (type(groups) is list and all(type(g) is list for g in groups)
+            and all(type(i) is int for g in groups for i in g)):
+        raise InvalidInput(f"{path}: groups must be lists of JSON integer indices")
+    return tuple(map(tuple, groups))
+
+
 def _complex_array(entries, path, what: str) -> np.ndarray:
     try:
         arr = np.asarray(entries, dtype=float)
@@ -103,6 +150,9 @@ def load_density(path: str | Path) -> DensityMatrix:
     mat = _complex_array(_require(doc, "rows", path), path, "rows")
     if mat.shape != (dim, dim):
         raise InvalidInput(f"{path}: expected a {dim}x{dim} matrix, got shape {mat.shape}")
+    # Free the parsed lists, several times the matrix's size, before the
+    # eigensolver allocates its workspace: this lowers the peak memory.
+    del doc
     return DensityMatrix(mat)
 
 
@@ -116,12 +166,7 @@ def load_decomposition(
      "eigtuples": [[x, ...], ...]}     # optional outcome labels
     """
     doc = _load_json(path)
-    groups = _require(doc, "groups", path)
-    try:
-        blocks = tuple(tuple(int(i) for i in g) for g in groups)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{path}: groups must be lists of integer indices") from exc
-    dec = OrthogonalDecomposition(blocks, dim)
+    dec = OrthogonalDecomposition(_index_groups(doc, path), dim)
 
     basis_doc = doc.get("basis", "identity")
     if basis_doc == "identity":
@@ -135,8 +180,8 @@ def load_decomposition(
     eig = doc.get("eigtuples")
     eigtuples = None
     if eig is not None:
-        eigtuples = np.atleast_2d(np.asarray(eig, dtype=float))
-        if eigtuples.shape[0] != dec.m_count:
+        eigtuples = np.atleast_2d(_float_array(eig, path, "eigtuples"))
+        if eigtuples.ndim != 2 or eigtuples.shape[0] != dec.m_count:
             raise InvalidInput(f"{path}: need one eigtuple per group")
     return dec, basis, eigtuples
 
@@ -150,14 +195,23 @@ def load_grid_wavefunction(path: str | Path) -> GridWaveFunction:
     doc = _load_json(path)
     d = _int_field(doc, "d", path)
     shape = tuple(_int_field(doc, "shape", path, listed=True))
-    spacing = tuple(float(s) for s in _require(doc, "spacing", path))
+    spacing = tuple(_float_field(doc, "spacing", path, listed=True).tolist())
     if len(shape) != d or len(spacing) != d:
         raise InvalidInput(f"{path}: shape/spacing must have {d} entries")
-    origin = doc.get("origin")
-    grid = Grid(shape=shape, spacing=spacing,
-                origin=None if origin is None else tuple(float(x) for x in origin))
+    origin = None
+    if doc.get("origin") is not None:
+        origin = tuple(_float_field(doc, "origin", path, listed=True).tolist())
+    grid = Grid(shape=shape, spacing=spacing, origin=origin)
     values = _complex_array(_require(doc, "values", path), path, "values")
     return GridWaveFunction(grid=grid, values=values)
+
+
+def _interval(doc: dict, path) -> tuple[float, float]:
+    """``doc["box"]`` as the pair (lo, hi)."""
+    box = _float_field(doc, "box", path, listed=True)
+    if box.size != 2:
+        raise InvalidInput(f"{path}: 'box' must be [lo, hi], got {doc['box']!r}")
+    return float(box[0]), float(box[1])
 
 
 def load_refine_problem(path: str | Path) -> tuple[Callable[[int], RefinementLevel], str]:
@@ -171,11 +225,11 @@ def load_refine_problem(path: str | Path) -> tuple[Callable[[int], RefinementLev
     doc = _load_json(path)
     kind = _require(doc, "kind", path)
     if kind == "constant":
-        weights = np.asarray(_require(doc, "weights", path), dtype=float)
-        spacing = float(doc.get("base_spacing", 1.0))
+        weights = _float_field(doc, "weights", path, listed=True)
+        spacing = _float_field(doc, "base_spacing", path) if "base_spacing" in doc else 1.0
         return constant_refinement_problem(weights, spacing), "constant weights"
     if kind == "half-box-1d":
-        lo, hi = (float(x) for x in _require(doc, "box", path))
+        lo, hi = _interval(doc, path)
         cells = _int_field(doc, "base_cells", path)
         mid = 0.5 * (lo + hi)
 
@@ -184,9 +238,9 @@ def load_refine_problem(path: str | Path) -> tuple[Callable[[int], RefinementLev
 
         return interval_refinement_problem(indicator, (lo, hi), cells), "half-box indicator"
     if kind == "gaussian-1d":
-        lo, hi = (float(x) for x in _require(doc, "box", path))
-        center = float(_require(doc, "center", path))
-        sigma = float(_require(doc, "sigma", path))
+        lo, hi = _interval(doc, path)
+        center = _float_field(doc, "center", path)
+        sigma = _float_field(doc, "sigma", path)
         cells = _int_field(doc, "base_cells", path)
         if sigma <= 0.0:
             raise InvalidInput(f"{path}: sigma must be positive")
@@ -209,7 +263,7 @@ def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
     doc = _load_json(path)
     kind = _require(doc, "kind", path)
     if kind == "uniform-power":
-        gamma = float(_require(doc, "gamma", path))
+        gamma = _float_field(doc, "gamma", path)
         if not 0.0 <= gamma <= 1.0:
             raise InvalidInput(f"{path}: gamma must lie in [0, 1]")
         exponents = _int_field(doc, "exponents", path, listed=True)
@@ -226,7 +280,7 @@ def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
         family = []
         for member in members:
             n = _int_field(member, "n", path)
-            p = np.asarray(_require(member, "p", path), dtype=float)
+            p = _float_field(member, "p", path, listed=True)
             family.append((n, ProbabilityVector(p)))
         return family
     raise InvalidInput(f"{path}: unknown family kind {kind!r}")
@@ -234,11 +288,10 @@ def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
 
 def _load_decomposition_alone(path, doc: dict):
     """A decomposition checked against the smallest dimension its indices fill."""
-    try:
-        dim = 1 + max(int(i) for g in doc["groups"] for i in g)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{path}: groups must be non-empty lists of integer indices") from exc
-    return load_decomposition(path, dim)
+    indices = [i for g in _index_groups(doc, path) for i in g]
+    if not indices:
+        raise InvalidInput(f"{path}: groups must be non-empty lists of integer indices")
+    return load_decomposition(path, 1 + max(indices))
 
 
 # The input kinds in the order ``check_file`` tries them: (name, test on the

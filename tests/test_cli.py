@@ -156,6 +156,32 @@ class TestExitCodes:
         assert code == 2
         assert err.startswith("error: --trials")
 
+    @pytest.mark.parametrize("command, doc", [
+        ("effvol", {"d": 1, "shape": [2], "spacing": ["x"], "values": [[1.0, 0.0], [0.0, 0.0]]}),
+        ("refine", {"kind": "half-box-1d", "box": [0], "base_cells": 8}),
+        ("refine", {"kind": "constant", "weights": "abc"}),
+        ("dfd", {"kind": "explicit", "members": [{"n": 2, "p": ["a", 1]}]}),
+        ("refine", {"kind": "gaussian-1d", "box": [0.0, 1.0], "center": 0.5,
+                    "sigma": float("inf"), "base_cells": 8}),
+    ], ids=["effvol-spacing", "refine-box", "refine-weights", "dfd-p", "refine-sigma-infinity"])
+    def test_malformed_float_field_is_exit_two(self, capsys, tmp_path, command, doc):
+        path = tmp_path / "doc.json"
+        path.write_text(json.dumps(doc))
+        code, _, err = run(capsys, command, path)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+
+    @pytest.mark.parametrize("doc", [
+        {"groups": [[0], [1.7], [2]]},
+        {"groups": [[0], [1], [2]], "eigtuples": [["a"], [1], [2]]},
+    ], ids=["group-index", "eigtuples"])
+    def test_malformed_decomposition_is_exit_two(self, capsys, tmp_path, doc):
+        dec = tmp_path / "dec.json"
+        dec.write_text(json.dumps(doc))
+        code, _, err = run(capsys, "mu", FIXTURES / "state_p525.json", dec)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {dec}: ")
+
     def test_success_is_exit_zero(self, capsys):
         code, _, _ = run(capsys, "qnum", FIXTURES / "density_mixed4.json")
         assert code == 0

@@ -1,7 +1,9 @@
+import json
 import math
 
 import numpy as np
 import pytest
+from conftest import FIXTURES
 from oracles import (
     charpoly_eigvals_4x4,
     jacobi_hermitian,
@@ -28,7 +30,9 @@ from effnum import (
     quantum_effnum_min,
     quantum_mu_entropy,
     quantum_mu_entropy_min,
+    schmidt_weights,
 )
+from effnum.cli import main
 
 MINIMAL = CountingFunction.minimal()
 
@@ -60,6 +64,23 @@ class TestDensityMatrix:
         rho = DensityMatrix.maximally_mixed(3)
         with pytest.raises(ValueError):
             rho.mat[0, 0] = 0.0
+
+
+class TestStoredSpectrum:
+    def test_equals_hermitian_eigen_bit_for_bit(self):
+        rng = np.random.default_rng(71)
+        mats = [random_density(rng, int(rng.integers(2, 33))) for _ in range(20)]
+        mats.append(DensityMatrix.from_pure(PureState(random_pure(rng, 6))).mat)
+        mats.append(werner_half().mat)
+        for mat in mats:
+            rho = DensityMatrix(mat)
+            assert np.array_equal(rho.spectrum, hermitian_eigen(rho).eigenvalues)
+            assert np.all(np.diff(rho.spectrum) <= 0.0)
+
+    def test_is_read_only(self):
+        rho = werner_half()
+        with pytest.raises(ValueError):
+            rho.spectrum[0] = 0.0
 
 
 class TestEnsembles:
@@ -348,3 +369,60 @@ class TestEntanglement:
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             mu_entanglement_min(bell_state(), BipartiteStructure(2, 3))
+
+    def test_unknown_side_rejected(self):
+        with pytest.raises(InvalidInput):
+            mu_entanglement_min(bell_state(), BipartiteStructure(2, 2), side="C")
+
+    @pytest.mark.parametrize("dim_a, dim_b", [(2, 3), (3, 5), (8, 32), (16, 16)])
+    def test_schmidt_weights_match_partial_trace_oracle(self, dim_a, dim_b):
+        rng = np.random.default_rng(73 + dim_a * dim_b)
+        bp = BipartiteStructure(dim_a, dim_b)
+        k = min(dim_a, dim_b)
+        for _ in range(3):
+            psi = PureState(random_pure(rng, bp.dim))
+            weights = schmidt_weights(psi, bp)
+            assert weights.size == k
+            joint = DensityMatrix.from_pure(psi)
+            for keep in "AB":
+                reduced = partial_trace(joint, bp, keep)
+                oracle = hermitian_eigen(reduced).eigenvalues[:k]
+                assert np.max(np.abs(weights - oracle)) < 1e-12
+                assert abs(mu_entanglement_min(psi, bp, side=keep)
+                           - quantum_effnum_min(reduced, nominal=k)) < 1e-12
+
+    def test_beyond_the_density_dimension_cap(self, tmp_path, capsys):
+        rng = np.random.default_rng(79)
+        bp = BipartiteStructure(64, 128)  # N = 8192 > DEFAULT_DIM_CAP
+        amps = random_pure(rng, bp.dim)
+        value = mu_entanglement_min(PureState(amps), bp)
+        assert 1.0 <= value <= 64.0
+        path = tmp_path / "state.json"
+        path.write_text(json.dumps({"dim": bp.dim, "amps": [[z.real, z.imag] for z in amps]}))
+        assert main(["entangle", str(path), "--dims", "64x128", "--format", "json"]) == 0
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["side_a_min"] == payload["side_b_min"] == value
+
+
+@pytest.fixture
+def linalg_calls(monkeypatch):
+    """Names of the numpy decompositions called while the test runs."""
+    calls = []
+    for name in ("eigh", "eigvalsh", "svd"):
+        def counted(*args, _name=name, _original=getattr(np.linalg, name), **kwargs):
+            calls.append(_name)
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(np.linalg, name, counted)
+    return calls
+
+
+class TestDecompositionsPerCommand:
+    def test_qnum_decomposes_once(self, linalg_calls, capsys):
+        assert main(["qnum", str(FIXTURES / "density_werner.json")]) == 0
+        assert linalg_calls == ["eigh"]
+
+    def test_entangle_never_diagonalizes(self, linalg_calls, capsys):
+        args = ["entangle", str(FIXTURES / "state_tilted.json"), "--dims", "2x2"]
+        assert main(args) == 0
+        assert linalg_calls and set(linalg_calls) == {"svd"}
