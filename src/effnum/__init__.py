@@ -13,6 +13,7 @@ from .counting import (
     default_sample_grid,
     effnum,
     effnum_min,
+    exact_sums,
     product,
     validate_counting_function,
     weights_from_probs,

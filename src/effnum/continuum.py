@@ -32,6 +32,7 @@ GRID_NORM_TOL = 1e-8
 SUPPORT_RTOL = 1e-14
 OFF_SUPPORT_TOL = 1e-12
 MAX_GRID_DIM = 3
+MAX_REFINE_CELLS = 2**24  # cells of an interval problem's finest level
 
 
 @dataclass(frozen=True)
@@ -494,6 +495,8 @@ def refine_sequence(
         raise InvalidInput("need at least 3 refinement levels to extrapolate")
     if fit_order < 1:
         raise InvalidInput("fit order must be a positive integer")
+    if hasattr(problem, "cells"):
+        problem.cells(levels)  # size guard on the finest level, before any is built
     rows = []
     for k in range(1, levels + 1):
         lev = problem(k)
@@ -550,7 +553,9 @@ def interval_refinement_problem(
     ``intensity`` returns non-negative midpoint samples proportional to
     the probability density (a wave function's |psi|^2, say); each level
     doubles the cell count, renormalizes the cell masses and converts
-    them to counting weights.
+    them to counting weights.  A level of more than ``MAX_REFINE_CELLS``
+    cells raises InvalidInput; ``problem.cells(k)`` applies that check
+    without building level k.
     """
     lo, hi = float(box[0]), float(box[1])
     if hi <= lo:
@@ -558,8 +563,16 @@ def interval_refinement_problem(
     if base_cells < 2:
         raise InvalidInput("need at least 2 base cells")
 
+    def cells(k: int) -> int:
+        if base_cells > MAX_REFINE_CELLS >> (k - 1):
+            raise InvalidInput(
+                f"refinement level {k} would hold {base_cells} * 2**{k - 1} cells, "
+                f"above the cap of {MAX_REFINE_CELLS}"
+            )
+        return base_cells * 2 ** (k - 1)
+
     def problem(k: int) -> RefinementLevel:
-        m = base_cells * 2 ** (k - 1)
+        m = cells(k)
         h = (hi - lo) / m
         x = lo + (np.arange(m) + 0.5) * h
         vals = np.asarray(intensity(x), dtype=float)
@@ -571,4 +584,5 @@ def interval_refinement_problem(
         weights = m * (vals / total)
         return RefinementLevel(m_count=m, weights=weights, spacing=h)
 
+    problem.cells = cells
     return problem

@@ -12,8 +12,11 @@ c(1) = 1.  Two kernel families are built in:
 User-supplied kernels are accepted and can be screened against the
 necessary conditions with :func:`validate_counting_function`.
 
-All reductions use exact summation (``math.fsum``), so effective numbers
-are invariant under permutation of the weights bit-for-bit.
+Every effective count is reduced with :func:`exact_sums`, which returns
+the correctly rounded sum -- the same bits as ``math.fsum`` -- at numpy
+speed, so effective numbers are invariant under permutation of the
+weights bit-for-bit.  Checks of a sum against a tolerance use numpy's
+pairwise ``sum`` instead (see :class:`ProbabilityVector`).
 """
 
 from __future__ import annotations
@@ -28,6 +31,73 @@ from .errors import InvalidInput
 
 PROB_SUM_TOL = 1e-12
 WEIGHT_SUM_TOL = 1e-12  # scaled by n at the point of use
+# Inputs of at most this many entries are summed by math.fsum: on one
+# segment it is faster than exact_sums' numpy passes up to about 700
+# entries (about 25 us either way there).
+EXACT_SUM_CUTOFF = 512
+
+
+def _fsums(x: np.ndarray, seg: np.ndarray | None, m: int) -> np.ndarray:
+    """math.fsum over each segment of x."""
+    if seg is None:
+        return np.array([math.fsum(x.tolist())])
+    parts = [[] for _ in range(m)]
+    for value, j in zip(x.tolist(), seg.tolist()):
+        parts[j].append(value)
+    return np.array([math.fsum(part) for part in parts])
+
+
+def exact_sums(x, seg=None, m: int = 1) -> np.ndarray:
+    """Correctly rounded sum of each segment of x, bit-identical to math.fsum.
+
+    ``seg`` gives each entry's segment in [0, m) (default: all in segment
+    0); the result has m entries, and an empty segment sums to 0.0.
+
+    Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 2008):
+    with e the exponent of max|x| (|x| < 2**e) and sigma =
+    2**(ceil(log2(n + 2)) + e), q = (sigma + x) - sigma rounds every entry
+    to a multiple of 2**-53 * sigma, and any partial sum of the q stays
+    below sigma, so numpy adds them without error; x - q is exact too.
+    Passes repeat on the non-zero remainders, each gaining at least
+    52 - log2(n + 2) bits, and one ``math.fsum`` over each segment's few
+    exact pass totals rounds once.  Short and non-finite inputs, and
+    inputs whose sigma would overflow, take ``math.fsum`` directly.
+    """
+    x = np.asarray(x, dtype=float).ravel()
+    if seg is not None:
+        seg = np.asarray(seg, dtype=np.intp)
+    if x.size <= EXACT_SUM_CUTOFF:
+        return _fsums(x, seg, m)
+    hi, lo = float(x.max()), float(x.min())
+    if not (math.isfinite(hi) and math.isfinite(lo)):
+        return _fsums(x, seg, m)
+    top = math.frexp(max(hi, -lo))[1]
+    if (x.size + 1).bit_length() + top > 1023:  # sigma would overflow
+        return _fsums(x, seg, m)
+    x = x.copy()  # the passes below work in place
+    totals = []
+    while True:
+        sigma = math.ldexp(1.0, (x.size + 1).bit_length() + top)
+        q = x + sigma
+        q -= sigma
+        x -= q
+        totals.append(float(q.sum()) if seg is None else np.bincount(seg, weights=q, minlength=m))
+        keep = x != 0.0
+        x = x[keep]
+        if not x.size:
+            break
+        if seg is not None:
+            seg = seg[keep]
+        top = math.frexp(max(float(x.max()), -float(x.min())))[1]
+    if seg is None:
+        return np.array([math.fsum(totals)])
+    totals = np.stack(totals)
+    # Adding one or two doubles rounds once, as fsum does; three or more
+    # non-zero totals need fsum's exact accumulation.
+    sums = totals.sum(axis=0)
+    for j in np.flatnonzero(np.count_nonzero(totals, axis=0) > 2):
+        sums[j] = math.fsum(totals[:, j].tolist())
+    return sums
 
 
 def _readonly_float_array(values, name: str) -> np.ndarray:
@@ -45,7 +115,13 @@ def _readonly_float_array(values, name: str) -> np.ndarray:
 
 @dataclass(frozen=True)
 class ProbabilityVector:
-    """Non-negative probabilities over n objects, summing to one."""
+    """Non-negative probabilities over n objects, summing to one.
+
+    The sum is checked with numpy's ``sum``, which adds blocks of 128
+    entries in 8 lanes and the block sums pairwise, so its error is below
+    (16 + log2 n) * 2**-53 * sum(p): under 1e-14 at any feasible n, far
+    inside ``PROB_SUM_TOL``.
+    """
 
     p: np.ndarray
     n: int = field(init=False)
@@ -54,7 +130,7 @@ class ProbabilityVector:
         arr = _readonly_float_array(self.p, "probability vector")
         if np.any(arr < 0.0):
             raise InvalidInput("probabilities must be non-negative")
-        total = math.fsum(arr.tolist())
+        total = float(arr.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise InvalidInput(
                 f"probabilities must sum to 1 within {PROB_SUM_TOL:g}; got {total!r}"
@@ -70,6 +146,9 @@ class WeightVector:
     ``n`` defaults to the number of entries; it may be given explicitly
     when the weights carry trailing structural zeros beyond the nominal
     count (a reduced density matrix larger than its Schmidt sector, say).
+    The sum is checked with numpy's ``sum``, whose error (below
+    (16 + log2 n) * 2**-53 * n, see :class:`ProbabilityVector`) is far
+    inside ``WEIGHT_SUM_TOL * n``.
     """
 
     w: np.ndarray
@@ -82,7 +161,7 @@ class WeightVector:
         n = int(arr.size) if self.n is None else int(self.n)
         if n < 1:
             raise InvalidInput("nominal count must be positive")
-        total = math.fsum(arr.tolist())
+        total = float(arr.sum())
         if abs(total - n) > WEIGHT_SUM_TOL * n:
             raise InvalidInput(
                 f"counting weights must sum to n={n} within {WEIGHT_SUM_TOL * n:g}; "
@@ -156,7 +235,7 @@ def weights_from_probs(p: ProbabilityVector) -> WeightVector:
 
 def effnum(w: WeightVector, c: CountingFunction) -> float:
     """Effective count sum_i c(w_i); lies in [1, n] for valid kernels."""
-    return math.fsum(c(w.w).tolist())
+    return exact_sums(c(w.w)).item()
 
 
 def effnum_min(w: WeightVector) -> float:

@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .counting import CountingFunction, WeightVector, effnum
+from .counting import CountingFunction, WeightVector, effnum, exact_sums
 from .errors import ConvergenceError, InvalidInput, InvariantViolation
 from .states import PureState
 
@@ -36,7 +36,7 @@ class DensityMatrix:
 
     ``spectrum`` holds its eigenvalues, sorted descending, with negatives
     within ``NEGATIVE_EIGENVALUE_TOL`` clamped to zero, renormalized to sum
-    to one (``math.fsum``) and read-only.
+    to one (exactly summed, :func:`~effnum.counting.exact_sums`) and read-only.
     """
 
     mat: np.ndarray
@@ -52,6 +52,9 @@ class DensityMatrix:
             raise InvalidInput(
                 f"density matrix dimension {n} exceeds the supported cap {DEFAULT_DIM_CAP}"
             )
+        # NaN would pass the comparisons below, which are all false for it.
+        if not np.all(np.isfinite(mat)):
+            raise InvalidInput("density matrix contains non-finite entries")
         herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
         if herm_defect > HERMITICITY_TOL:
             raise InvariantViolation(
@@ -129,7 +132,7 @@ def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 
 
 def _normalized_spectrum(vals: np.ndarray) -> np.ndarray:
-    """Descending eigenvalues, clamped within tolerance and fsum-normalized.
+    """Descending eigenvalues, clamped within tolerance and exactly normalized.
 
     A negative eigenvalue beyond ``NEGATIVE_EIGENVALUE_TOL`` raises
     InvariantViolation: the matrix is not positive semidefinite.
@@ -140,7 +143,7 @@ def _normalized_spectrum(vals: np.ndarray) -> np.ndarray:
             f"matrix is not positive semidefinite: smallest eigenvalue {smallest:.3e}"
         )
     vals = np.where(vals < 0.0, 0.0, vals)
-    vals = vals / math.fsum(vals.tolist())
+    vals = vals / exact_sums(vals).item()
     vals.flags.writeable = False
     return vals
 
@@ -257,7 +260,7 @@ def schmidt_weights(psi: PureState, bp: BipartiteStructure) -> np.ndarray:
 
     They are the squared singular values of the amplitudes reshaped to
     dim_a x dim_b (Nielsen & Chuang, Thm 2.7), renormalized to sum to one
-    with ``math.fsum``: min(dim_a, dim_b) entries, the non-zero spectrum of
+    by their exact sum: min(dim_a, dim_b) entries, the non-zero spectrum of
     either reduced density matrix padded with zeros.
     """
     if bp.dim != psi.dim:
@@ -269,7 +272,7 @@ def schmidt_weights(psi: PureState, bp: BipartiteStructure) -> np.ndarray:
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"SVD did not converge: {exc}") from exc
     weights = singular**2
-    weights /= math.fsum(weights.tolist())
+    weights /= exact_sums(weights).item()
     weights.flags.writeable = False
     return weights
 

@@ -28,6 +28,11 @@ from .density import DensityMatrix
 from .errors import InvalidInput
 from .states import OrthogonalDecomposition, OrthonormalBasis, PureState
 
+# A uniform-power member holds 2**j floats: exponents lie in
+# [1, MAX_POWER_EXPONENT] and a family holds at most MAX_FAMILY_STATES.
+MAX_POWER_EXPONENT = 24
+MAX_FAMILY_STATES = 2 ** (MAX_POWER_EXPONENT + 1)
+
 
 def parse_counting_selector(text: str) -> CountingFunction:
     """Parse the CLI kernel selector: ``star`` or ``alpha=<x>``."""
@@ -256,7 +261,8 @@ def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
     """Degree-of-freedom family file.
 
     {"kind": "uniform-power", "gamma": g, "exponents": [j, ...]} builds
-    distributions uniform on ceil(n**(1-g)) of n = 2**j states;
+    distributions uniform on ceil(n**(1-g)) of n = 2**j states, with
+    1 <= j <= MAX_POWER_EXPONENT and at most MAX_FAMILY_STATES in all;
     {"kind": "explicit", "members": [{"n": n, "p": [...]}, ...]} lists the
     distributions directly.
     """
@@ -267,6 +273,15 @@ def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
         if not 0.0 <= gamma <= 1.0:
             raise InvalidInput(f"{path}: gamma must lie in [0, 1]")
         exponents = _int_field(doc, "exponents", path, listed=True)
+        for j in exponents:
+            if not 1 <= j <= MAX_POWER_EXPONENT:
+                raise InvalidInput(
+                    f"{path}: exponents must lie in [1, {MAX_POWER_EXPONENT}], got {j}"
+                )
+        if sum(2**j for j in exponents) > MAX_FAMILY_STATES:
+            raise InvalidInput(
+                f"{path}: the family would hold more than {MAX_FAMILY_STATES} states"
+            )
         family = []
         for j in exponents:
             n = 2**j

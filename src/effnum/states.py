@@ -9,13 +9,14 @@ uncertainty is the familiar spread of outcome labels on the spectrum.
 
 from __future__ import annotations
 
+import itertools
 import math
 from dataclasses import dataclass, field
 from typing import Callable
 
 import numpy as np
 
-from .counting import CountingFunction, ProbabilityVector, effnum, weights_from_probs
+from .counting import CountingFunction, ProbabilityVector, effnum, exact_sums, weights_from_probs
 from .errors import InvalidInput
 
 STATE_NORM_TOL = 1e-12
@@ -35,7 +36,7 @@ class PureState:
             raise InvalidInput(f"state amplitudes must be a non-empty vector, got shape {arr.shape}")
         if not np.all(np.isfinite(arr.view(float))):
             raise InvalidInput("state amplitudes contain non-finite entries")
-        norm_sq = math.fsum((np.abs(arr) ** 2).tolist())
+        norm_sq = float((np.abs(arr) ** 2).sum())
         if abs(norm_sq - 1.0) > STATE_NORM_TOL:
             raise InvalidInput(
                 f"state norm^2 must equal 1 within {STATE_NORM_TOL:g}; got {norm_sq!r}"
@@ -85,21 +86,33 @@ class OrthogonalDecomposition:
 
     Each block models one orthogonal subspace; blocks with more than one
     index represent degenerate outcome sectors.  Indices are 0-based.
+    ``flat`` lists the indices block after block and ``segment`` the block
+    of each entry of ``flat``; both are read-only.
     """
 
     blocks: tuple[tuple[int, ...], ...]
     dim: int
+    flat: np.ndarray = field(init=False, repr=False, compare=False)
+    segment: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        blocks = tuple(tuple(int(i) for i in block) for block in self.blocks)
-        if not blocks or any(len(b) == 0 for b in blocks):
+        blocks = tuple(tuple(map(int, block)) for block in self.blocks)
+        sizes = np.array([len(b) for b in blocks], dtype=np.intp)
+        if not blocks or not sizes.all():
             raise InvalidInput("decomposition blocks must be non-empty")
-        flat = [i for b in blocks for i in b]
-        if sorted(flat) != list(range(self.dim)):
+        flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.intp)
+        # dim indices in range, none missing: by pigeonhole, none repeated
+        if (flat.size != self.dim or flat.min() < 0 or flat.max() >= self.dim
+                or not np.bincount(flat, minlength=self.dim).all()):
             raise InvalidInput(
                 f"blocks must partition {{0,...,{self.dim - 1}}} into disjoint pieces"
             )
+        segment = np.repeat(np.arange(len(blocks)), sizes)
+        flat.flags.writeable = False
+        segment.flags.writeable = False
         object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "flat", flat)
+        object.__setattr__(self, "segment", segment)
 
     @property
     def m_count(self) -> int:
@@ -143,10 +156,15 @@ class MeasurementSetup:
                 f"need one eigenvalue tuple per subspace: got {pts.shape[0]} "
                 f"for {self.decomposition.m_count} blocks"
             )
-        for i in range(pts.shape[0]):
-            for j in range(i + 1, pts.shape[0]):
-                if np.array_equal(pts[i], pts[j]):
-                    raise InvalidInput(f"eigenvalue tuples {i} and {j} coincide")
+        # Sorted stably, equal labels are adjacent and in index order; the
+        # first pair (i, j) in index order starts the run with the smallest i.
+        order = np.lexsort(pts.T[::-1]) if pts.shape[1] else np.arange(len(pts))
+        ranked = pts[order]
+        same = np.all(ranked[1:] == ranked[:-1], axis=1)
+        starts = np.flatnonzero(same & ~np.concatenate(([False], same[:-1])))
+        if starts.size:
+            k = starts[np.argmin(order[starts])]
+            raise InvalidInput(f"eigenvalue tuples {order[k]} and {order[k + 1]} coincide")
         pts = pts.copy()
         pts.flags.writeable = False
         object.__setattr__(self, "eigtuples", pts)
@@ -175,8 +193,7 @@ def subspace_probs(
         raise InvalidInput(f"decomposition dimension {dec.dim} != state dimension {psi.dim}")
     amps = _amps_in_basis(psi, basis)
     sq = np.abs(amps) ** 2
-    probs = [math.fsum(sq[list(block)].tolist()) for block in dec.blocks]
-    return ProbabilityVector(np.array(probs))
+    return ProbabilityVector(exact_sums(sq[dec.flat], dec.segment, dec.m_count))
 
 
 def mu_uncertainty(

@@ -1,8 +1,10 @@
 import json
 import math
 
+import numpy as np
 import pytest
 
+from effnum import continuum, counting, io, states
 from effnum.cli import main
 from effnum.io import format_float, json_text
 
@@ -182,6 +184,49 @@ class TestExitCodes:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {dec}: ")
 
+    def test_non_finite_density_is_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"dim": 2, "rows": [[[float("nan"), 0.0], [0.0, 0.0]],
+                                                       [[0.0, 0.0], [0.5, 0.0]]]}))
+        code, _, err = run(capsys, "qnum", path)
+        assert code == 2
+        assert err == "error: density matrix contains non-finite entries\n"
+
+    @pytest.mark.parametrize("exponents", [[-1, 2, 3], [0, 1, 2], [4, 5, 70]],
+                             ids=["negative", "zero", "beyond-int64"])
+    def test_uniform_power_exponent_out_of_range_is_exit_two(self, capsys, tmp_path, exponents):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"kind": "uniform-power", "gamma": 0.5,
+                                    "exponents": exponents}))
+        code, _, err = run(capsys, "dfd", path)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: exponents")
+
+    def test_uniform_power_caps_are_inclusive(self, capsys, tmp_path, monkeypatch):
+        monkeypatch.setattr(io, "MAX_POWER_EXPONENT", 5)
+        monkeypatch.setattr(io, "MAX_FAMILY_STATES", 2**3 + 2**4 + 2**5)
+        path = tmp_path / "family.json"
+        for exponents, code in (([3, 4, 5], 0), ([3, 4, 6], 2)):
+            path.write_text(json.dumps({"kind": "uniform-power", "gamma": 0.5,
+                                        "exponents": exponents}))
+            assert run(capsys, "dfd", path)[0] == code
+        monkeypatch.setattr(io, "MAX_FAMILY_STATES", 2**3 + 2**4 + 2**5 - 1)
+        path.write_text(json.dumps({"kind": "uniform-power", "gamma": 0.5,
+                                    "exponents": [3, 4, 5]}))
+        code, _, err = run(capsys, "dfd", path)
+        assert code == 2 and "more than 55 states" in err
+
+    def test_refine_levels_beyond_the_cell_cap_is_exit_two(self, capsys):
+        code, _, err = run(capsys, "refine", FIXTURES / "problem_halfbox.json", "--levels", "80")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "above the cap" in err
+
+    def test_refine_cell_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(continuum, "MAX_REFINE_CELLS", 8 * 2**4)  # 8 base cells
+        problem = FIXTURES / "problem_halfbox.json"
+        assert run(capsys, "refine", problem, "--levels", "5")[0] == 0
+        assert run(capsys, "refine", problem, "--levels", "6")[0] == 2
+
     def test_success_is_exit_zero(self, capsys):
         code, _, _ = run(capsys, "qnum", FIXTURES / "density_mixed4.json")
         assert code == 0
@@ -272,3 +317,45 @@ class TestLogBase:
             capsys, "qnum", FIXTURES / "density_werner.json", "--log-base", "1"
         )
         assert code == 2
+
+
+class TestExactSumCalls:
+    """Long arrays are summed by exact_sums' numpy passes, never by fsum."""
+
+    @pytest.fixture
+    def fsum_lengths(self, monkeypatch):
+        lengths = []
+
+        def counted(values, _original=math.fsum):
+            values = list(values)
+            lengths.append(len(values))
+            return _original(values)
+
+        monkeypatch.setattr(math, "fsum", counted)
+        return lengths
+
+    def test_dfd_sums_no_long_list_with_fsum(self, capsys, tmp_path, fsum_lengths):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"kind": "uniform-power", "gamma": 0.5,
+                                    "exponents": list(range(2, 13))}))
+        assert run(capsys, "dfd", path)[0] == 0
+        assert fsum_lengths and max(fsum_lengths) <= counting.EXACT_SUM_CUTOFF
+
+    def test_mu_sums_all_blocks_in_one_call(self, capsys, tmp_path, monkeypatch, fsum_lengths):
+        calls, original = [], counting.exact_sums
+        for module in (counting, states):
+            def counted(*args, _module=module.__name__, **kwargs):
+                calls.append(_module)
+                return original(*args, **kwargs)
+
+            monkeypatch.setattr(module, "exact_sums", counted)
+        n = 2**12
+        amps = np.random.default_rng(12).standard_normal(n)
+        amps /= math.sqrt(float(np.sum(amps**2)))
+        state, dec = tmp_path / "state.json", tmp_path / "dec.json"
+        state.write_text(json.dumps({"dim": n, "amps": [[a, 0.0] for a in amps.tolist()]}))
+        dec.write_text(json.dumps({"groups": [[i, i + 1] for i in range(0, n, 2)]}))
+        assert run(capsys, "mu", state, dec, "--cf", "alpha=0.5")[0] == 0
+        # one call for the 2048 block probabilities, one per kernel's count
+        assert calls == ["effnum.states", "effnum.counting", "effnum.counting"]
+        assert max(fsum_lengths, default=0) <= counting.EXACT_SUM_CUTOFF

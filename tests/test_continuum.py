@@ -393,6 +393,20 @@ class TestRefinement:
         assert all(later < earlier for earlier, later in zip(diffs, diffs[1:]))
         assert result.residual < diffs[-1]
 
+    def test_cell_cap_is_checked_before_any_level_is_built(self):
+        sampled = []
+
+        def intensity(x):
+            sampled.append(x.size)
+            return np.ones_like(x)
+
+        problem = interval_refinement_problem(intensity, (0.0, 1.0), 8)
+        with pytest.raises(InvalidInput, match="above the cap"):
+            refine_sequence(problem, 80, MINIMAL)
+        assert sampled == []
+        with pytest.raises(InvalidInput, match="above the cap"):
+            problem(80)
+
     def test_too_few_levels_rejected(self):
         problem = constant_refinement_problem(np.array([1.0]))
         with pytest.raises(InvalidInput):

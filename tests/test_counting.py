@@ -15,10 +15,12 @@ from effnum import (
     concat,
     effnum,
     effnum_min,
+    exact_sums,
     product,
     validate_counting_function,
     weights_from_probs,
 )
+from effnum.counting import EXACT_SUM_CUTOFF
 
 MINIMAL = CountingFunction.minimal()
 HALF = CountingFunction.canonical(0.5)
@@ -237,3 +239,99 @@ class TestValidation:
 def random_probs(rng, n):
     x = rng.gamma(1.0, size=n)
     return x / x.sum()
+
+
+def _bits(values) -> list[str]:
+    """Exact identity of each double, the sign of zero included."""
+    return [float(v).hex() for v in values]
+
+
+def _fsum_blocks(x, seg, m):
+    return [math.fsum(x[seg == j].tolist()) for j in range(m)]
+
+
+# Magnitudes of the inputs below: signed zeros, subnormals, the
+# 1e-300..1e300 range, and doubles near 1e308, where sigma would overflow.
+_ATOMS = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, 2.2250738585072014e-308, 1e307, 1.7e308]),
+    st.floats(min_value=0.0, max_value=2.2250738585072014e-308),
+    st.floats(min_value=1e-300, max_value=1e300),
+)
+
+
+@given(
+    atoms=st.lists(_ATOMS, min_size=1, max_size=24),
+    size=st.integers(min_value=0, max_value=3 * EXACT_SUM_CUTOFF),
+    cancel=st.booleans(),
+    m=st.integers(min_value=1, max_value=12),
+    seed=st.integers(min_value=0, max_value=2**32 - 1),
+)
+@settings(max_examples=200, deadline=None)
+def test_exact_sums_equal_fsum_bit_for_bit(atoms, size, cancel, m, seed):
+    """Whole-array and segmented sums against math.fsum, on mixed signs and
+    sizes on both sides of the cutoff; with ``cancel`` half the values
+    meet their negatives."""
+    rng = np.random.default_rng(seed)
+    x = rng.choice(np.array(atoms), size=size) * rng.choice([-1.0, 1.0], size=size)
+    if cancel:
+        x = rng.permutation(np.concatenate([x, -x[: size // 2]]))
+    seg = rng.integers(0, m, size=x.size)
+    try:
+        whole = math.fsum(x.tolist())
+    except OverflowError:  # fsum's intermediate overflow; exact_sums defers to it
+        with pytest.raises(OverflowError):
+            exact_sums(x)
+    else:
+        assert _bits(exact_sums(x)) == _bits([whole])
+    try:
+        blocks = _fsum_blocks(x, seg, m)
+    except OverflowError:
+        return
+    assert _bits(exact_sums(x, seg, m)) == _bits(blocks)
+
+
+class TestExactSums:
+    def test_two_to_the_twenty(self):
+        rng = np.random.default_rng(2024)
+        n = 2**20
+        x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, size=n)
+        x[: n // 4] = -x[n // 4 : n // 2]  # a quarter cancels exactly
+        x = rng.permutation(x)
+        assert _bits(exact_sums(x)) == _bits([math.fsum(x.tolist())])
+        seg = rng.integers(0, 1024, size=n)
+        order = np.argsort(seg, kind="stable")
+        parts = np.split(x[order], np.cumsum(np.bincount(seg, minlength=1024))[:-1])
+        assert _bits(exact_sums(x, seg, 1024)) == _bits(math.fsum(p.tolist()) for p in parts)
+
+    @pytest.mark.parametrize("n", [EXACT_SUM_CUTOFF + 1, 2**20])
+    def test_many_values_of_one_magnitude(self, n):
+        x = np.random.default_rng(n).random(n)
+        assert _bits(exact_sums(x)) == _bits([math.fsum(x.tolist())])
+        seg = np.arange(n) % 3
+        assert _bits(exact_sums(x, seg, 3)) == _bits(_fsum_blocks(x, seg, 3))
+
+    def test_tie_broken_by_a_far_smaller_term(self):
+        # 1 + 2**-53 is a tie that rounds down to 1 on its own; the third
+        # term, two passes further down, makes the sum round up.
+        x = np.zeros(EXACT_SUM_CUTOFF + 1)
+        x[:3] = [1.0, 2.0**-53, 2.0**-106]
+        assert exact_sums(x).item() == 1.0 + 2.0**-52
+        seg = (np.arange(x.size) >= 3).astype(int)
+        assert _bits(exact_sums(x, seg, 2)) == _bits([1.0 + 2.0**-52, 0.0])
+
+    def test_empty_segments_sum_to_zero(self):
+        x = np.full(EXACT_SUM_CUTOFF + 1, 0.5)
+        assert _bits(exact_sums(x, np.zeros(x.size, int), 3)) == _bits([x.size / 2, 0.0, 0.0])
+
+    @pytest.mark.parametrize("special", [math.inf, -math.inf, math.nan])
+    def test_non_finite_entries_follow_fsum(self, special):
+        x = np.r_[np.ones(EXACT_SUM_CUTOFF), special]
+        assert _bits(exact_sums(x)) == _bits([math.fsum(x.tolist())])
+
+    def test_permutation_invariant_beyond_the_cutoff(self):
+        rng = np.random.default_rng(7)
+        p = rng.gamma(0.3, size=4096)
+        w = WeightVector(4096 * p / p.sum())
+        shuffled = WeightVector(rng.permutation(w.w))
+        for c in (MINIMAL, HALF):
+            assert effnum(w, c) == effnum(shuffled, c) == math.fsum(c(w.w).tolist())

@@ -171,6 +171,30 @@ class TestMetricUncertainty:
                 OrthogonalDecomposition.singletons(2), np.array([[1.0], [1.0]])
             )
 
+    @pytest.mark.parametrize("labels, pair", [
+        ([[1.0], [0.0], [2.0], [0.0], [1.0]], (0, 4)),
+        ([[0.0, 1.0], [1.0, 0.0], [1.0, 0.0], [0.0, 1.0]], (0, 3)),
+        ([[0.0, 1.0], [-0.0, 2.0], [0.0, 2.0]], (1, 2)),
+    ])
+    def test_duplicate_labels_name_the_first_pair(self, labels, pair):
+        dec = OrthogonalDecomposition.singletons(len(labels))
+        with pytest.raises(InvalidInput, match=f"tuples {pair[0]} and {pair[1]} coincide$"):
+            MeasurementSetup(dec, np.array(labels))
+
+    def test_first_pair_matches_the_pairwise_scan(self):
+        rng = np.random.default_rng(5)
+        for _ in range(200):
+            m = int(rng.integers(2, 12))
+            labels = rng.integers(0, 4, size=(m, int(rng.integers(1, 3)))).astype(float)
+            first = next(((i, j) for i in range(m) for j in range(i + 1, m)
+                          if np.array_equal(labels[i], labels[j])), None)
+            dec = OrthogonalDecomposition.singletons(m)
+            if first is None:
+                MeasurementSetup(dec, labels)
+            else:
+                with pytest.raises(InvalidInput, match=f"tuples {first[0]} and {first[1]} "):
+                    MeasurementSetup(dec, labels)
+
 
 class TestBasisChange:
     def test_identity_basis_is_a_no_op(self):
@@ -204,6 +228,25 @@ class TestDecomposition:
             OrthogonalDecomposition(((0,),), 2)
         with pytest.raises(InvalidInput):
             OrthogonalDecomposition(((0,), ()), 1)
+        with pytest.raises(InvalidInput):
+            OrthogonalDecomposition(((0, 2), (-1,)), 3)
+
+    def test_block_probabilities_equal_per_block_fsum(self):
+        rng = np.random.default_rng(9)
+        dim = 3000
+        psi = PureState(random_pure(rng, dim))
+        cuts = np.sort(rng.choice(np.arange(1, dim), size=400, replace=False))
+        blocks = tuple(tuple(b.tolist()) for b in np.split(rng.permutation(dim), cuts))
+        sq = np.abs(psi.amps) ** 2
+        expected = [math.fsum(sq[list(b)].tolist()) for b in blocks]
+        got = subspace_probs(psi, OrthogonalDecomposition(blocks, dim)).p
+        assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
+
+    def test_flat_indices_and_segments(self):
+        dec = OrthogonalDecomposition(((2, 0), (3,), (1, 4)), 5)
+        assert dec.flat.tolist() == [2, 0, 3, 1, 4]
+        assert dec.segment.tolist() == [0, 0, 1, 2, 2]
+        assert not dec.flat.flags.writeable and not dec.segment.flags.writeable
 
     def test_degenerate_blocks_model_degenerate_outcomes(self):
         psi = state(0.5, 0.5, 0.5, 0.5)
