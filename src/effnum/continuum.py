@@ -20,6 +20,7 @@ carrying a probability density (effective Jordan content).
 from __future__ import annotations
 
 import math
+import sys
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -33,6 +34,9 @@ SUPPORT_RTOL = 1e-14
 OFF_SUPPORT_TOL = 1e-12
 MAX_GRID_DIM = 3
 MAX_REFINE_CELLS = 2**24  # cells of an interval problem's finest level
+# A refinement's finest spacing is at least this, the smallest positive
+# normal double; below it a level's spacing loses precision, then reads 0.
+MIN_REFINE_SPACING = sys.float_info.min
 
 
 @dataclass(frozen=True)
@@ -490,13 +494,22 @@ def refine_sequence(
     levels, rounded up) with q = ``fit_order``.  The reported residual is
     the largest misfit inside the window; treat a residual comparable to
     the level-to-level differences as a sign the model order is wrong.
+
+    If ``problem.spacing(k)`` gives level k's spacing without building it,
+    as for the built-in problems, a finest spacing below
+    ``MIN_REFINE_SPACING`` raises InvalidInput before level 1 is built.
     """
     if levels < 3:
         raise InvalidInput("need at least 3 refinement levels to extrapolate")
     if fit_order < 1:
         raise InvalidInput("fit order must be a positive integer")
-    if hasattr(problem, "cells"):
-        problem.cells(levels)  # size guard on the finest level, before any is built
+    if hasattr(problem, "spacing"):
+        finest = problem.spacing(levels)
+        if not finest >= MIN_REFINE_SPACING:
+            raise InvalidInput(
+                f"refinement level {levels} would have spacing {finest:g}, "
+                f"below the cap of {MIN_REFINE_SPACING:g} (the smallest normal double)"
+            )
     rows = []
     for k in range(1, levels + 1):
         lev = problem(k)
@@ -537,9 +550,13 @@ def constant_refinement_problem(
     arr = np.asarray(weights, dtype=float).copy()
     m = arr.size
 
-    def problem(k: int) -> RefinementLevel:
-        return RefinementLevel(m_count=m, weights=arr, spacing=base_spacing * 0.5 ** (k - 1))
+    def spacing(k: int) -> float:
+        return math.ldexp(base_spacing, 1 - k)  # base_spacing * 2**(1 - k), for any k
 
+    def problem(k: int) -> RefinementLevel:
+        return RefinementLevel(m_count=m, weights=arr, spacing=spacing(k))
+
+    problem.spacing = spacing
     return problem
 
 
@@ -554,7 +571,7 @@ def interval_refinement_problem(
     the probability density (a wave function's |psi|^2, say); each level
     doubles the cell count, renormalizes the cell masses and converts
     them to counting weights.  A level of more than ``MAX_REFINE_CELLS``
-    cells raises InvalidInput; ``problem.cells(k)`` applies that check
+    cells raises InvalidInput; ``problem.spacing(k)`` applies that check
     without building level k.
     """
     lo, hi = float(box[0]), float(box[1])
@@ -571,6 +588,9 @@ def interval_refinement_problem(
             )
         return base_cells * 2 ** (k - 1)
 
+    def spacing(k: int) -> float:
+        return (hi - lo) / cells(k)
+
     def problem(k: int) -> RefinementLevel:
         m = cells(k)
         h = (hi - lo) / m
@@ -584,5 +604,5 @@ def interval_refinement_problem(
         weights = m * (vals / total)
         return RefinementLevel(m_count=m, weights=weights, spacing=h)
 
-    problem.cells = cells
+    problem.spacing = spacing
     return problem

@@ -294,8 +294,15 @@ def mu_entanglement(
     """
     if side.upper() not in ("A", "B"):
         raise InvalidInput(f'side must be "A" or "B", got {side!r}')
+    return effnum(entanglement_weights(psi, bp), c)
+
+
+def entanglement_weights(psi: PureState, bp: BipartiteStructure) -> WeightVector:
+    """Counting weights of :func:`mu_entanglement`: the Schmidt weights times
+    their number, min(dim_a, dim_b).  Compute them once to apply several
+    kernels."""
     weights = schmidt_weights(psi, bp)
-    return effnum(WeightVector(weights.size * weights), c)
+    return WeightVector(weights.size * weights)
 
 
 def mu_entanglement_min(psi: PureState, bp: BipartiteStructure, side: str = "A") -> float:

@@ -8,6 +8,7 @@ exactly.
 
 from __future__ import annotations
 
+import gc
 import json
 import math
 from itertools import chain
@@ -48,6 +49,23 @@ def parse_counting_selector(text: str) -> CountingFunction:
     raise InvalidInput(f'counting-function selector must be "star" or "alpha=<x>", got {text!r}')
 
 
+def _gc_paused(fn: Callable, *args) -> Any:
+    """``fn(*args)`` with the cyclic garbage collector paused, then restored
+    to its previous state.
+
+    A decoded JSON document holds no reference cycles, nor do the tuples
+    and arrays built from it, so a collection triggered by their many new
+    objects would free nothing; it would only walk them, and the heap.
+    """
+    enabled = gc.isenabled()
+    gc.disable()
+    try:
+        return fn(*args)
+    finally:
+        if enabled:
+            gc.enable()
+
+
 def _load_json(path: str | Path) -> Any:
     path = Path(path)
     try:
@@ -55,7 +73,7 @@ def _load_json(path: str | Path) -> Any:
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"{path}: cannot read file: {exc}") from exc
     try:
-        return json.loads(text)
+        return _gc_paused(json.loads, text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     except RecursionError as exc:
@@ -82,31 +100,38 @@ def _int_field(doc: dict, key: str, path, *, listed: bool = False):
     return value
 
 
-def _json_numbers(value) -> bool:
-    """Whether ``value`` is a JSON number or a list, nested to any depth, of them."""
-    if type(value) is not list:
-        return type(value) in (int, float)  # bool is neither
-    kinds = set(map(type, value))
-    if kinds == {list}:
-        return _json_numbers(list(chain.from_iterable(value)))
-    return kinds <= {int, float}
+def _number_array(value) -> np.ndarray | None:
+    """``value`` as a float array if it is a finite JSON number or rectangular
+    lists, nested to any depth, of them; otherwise None.
+
+    One pass per nesting level, each over a flat list: ``set(map(...))``
+    checks the types and the lengths and ``np.fromiter`` converts, so
+    nothing recurses and numpy never walks nested lists.  A string, a
+    boolean, null, a ragged list, an integer beyond float range, NaN or
+    Infinity (which Python's decoder accepts but JSON does not) gives None.
+    """
+    level, shape = [value], []
+    while (kinds := set(map(type, level))) == {list}:
+        lengths = set(map(len, level))
+        if len(lengths) != 1:
+            return None
+        shape.append(lengths.pop())
+        level = list(chain.from_iterable(level))
+    if not kinds <= {int, float}:  # bool is neither
+        return None
+    try:
+        arr = np.fromiter(level, float, len(level))
+    except OverflowError:
+        return None
+    return arr.reshape(shape) if np.isfinite(arr).all() else None
 
 
 def _float_array(value, path, key: str) -> np.ndarray:
-    """``value`` as a float array: finite JSON numbers in rectangular lists.
-
-    A string, a boolean, null, a ragged list, or NaN or Infinity (which
-    Python's decoder accepts but JSON does not) raises InvalidInput.
-    """
-    if _json_numbers(value):
-        try:
-            arr = np.asarray(value, dtype=float)
-        except (ValueError, OverflowError):  # ragged nesting, an integer beyond float range
-            pass
-        else:
-            if np.all(np.isfinite(arr)):
-                return arr
-    raise InvalidInput(f"{path}: {key!r} takes finite JSON numbers only, got {value!r:.80}")
+    """``value`` as a float array: finite JSON numbers in rectangular lists."""
+    arr = _number_array(value)
+    if arr is None:
+        raise InvalidInput(f"{path}: {key!r} takes finite JSON numbers only, got {value!r:.80}")
+    return arr
 
 
 def _float_field(doc: dict, key: str, path, *, listed: bool = False):
@@ -119,31 +144,33 @@ def _float_field(doc: dict, key: str, path, *, listed: bool = False):
     return arr if listed else float(arr)
 
 
-def _index_groups(doc: dict, path) -> tuple[tuple[int, ...], ...]:
+def _index_groups(doc: dict, path) -> list[list[int]]:
     """``doc["groups"]``: lists of 0-based indices, each a JSON integer."""
     groups = _require(doc, "groups", path)
-    if not (type(groups) is list and all(type(g) is list for g in groups)
-            and all(type(i) is int for g in groups for i in g)):
+    if not (type(groups) is list and set(map(type, groups)) <= {list}
+            and set(map(type, chain.from_iterable(groups))) <= {int}):
         raise InvalidInput(f"{path}: groups must be lists of JSON integer indices")
-    return tuple(map(tuple, groups))
+    return groups
 
 
-def _complex_array(entries, path, what: str) -> np.ndarray:
-    try:
-        arr = np.asarray(entries, dtype=float)
-    except (TypeError, ValueError) as exc:
-        raise InvalidInput(f"{path}: {what} must be [re, im] pairs") from exc
-    if arr.ndim < 1 or arr.shape[-1] != 2:
-        raise InvalidInput(f"{path}: {what} must be [re, im] pairs, got shape {arr.shape}")
-    return arr[..., 0] + 1j * arr[..., 1]
+def _complex_array(value, path, key: str, ndim: int) -> np.ndarray:
+    """``value`` as an ``ndim``-dimensional complex array: rectangular lists
+    of [re, im] pairs of finite JSON numbers, each pair read bit for bit."""
+    arr = _number_array(value)
+    if arr is None or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
+        kind = "a list" if ndim == 1 else "rectangular lists"
+        raise InvalidInput(
+            f"{path}: {key!r} must be {kind} of [re, im] pairs of finite JSON numbers"
+        )
+    return arr.view(complex)[..., 0]
 
 
 def load_state(path: str | Path) -> PureState:
     """State file: {"dim": N, "amps": [[re, im], ...]}."""
     doc = _load_json(path)
     dim = _int_field(doc, "dim", path)
-    amps = _complex_array(_require(doc, "amps", path), path, "amps")
-    if amps.ndim != 1 or amps.size != dim:
+    amps = _complex_array(_require(doc, "amps", path), path, "amps", 1)
+    if amps.size != dim:
         raise InvalidInput(f"{path}: expected {dim} amplitudes, got {amps.size}")
     return PureState(amps)
 
@@ -152,7 +179,7 @@ def load_density(path: str | Path) -> DensityMatrix:
     """Density file: {"dim": N, "rows": [[[re, im], ...], ...]} row-major."""
     doc = _load_json(path)
     dim = _int_field(doc, "dim", path)
-    mat = _complex_array(_require(doc, "rows", path), path, "rows")
+    mat = _complex_array(_require(doc, "rows", path), path, "rows", 2)
     if mat.shape != (dim, dim):
         raise InvalidInput(f"{path}: expected a {dim}x{dim} matrix, got shape {mat.shape}")
     # Free the parsed lists, several times the matrix's size, before the
@@ -171,13 +198,14 @@ def load_decomposition(
      "eigtuples": [[x, ...], ...]}     # optional outcome labels
     """
     doc = _load_json(path)
-    dec = OrthogonalDecomposition(_index_groups(doc, path), dim)
+    # one tuple per group, none of them in a cycle
+    dec = _gc_paused(OrthogonalDecomposition, _index_groups(doc, path), dim)
 
     basis_doc = doc.get("basis", "identity")
     if basis_doc == "identity":
         basis = None
     else:
-        mat = _complex_array(_require(basis_doc, "rows", path), path, "basis rows")
+        mat = _complex_array(_require(basis_doc, "rows", path), path, "rows", 2)
         if mat.shape != (dim, dim):
             raise InvalidInput(f"{path}: basis must be a {dim}x{dim} matrix")
         basis = OrthonormalBasis(mat)
@@ -207,7 +235,7 @@ def load_grid_wavefunction(path: str | Path) -> GridWaveFunction:
     if doc.get("origin") is not None:
         origin = tuple(_float_field(doc, "origin", path, listed=True).tolist())
     grid = Grid(shape=shape, spacing=spacing, origin=origin)
-    values = _complex_array(_require(doc, "values", path), path, "values")
+    values = _complex_array(_require(doc, "values", path), path, "values", 1)
     return GridWaveFunction(grid=grid, values=values)
 
 
@@ -292,6 +320,8 @@ def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
         return family
     if kind == "explicit":
         members = _require(doc, "members", path)
+        if type(members) is not list:
+            raise InvalidInput(f"{path}: 'members' must be a list of objects")
         family = []
         for member in members:
             n = _int_field(member, "n", path)
@@ -350,6 +380,14 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
+class Column:
+    """Rows for every entry of a 1-d float array, rendered in bulk: entry i
+    is the table pair ``label[i + 1]`` and the csv row ``i,value``."""
+
+    def __init__(self, label: str, values: np.ndarray):
+        self.label, self.values = label, values
+
+
 def _coerce(value: Any) -> Any:
     if isinstance(value, (np.floating,)):
         return float(value)
@@ -362,6 +400,8 @@ def _coerce(value: Any) -> Any:
 
 def json_text(obj: Any, indent: int = 0) -> str:
     """Serialize to JSON with floats at 17 significant digits."""
+    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+        return "[" + ", ".join(map("{:.17g}".format, obj.tolist())) + "]"
     obj = _coerce(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
@@ -388,8 +428,9 @@ def json_text(obj: Any, indent: int = 0) -> str:
     return json.dumps(obj)
 
 
-def csv_text(header: list[str], rows: list[list[Any]]) -> str:
-    """Render rows as CSV with 17-significant-digit floats."""
+def csv_text(header: list[str], rows: list) -> str:
+    """Render rows, lists of cells or Columns, as CSV with
+    17-significant-digit floats."""
     def cell(value: Any) -> str:
         value = _coerce(value)
         if isinstance(value, bool):
@@ -399,5 +440,33 @@ def csv_text(header: list[str], rows: list[list[Any]]) -> str:
         return str(value)
 
     lines = [",".join(header)]
-    lines.extend(",".join(cell(v) for v in row) for row in rows)
+    for row in rows:
+        if isinstance(row, Column):
+            lines.extend(map("{},{:.17g}".format, range(row.values.size), row.values.tolist()))
+        else:
+            lines.append(",".join(map(cell, row)))
+    return "\n".join(lines) + "\n"
+
+
+def table_text(title: str, parts: list) -> str:
+    """Render the title and one indented line per part: a (label, value)
+    pair, aligned with the other pairs and with floats at 12 significant
+    digits; a Column of such pairs; or a preformatted line.  A part that
+    is None is skipped."""
+    labels = [p[0] for p in parts if isinstance(p, tuple)]
+    labels += [f"{p.label}[{p.values.size}]" for p in parts
+               if isinstance(p, Column) and p.values.size]  # the last label is the longest
+    width = max(map(len, labels), default=0)
+    lines = [title]
+    for part in parts:
+        if isinstance(part, tuple):
+            label, value = part
+            value = f"{value:.12g}" if isinstance(value, float) else value
+            lines.append(f"  {label:<{width}}  {value}")
+        elif isinstance(part, Column):
+            pair = f"  {{:<{width}}}  {{:.12g}}".format
+            names = map(f"{part.label}[{{}}]".format, range(1, part.values.size + 1))
+            lines.extend(map(pair, names, part.values.tolist()))
+        elif part is not None:
+            lines.append(f"  {part}")
     return "\n".join(lines) + "\n"

@@ -27,6 +27,7 @@ from .states import OrthogonalDecomposition, OrthonormalBasis, PureState, subspa
 
 GENERATOR_ID = "philox4x32-10/inverse-cdf"
 MIN_TRIALS_FOR_ESTIMATE = 100
+MAX_TRIALS = 2**24  # a run's arrays take a few dozen bytes per trial
 DEFAULT_BOOTSTRAP = 200
 
 
@@ -75,10 +76,11 @@ def sample_outcomes(
     Deterministic for a fixed seed: uniforms come from Philox4x32-10 keyed
     by ``seed`` and are mapped through the cumulative collapse
     probabilities.  Optional ``eigtuples`` attach an outcome label per
-    trial.
+    trial.  A t beyond ``MAX_TRIALS`` raises InvalidInput before anything
+    is allocated.
     """
-    if t < 1:
-        raise InvalidInput("trial count must be >= 1")
+    if not 1 <= t <= MAX_TRIALS:
+        raise InvalidInput(f"trial count must lie in [1, {MAX_TRIALS}], got {t}")
     if not 0 <= seed < 2**64:
         raise InvalidInput(f"seed must lie in [0, 2**64), got {seed}")
     probs = subspace_probs(psi, dec, basis)

@@ -96,13 +96,24 @@ class OrthogonalDecomposition:
     segment: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        blocks = tuple(tuple(map(int, block)) for block in self.blocks)
-        sizes = np.array([len(b) for b in blocks], dtype=np.intp)
+        blocks = tuple(map(tuple, self.blocks))
+        indices = list(itertools.chain.from_iterable(blocks))
+        kinds = set(map(type, indices))
+        if not kinds <= {int}:
+            # numpy integers are indices too; a bool or a float is not one
+            if not all(issubclass(k, np.integer) or k is int for k in kinds):
+                names = ", ".join(sorted(k.__name__ for k in kinds))
+                raise InvalidInput(f"block indices must be integers, got {names}")
+            blocks = tuple(tuple(map(int, block)) for block in blocks)
+        sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
         if not blocks or not sizes.all():
             raise InvalidInput("decomposition blocks must be non-empty")
-        flat = np.fromiter(itertools.chain.from_iterable(blocks), dtype=np.intp)
+        try:
+            flat = np.fromiter(indices, np.intp, len(indices))
+        except OverflowError:  # an index beyond the platform's integer range
+            flat = None
         # dim indices in range, none missing: by pigeonhole, none repeated
-        if (flat.size != self.dim or flat.min() < 0 or flat.max() >= self.dim
+        if (flat is None or flat.size != self.dim or flat.min() < 0 or flat.max() >= self.dim
                 or not np.bincount(flat, minlength=self.dim).all()):
             raise InvalidInput(
                 f"blocks must partition {{0,...,{self.dim - 1}}} into disjoint pieces"

@@ -1,11 +1,13 @@
+import gc
 import json
 import math
 
 import numpy as np
 import pytest
 
-from effnum import continuum, counting, io, states
+from effnum import continuum, counting, io, simulate, states
 from effnum.cli import main
+from effnum.errors import InvalidInput
 from effnum.io import format_float, json_text
 
 from conftest import FIXTURES
@@ -112,6 +114,69 @@ class TestFormats:
         assert len(lines) == 6  # 4 levels + extrapolation row + header
 
 
+# Valid [re, im] arrays for each complex key, and ways to corrupt them.
+COMPLEX_TEMPLATES = {
+    "amps": [[0.6, 0.0], [0.8, 0.0]],
+    "rows": [[[0.5, 0.0], [0.0, 0.0]], [[0.0, 0.0], [0.5, 0.0]]],
+    "basis rows": [[[1.0, 0.0], [0.0, 0.0]], [[0.0, 0.0], [1.0, 0.0]]],
+    "values": [[1.0, 0.0], [1.0, 0.0]],
+}
+
+
+def _first_pair(value):
+    while isinstance(value[0][0], list):
+        value = value[0]
+    return value[0]
+
+
+def _set_first_number(number):
+    def corrupt(template):
+        value = json.loads(json.dumps(template))
+        _first_pair(value)[0] = number
+        return value
+    return corrupt
+
+
+def _reshape_first_pair(change):
+    def corrupt(template):
+        value = json.loads(json.dumps(template))
+        pair = _first_pair(value)
+        pair[:] = change(list(pair))
+        return value
+    return corrupt
+
+
+CORRUPTIONS = {
+    "string": _set_first_number("0.6"),
+    "true": _set_first_number(True),
+    "null": _set_first_number(None),
+    "nan": _set_first_number(float("nan")),
+    "infinity": _set_first_number(float("inf")),
+    "beyond-float": _set_first_number(10**400),
+    "ragged": _reshape_first_pair(lambda pair: pair[:1]),
+    "triple": _reshape_first_pair(lambda pair: pair + [0.0]),
+    "extra-nesting": _reshape_first_pair(lambda pair: [pair, pair]),
+}
+
+
+def complex_array_job(tmp_path, key: str, value) -> tuple[list, object]:
+    """argv of a command that reads ``value`` under ``key``, and the file it is in."""
+    path = tmp_path / "doc.json"
+    if key == "amps":
+        path.write_text(json.dumps({"dim": 2, "amps": value}))
+        return ["entangle", path, "--dims", "1x2"], path
+    if key == "rows":
+        path.write_text(json.dumps({"dim": 2, "rows": value}))
+        return ["qnum", path], path
+    if key == "basis rows":
+        state = tmp_path / "state.json"
+        state.write_text(json.dumps({"dim": 2, "amps": COMPLEX_TEMPLATES["amps"]}))
+        path.write_text(json.dumps({"basis": {"rows": value}, "groups": [[0], [1]]}))
+        return ["mu", state, path], path
+    path.write_text(json.dumps({"d": 1, "shape": [2], "spacing": [0.5], "values": value}))
+    return ["effvol", path], path
+
+
 class TestExitCodes:
     def test_validation_failure_is_exit_two(self, capsys):
         code, _, err = run(
@@ -184,13 +249,32 @@ class TestExitCodes:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {dec}: ")
 
+    @pytest.mark.parametrize("key", ["amps", "rows", "basis rows", "values"])
+    @pytest.mark.parametrize("corrupt", list(CORRUPTIONS), ids=list(CORRUPTIONS))
+    def test_malformed_complex_array_is_exit_two(self, capsys, tmp_path, key, corrupt):
+        template = COMPLEX_TEMPLATES[key]
+        argv, doc_path = complex_array_job(tmp_path, key, template)
+        assert run(capsys, *argv)[0] == 0  # the uncorrupted document is valid
+        argv, doc_path = complex_array_job(tmp_path, key, CORRUPTIONS[corrupt](template))
+        code, _, err = run(capsys, *argv)
+        assert code == 2
+        name = key.split()[-1]
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {doc_path}: '{name}' ")
+
+    def test_dfd_members_not_a_list_is_exit_two(self, capsys, tmp_path):
+        path = tmp_path / "family.json"
+        path.write_text(json.dumps({"kind": "explicit", "members": True}))
+        code, _, err = run(capsys, "dfd", path)
+        assert code == 2
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: 'members'")
+
     def test_non_finite_density_is_exit_two(self, capsys, tmp_path):
         path = tmp_path / "rho.json"
         path.write_text(json.dumps({"dim": 2, "rows": [[[float("nan"), 0.0], [0.0, 0.0]],
                                                        [[0.0, 0.0], [0.5, 0.0]]]}))
         code, _, err = run(capsys, "qnum", path)
         assert code == 2
-        assert err == "error: density matrix contains non-finite entries\n"
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: 'rows' ")
 
     @pytest.mark.parametrize("exponents", [[-1, 2, 3], [0, 1, 2], [4, 5, 70]],
                              ids=["negative", "zero", "beyond-int64"])
@@ -226,6 +310,31 @@ class TestExitCodes:
         problem = FIXTURES / "problem_halfbox.json"
         assert run(capsys, "refine", problem, "--levels", "5")[0] == 0
         assert run(capsys, "refine", problem, "--levels", "6")[0] == 2
+
+    def test_refine_spacing_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(continuum, "MIN_REFINE_SPACING", 2.0**-10)
+        # constant weights, base spacing 1: level k has spacing 2**-(k - 1)
+        constant = FIXTURES / "problem_constant.json"
+        assert run(capsys, "refine", constant, "--levels", "11")[0] == 0
+        code, _, err = run(capsys, "refine", constant, "--levels", "12")
+        assert code == 2
+        assert len(err.splitlines()) == 1 and "below the cap" in err
+        # 8 base cells on [0, 1]: level k has spacing 2**-(k + 2)
+        halfbox = FIXTURES / "problem_halfbox.json"
+        assert run(capsys, "refine", halfbox, "--levels", "8")[0] == 0
+        assert run(capsys, "refine", halfbox, "--levels", "9")[0] == 2
+
+    def test_trial_cap_is_inclusive(self, capsys, monkeypatch):
+        monkeypatch.setattr(simulate, "MAX_TRIALS", 150)
+        args = ["simulate", FIXTURES / "state_p525.json", FIXTURES / "dec_singletons3.json"]
+        assert run(capsys, *args, "--trials", "150")[0] == 0
+        code, _, err = run(capsys, *args, "--trials", "100,151")
+        assert code == 2 and err == "error: trial count must lie in [1, 150], got 151\n"
+
+    def test_trial_count_beyond_numpy_sizes_is_exit_two(self, capsys):
+        code, _, err = run(capsys, "simulate", FIXTURES / "state_p525.json",
+                           FIXTURES / "dec_singletons3.json", "--trials", str(10**20))
+        assert code == 2 and len(err.splitlines()) == 1
 
     def test_success_is_exit_zero(self, capsys):
         code, _, _ = run(capsys, "qnum", FIXTURES / "density_mixed4.json")
@@ -359,3 +468,140 @@ class TestExactSumCalls:
         # one call for the 2048 block probabilities, one per kernel's count
         assert calls == ["effnum.states", "effnum.counting", "effnum.counting"]
         assert max(fsum_lengths, default=0) <= counting.EXACT_SUM_CUTOFF
+
+
+def table_reference(title: str, pairs: list) -> str:
+    """The table, one (label, value) pair at a time."""
+    width = max(len(label) for label, _ in pairs)
+    lines = [title]
+    for label, value in pairs:
+        value = f"{value:.12g}" if isinstance(value, float) else value
+        lines.append(f"  {label:<{width}}  {value}")
+    return "\n".join(lines) + "\n"
+
+
+def csv_reference(header: list, rows: list) -> str:
+    """The csv text, one row and one cell at a time."""
+    lines = [",".join(header)]
+    for row in rows:
+        lines.append(",".join(format_float(v) if isinstance(v, float) else str(v) for v in row))
+    return "\n".join(lines) + "\n"
+
+
+class TestColumns:
+    """Columns render the bytes that one row per entry rendered."""
+
+    def outputs(self, capsys, *argv) -> tuple[dict, str, str]:
+        texts = {}
+        for fmt in ("json", "table", "csv"):
+            code, texts[fmt], err = run(capsys, *argv, "--format", fmt)
+            assert code == 0, err
+        payload = json.loads(texts["json"])
+        # rendered again from plain lists, one float at a time
+        assert json_text(payload) + "\n" == texts["json"]
+        return payload, texts["table"], texts["csv"]
+
+    def test_mu_with_1234_blocks(self, capsys, tmp_path):
+        rng = np.random.default_rng(1234)
+        dim = 1500  # 266 pairs and 968 singletons: labels p[1] to p[1234]
+        amps = rng.standard_normal(dim) + 1j * rng.standard_normal(dim)
+        amps /= math.sqrt(float(np.sum(np.abs(amps) ** 2)))
+        order = rng.permutation(dim).tolist()
+        groups = [order[i:i + 2] for i in range(0, 532, 2)] + [[i] for i in order[532:]]
+        state, dec = tmp_path / "state.json", tmp_path / "dec.json"
+        state.write_text(json.dumps({"dim": dim, "amps": [[z.real, z.imag] for z in amps]}))
+        dec.write_text(json.dumps({"groups": groups}))
+        payload, table, csv = self.outputs(capsys, "mu", state, dec, "--cf", "alpha=0.5")
+        probs = payload["block_probs"]
+        assert len(probs) == 1234
+        assert table == table_reference("measurement uncertainty (blocks 1-based)", [
+            ("dimension N", dim), ("blocks M", 1234), ("kernel", payload["counting_function"]),
+            *((f"p[{m + 1}]", p) for m, p in enumerate(probs)),
+            ("mu-uncertainty", payload["mu_uncertainty"]),
+            ("minimal (star)", payload["mu_uncertainty_min"]),
+        ])
+        assert csv == csv_reference(["block", "probability"], [
+            *([m, p] for m, p in enumerate(probs)),
+            ["mu_uncertainty", payload["mu_uncertainty"]],
+            ["mu_uncertainty_min", payload["mu_uncertainty_min"]],
+        ])
+
+    def test_qnum_on_a_128_density(self, capsys, tmp_path):
+        rng = np.random.default_rng(128)
+        n = 128
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))
+        rho = (q * rng.exponential(size=n)) @ q.conj().T
+        rho = 0.5 * (rho + rho.conj().T)
+        rho /= np.trace(rho).real
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"dim": n, "rows": [[[z.real, z.imag] for z in row]
+                                                       for row in rho]}))
+        payload, table, csv = self.outputs(capsys, "qnum", path, "--log-base", "2")
+        spectrum = payload["spectrum"]
+        assert len(spectrum) == n
+        assert table == table_reference("density-matrix state content (ranks 1-based)", [
+            ("dimension N", n), ("kernel", payload["counting_function"]),
+            *((f"rho[{i + 1}]", v) for i, v in enumerate(spectrum)),
+            ("state components", payload["qnum"]), ("minimal (star)", payload["qnum_min"]),
+            ("entropy", payload["entropy"]), ("entropy (star)", payload["entropy_min"]),
+        ])
+        assert csv == csv_reference(["eigenvalue_rank", "eigenvalue"], [
+            *([i, v] for i, v in enumerate(spectrum)),
+            ["qnum", payload["qnum"]], ["qnum_min", payload["qnum_min"]],
+        ])
+
+    def test_renderers_match_their_per_entry_forms(self):
+        values = np.concatenate([[0.0, -0.0, 5e-324, 1e-300, 1.0 / 3.0, 1e300, -2.5],
+                                 np.random.default_rng(5).random(1227)])
+        column = io.Column("weight", values)
+        pairs = [(f"weight[{i + 1}]", v) for i, v in enumerate(values.tolist())]
+        # the column's last label, weight[1234], is the widest and sets the width
+        assert io.table_text("t", [("a", 1.5), column, "note", None]) == (
+            table_reference("t", [("a", 1.5)] + pairs)[:-1] + "\n  note\n")
+        rows = [[i, v] for i, v in enumerate(values.tolist())]
+        assert io.csv_text(["i", "v"], [column, ["x", 2.5]]) == csv_reference(
+            ["i", "v"], rows + [["x", 2.5]])
+        assert json_text({"v": values}) == json_text({"v": values.tolist()})
+        empty = np.zeros(0)
+        assert io.table_text("t", [("a", 1), io.Column("w", empty)]) == "t\n  a  1\n"
+        assert io.csv_text(["i", "v"], [io.Column("w", empty)]) == "i,v\n"
+        assert json_text(empty) == "[]"
+
+
+class TestLoadJsonPausesTheCollector:
+    @pytest.fixture
+    def seen(self, monkeypatch):
+        """gc.isenabled() as json.loads saw it, call by call."""
+        states, original = [], io.json.loads
+
+        def spy(text, *args, **kwargs):
+            states.append(gc.isenabled())
+            return original(text, *args, **kwargs)
+
+        monkeypatch.setattr(io.json, "loads", spy)
+        return states
+
+    def test_restores_after_success(self, tmp_path, seen):
+        path = tmp_path / "doc.json"
+        path.write_text("[1, 2]")
+        assert gc.isenabled()
+        assert io._load_json(path) == [1, 2]
+        assert seen == [False] and gc.isenabled()
+
+    def test_restores_after_a_json_error(self, tmp_path, seen):
+        path = tmp_path / "doc.json"
+        path.write_text("[1, 2")
+        with pytest.raises(InvalidInput, match="invalid JSON"):
+            io._load_json(path)
+        assert seen == [False] and gc.isenabled()
+
+    def test_leaves_a_paused_collector_paused(self, tmp_path, seen):
+        path = tmp_path / "doc.json"
+        path.write_text("{}")
+        gc.disable()
+        try:
+            assert io._load_json(path) == {}
+            assert not gc.isenabled()
+        finally:
+            gc.enable()
+        assert seen == [False]

@@ -1,4 +1,5 @@
 import math
+import sys
 
 import numpy as np
 import pytest
@@ -406,6 +407,33 @@ class TestRefinement:
         assert sampled == []
         with pytest.raises(InvalidInput, match="above the cap"):
             problem(80)
+
+    def test_spacing_cap_is_checked_before_any_level_is_built(self):
+        constant = constant_refinement_problem(np.array([1.5, 0.5]))
+        built = []
+
+        def problem(k: int):
+            built.append(k)
+            return constant(k)
+
+        problem.spacing = constant.spacing
+        # base spacing 1: level 1023 has the smallest normal spacing, 1024 a subnormal one
+        assert problem.spacing(1023) == sys.float_info.min
+        for levels in (1024, 1100, 10**9, 10**400):
+            with pytest.raises(InvalidInput, match="below the cap"):
+                refine_sequence(problem, levels, MINIMAL)
+        assert built == []
+
+    @pytest.mark.parametrize("base_spacing", [0.0, -1.0])
+    def test_non_positive_spacing_is_rejected(self, base_spacing):
+        problem = constant_refinement_problem(np.array([1.0]), base_spacing)
+        with pytest.raises(InvalidInput, match="below the cap"):
+            refine_sequence(problem, 3, MINIMAL)
+
+    def test_interval_spacing_cap_covers_a_tiny_box(self):
+        problem = interval_refinement_problem(np.ones_like, (0.0, 1e-305), 8)
+        with pytest.raises(InvalidInput, match="below the cap"):
+            refine_sequence(problem, 20, MINIMAL)
 
     def test_too_few_levels_rejected(self):
         problem = constant_refinement_problem(np.array([1.0]))

@@ -60,6 +60,11 @@ class TestDensityMatrix:
         with pytest.raises(InvariantViolation):
             DensityMatrix(np.diag([1.5, -0.5]).astype(complex))
 
+    def test_rejects_non_finite_entries(self):
+        mat = np.array([[np.nan, 0.0], [0.0, 0.5]], dtype=complex)
+        with pytest.raises(InvalidInput, match="density matrix contains non-finite entries"):
+            DensityMatrix(mat)
+
     def test_matrix_is_immutable(self):
         rho = DensityMatrix.maximally_mixed(3)
         with pytest.raises(ValueError):
@@ -423,6 +428,7 @@ class TestDecompositionsPerCommand:
         assert linalg_calls == ["eigh"]
 
     def test_entangle_never_diagonalizes(self, linalg_calls, capsys):
-        args = ["entangle", str(FIXTURES / "state_tilted.json"), "--dims", "2x2"]
+        args = ["entangle", str(FIXTURES / "state_tilted.json"), "--dims", "2x2",
+                "--cf", "alpha=0.5"]
         assert main(args) == 0
-        assert linalg_calls and set(linalg_calls) == {"svd"}
+        assert linalg_calls == ["svd"]  # one SVD serves both kernels and both sides

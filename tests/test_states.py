@@ -231,6 +231,24 @@ class TestDecomposition:
         with pytest.raises(InvalidInput):
             OrthogonalDecomposition(((0, 2), (-1,)), 3)
 
+    @pytest.mark.parametrize("index", [1.7, 1.0, True, np.float64(1.0), np.bool_(True)],
+                             ids=["fraction", "integral-float", "bool", "numpy-float",
+                                  "numpy-bool"])
+    def test_non_integer_index_is_rejected(self, index):
+        with pytest.raises(InvalidInput, match="block indices must be integers"):
+            OrthogonalDecomposition(((0,), (index,)), 2)
+
+    def test_index_beyond_the_integer_range_is_rejected(self):
+        with pytest.raises(InvalidInput, match="partition"):
+            OrthogonalDecomposition(((0,), (2**70,)), 2)
+
+    @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, np.intp])
+    def test_numpy_integer_indices_are_accepted(self, kind):
+        dec = OrthogonalDecomposition(((kind(2), 0), np.array([1], dtype=kind)), 3)
+        assert dec.blocks == ((2, 0), (1,))
+        assert {type(i) for block in dec.blocks for i in block} == {int}
+        assert dec.flat.tolist() == [2, 0, 1]
+
     def test_block_probabilities_equal_per_block_fsum(self):
         rng = np.random.default_rng(9)
         dim = 3000
