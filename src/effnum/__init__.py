@@ -10,7 +10,6 @@ from .counting import (
     ProbabilityVector,
     WeightVector,
     concat,
-    default_sample_grid,
     effnum,
     effnum_min,
     exact_sums,

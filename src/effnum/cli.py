@@ -74,7 +74,7 @@ class Result:
 
 def _cmd_mu(args) -> Result:
     psi = load_state(args.state)
-    dec, basis, _ = load_decomposition(args.decomposition, psi.dim)
+    dec, basis = load_decomposition(args.decomposition, psi.dim)
     c = parse_counting_selector(args.cf)
     probs = states.subspace_probs(psi, dec, basis)
     weights = weights_from_probs(probs)
@@ -113,10 +113,11 @@ def _cmd_qnum(args) -> Result:
     out.put("counting_function", c.label, "kernel")
     out.payload["log_base"] = base_label
     out.column("spectrum", "rho", rho.spectrum)
-    out.put("qnum", density.quantum_effnum(rho, c), "state components", csv=True)
-    out.put("qnum_min", density.quantum_effnum_min(rho), "minimal (star)", csv=True)
-    out.put("entropy", density.quantum_mu_entropy(rho, c) / divisor, "entropy")
-    out.put("entropy_min", density.quantum_mu_entropy_min(rho) / divisor, "entropy (star)")
+    value, minimal = density.quantum_effnum(rho, c), density.quantum_effnum_min(rho)
+    out.put("qnum", value, "state components", csv=True)
+    out.put("qnum_min", minimal, "minimal (star)", csv=True)
+    out.put("entropy", math.log(value) / divisor, "entropy")
+    out.put("entropy_min", math.log(minimal) / divisor, "entropy (star)")
     return out
 
 
@@ -187,7 +188,7 @@ def _cmd_refine(args) -> Result:
 
 def _cmd_simulate(args) -> Result:
     psi = load_state(args.state)
-    dec, basis, eigtuples = load_decomposition(args.decomposition, psi.dim)
+    dec, basis = load_decomposition(args.decomposition, psi.dim)
     c = parse_counting_selector(args.cf)
     try:
         trial_counts = [int(t) for t in str(args.trials).split(",") if t]
@@ -202,8 +203,8 @@ def _cmd_simulate(args) -> Result:
     out.payload.update(m=dec.m_count, seed=args.seed, generator=simulate.GENERATOR_ID,
                        counting_function=c.label, exact=exact, runs=[])
     for t in trial_counts:
-        seq = simulate.sample_outcomes(psi, dec, basis, t, args.seed, eigtuples=eigtuples)
-        est = simulate.plugin_mu_estimate(seq, dec.m_count, c)
+        seq = simulate.sample_outcomes(psi, dec, basis, t, args.seed)
+        est = simulate.plugin_mu_estimate(seq, c)
         run = {"trials": t, "estimate": est.estimate, "stderr": est.stderr,
                "exact": exact, "abs_error": abs(est.estimate - exact)}
         out.payload["runs"].append(run)

@@ -26,7 +26,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-from .counting import CountingFunction, WeightVector, effnum
+from .counting import CountingFunction, WeightVector, effnum, tail_fit
 from .errors import InvalidInput
 
 GRID_NORM_TOL = 1e-8
@@ -128,18 +128,15 @@ class GridWaveFunction:
         object.__setattr__(self, "values", vals)
 
     @classmethod
-    def sample(cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray], *,
-               normalize: bool = True) -> "GridWaveFunction":
-        """Sample ``fn`` at the cell midpoints, optionally normalizing."""
+    def sample(cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> "GridWaveFunction":
+        """Sample ``fn`` at the cell midpoints and normalize."""
         vals = np.asarray(fn(grid.centers()), dtype=complex).ravel()
         if vals.size != grid.ncells:
             raise InvalidInput("sampling callable returned the wrong number of values")
-        if normalize:
-            norm = float(np.sum(np.abs(vals) ** 2) * grid.cell_volume)
-            if norm <= 0.0:
-                raise InvalidInput("cannot normalize an identically-zero wave function")
-            vals = vals / math.sqrt(norm)
-        return cls(grid=grid, values=vals)
+        norm = float(np.sum(np.abs(vals) ** 2) * grid.cell_volume)
+        if norm <= 0.0:
+            raise InvalidInput("cannot normalize an identically-zero wave function")
+        return cls(grid=grid, values=vals / math.sqrt(norm))
 
 
 def effective_volume(psi: GridWaveFunction, c: CountingFunction) -> float:
@@ -194,18 +191,6 @@ def _support_mask(eta: np.ndarray) -> np.ndarray:
     return eta >= SUPPORT_RTOL * float(np.max(eta))
 
 
-def _check_pair(p: np.ndarray, eta: np.ndarray, vols: np.ndarray, *, what: str) -> None:
-    if p.shape != eta.shape or p.size != vols.size:
-        raise InvalidInput(f"{what}: density sample arrays must share the cell layout")
-    if np.any(p < 0.0) or np.any(eta < 0.0):
-        raise InvalidInput(f"{what}: density samples must be non-negative")
-    off = ~_support_mask(eta)
-    if np.any(p[off] > OFF_SUPPORT_TOL):
-        raise InvalidInput(
-            f"{what}: probability density is positive on cells outside the spectral support"
-        )
-
-
 def _relative_mu(
     p: np.ndarray, eta: np.ndarray, vols: np.ndarray, c: CountingFunction
 ) -> float:
@@ -216,79 +201,36 @@ def _relative_mu(
 
 
 @dataclass(frozen=True)
-class SpectralDensityPair:
-    """Matched midpoint samples of an outcome density P and a spectral
-    density eta over a common cell layout; both integrate to one.
-
-    The support is the set of cells with eta above 1e-14 of its maximum;
-    P must vanish (within 1e-12) off the support.
-    """
-
-    p: np.ndarray
-    eta: np.ndarray
-    cell_volumes: np.ndarray
-    grid: Grid | None = None
-
-    def __post_init__(self):
-        p = np.asarray(self.p, dtype=float).ravel().copy()
-        eta = np.asarray(self.eta, dtype=float).ravel().copy()
-        vols = np.asarray(self.cell_volumes, dtype=float).ravel().copy()
-        _check_pair(p, eta, vols, what="spectral density pair")
-        for name, arr in (("P", p), ("eta", eta)):
-            total = float(np.sum(arr * vols))
-            if abs(total - 1.0) > GRID_NORM_TOL:
-                raise InvalidInput(
-                    f"{name} must integrate to 1 within {GRID_NORM_TOL:g}; got {total!r}"
-                )
-        for arr in (p, eta, vols):
-            arr.flags.writeable = False
-        object.__setattr__(self, "p", p)
-        object.__setattr__(self, "eta", eta)
-        object.__setattr__(self, "cell_volumes", vols)
-
-    @classmethod
-    def from_grid(cls, grid: Grid, p, eta) -> "SpectralDensityPair":
-        vols = np.full(grid.ncells, grid.cell_volume)
-        return cls(p=np.asarray(p, float), eta=np.asarray(eta, float),
-                   cell_volumes=vols, grid=grid)
-
-    @classmethod
-    def from_cells(cls, cell_volumes, p, eta) -> "SpectralDensityPair":
-        return cls(p=np.asarray(p, float), eta=np.asarray(eta, float),
-                   cell_volumes=_as_cell_volumes(cell_volumes), grid=None)
-
-    @property
-    def support_mask(self) -> np.ndarray:
-        return _support_mask(self.eta)
-
-
-def relative_mu_continuum(sd: SpectralDensityPair, c: CountingFunction) -> float:
-    """Relative uncertainty fraction of the pair; in (0, 1], 1 iff P = eta."""
-    return _relative_mu(sd.p, sd.eta, sd.cell_volumes, c)
-
-
-@dataclass(frozen=True)
 class SectorFamily:
-    """Mixed discrete/continuous decomposition: one (P_m, eta_m) sample
-    pair per discrete sector over a shared continuous cell layout.
+    """Mixed discrete/continuous decomposition: one (P_m, eta_m) pair of
+    midpoint samples per discrete sector on a shared grid.
 
     The totals sum over sectors to one: integral of sum_m eta_m = 1 and
-    the same for P_m.
+    the same for P_m.  A sector's support is the set of cells with eta_m
+    above 1e-14 of its maximum; P_m must vanish (within 1e-12) off it.
     """
 
     ps: tuple[np.ndarray, ...]
     etas: tuple[np.ndarray, ...]
-    cell_volumes: np.ndarray
-    grid: Grid | None = None
+    grid: Grid
+    cell_volumes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        vols = np.asarray(self.cell_volumes, dtype=float).ravel().copy()
+        vols = np.full(self.grid.ncells, self.grid.cell_volume)
         ps = tuple(np.asarray(a, dtype=float).ravel().copy() for a in self.ps)
         etas = tuple(np.asarray(a, dtype=float).ravel().copy() for a in self.etas)
         if len(ps) == 0 or len(ps) != len(etas):
             raise InvalidInput("need matching non-empty P and eta sector lists")
         for m, (p, eta) in enumerate(zip(ps, etas)):
-            _check_pair(p, eta, vols, what=f"sector {m}")
+            if p.size != vols.size or eta.size != vols.size:
+                raise InvalidInput(f"sector {m}: density samples must cover the grid's cells")
+            if np.any(p < 0.0) or np.any(eta < 0.0):
+                raise InvalidInput(f"sector {m}: density samples must be non-negative")
+            if np.any(p[~_support_mask(eta)] > OFF_SUPPORT_TOL):
+                raise InvalidInput(
+                    f"sector {m}: probability density is positive on cells outside "
+                    "the spectral support"
+                )
         for name, arrs in (("P", ps), ("eta", etas)):
             total = math.fsum(float(np.sum(a * vols)) for a in arrs)
             if abs(total - 1.0) > GRID_NORM_TOL:
@@ -304,25 +246,44 @@ class SectorFamily:
     @classmethod
     def from_grid(cls, grid: Grid, sectors) -> "SectorFamily":
         """Build from (p_m, eta_m) pairs sampled on a common grid."""
-        ps = tuple(np.asarray(p, float) for p, _ in sectors)
-        etas = tuple(np.asarray(e, float) for _, e in sectors)
-        return cls(ps=ps, etas=etas,
-                   cell_volumes=np.full(grid.ncells, grid.cell_volume), grid=grid)
+        return cls(ps=tuple(p for p, _ in sectors), etas=tuple(e for _, e in sectors), grid=grid)
 
     @property
     def m_count(self) -> int:
         return len(self.ps)
 
 
-def mixed_relative_mu(sf: SectorFamily, c: CountingFunction) -> float:
-    """Uncertainty fraction summed over discrete sectors.
+class SpectralDensityPair(SectorFamily):
+    """A one-sector family: matched midpoint samples of an outcome density
+    P and a spectral density eta on a grid, each integrating to one."""
 
-    A single-sector family reduces to :func:`relative_mu_continuum`
-    exactly.
-    """
+    @classmethod
+    def from_grid(cls, grid: Grid, p, eta) -> "SpectralDensityPair":
+        return cls(ps=(p,), etas=(eta,), grid=grid)
+
+    @property
+    def p(self) -> np.ndarray:
+        return self.ps[0]
+
+    @property
+    def eta(self) -> np.ndarray:
+        return self.etas[0]
+
+    @property
+    def support_mask(self) -> np.ndarray:
+        return _support_mask(self.eta)
+
+
+def mixed_relative_mu(sf: SectorFamily, c: CountingFunction) -> float:
+    """Uncertainty fraction summed over discrete sectors."""
     return math.fsum(
         _relative_mu(p, eta, sf.cell_volumes, c) for p, eta in zip(sf.ps, sf.etas)
     )
+
+
+def relative_mu_continuum(sd: SpectralDensityPair, c: CountingFunction) -> float:
+    """Relative uncertainty fraction of the pair; in (0, 1], 1 iff P = eta."""
+    return mixed_relative_mu(sd, c)
 
 
 @dataclass(frozen=True)
@@ -410,7 +371,7 @@ def reparametrization_check(
     side at half resolution.  ``passed`` states that the discrepancy is
     within that bound.
     """
-    if sd.grid is None or sd.grid.d != 1:
+    if sd.grid.d != 1:
         raise InvalidInput("the shipped checker needs a pair on a 1-dimensional grid")
     if source_grid.d != 1:
         raise InvalidInput("source grid must be 1-dimensional")
@@ -473,27 +434,22 @@ class RefinementResult:
     rows: tuple[RefinementRow, ...]
     extrapolated: float
     residual: float
-    fit_order: int
     window: int
+    fit_order = 1  # the fit is linear in the spacing
 
 
 def refine_sequence(
-    problem: Callable[[int], RefinementLevel],
-    levels: int,
-    c: CountingFunction,
-    *,
-    fit_order: int = 1,
-    window: int | None = None,
+    problem: Callable[[int], RefinementLevel], levels: int, c: CountingFunction
 ) -> RefinementResult:
     """Drive a refinement family and extrapolate its fraction to zero spacing.
 
     ``problem(k)`` supplies the discretization for level k = 1..levels.
     Each level contributes the ratio F_k = effective count / m_count; the
-    limit is estimated by a least-squares fit of F_k = F_inf + a * h_k**q
-    over the last ``window`` levels (default: the larger of 3 and half the
-    levels, rounded up) with q = ``fit_order``.  The reported residual is
-    the largest misfit inside the window; treat a residual comparable to
-    the level-to-level differences as a sign the model order is wrong.
+    limit is the intercept of a least-squares fit of F_k = F_inf + a * h_k
+    over the last max(3, ceil(levels/2)) levels (:func:`~effnum.counting.tail_fit`).
+    The reported residual is the largest misfit inside the window; treat a
+    residual comparable to the level-to-level differences as a sign the
+    model order is wrong.
 
     If ``problem.spacing(k)`` gives level k's spacing without building it,
     as for the built-in problems, a finest spacing below
@@ -501,8 +457,6 @@ def refine_sequence(
     """
     if levels < 3:
         raise InvalidInput("need at least 3 refinement levels to extrapolate")
-    if fit_order < 1:
-        raise InvalidInput("fit order must be a positive integer")
     if hasattr(problem, "spacing"):
         finest = problem.spacing(levels)
         if not finest >= MIN_REFINE_SPACING:
@@ -521,24 +475,11 @@ def refine_sequence(
         ratio = effnum(wv, c) / lev.m_count
         rows.append(RefinementRow(level=k, m_count=lev.m_count,
                                   spacing=float(lev.spacing), ratio=ratio))
-    if window is None:
-        window = max(3, math.ceil(levels / 2))
-    window = min(int(window), levels)
-    if window < 2:
-        raise InvalidInput("fit window must span at least 2 levels")
-    tail = rows[-window:]
-    x = np.array([row.spacing for row in tail]) ** fit_order
-    y = np.array([row.ratio for row in tail])
-    design = np.vstack([np.ones_like(x), x]).T
-    coef, *_ = np.linalg.lstsq(design, y, rcond=None)
-    fit = design @ coef
-    residual = float(np.max(np.abs(fit - y)))
+    extrapolated, _, residual, window = tail_fit(
+        [row.spacing for row in rows], [row.ratio for row in rows]
+    )
     return RefinementResult(
-        rows=tuple(rows),
-        extrapolated=float(coef[0]),
-        residual=residual,
-        fit_order=fit_order,
-        window=window,
+        rows=tuple(rows), extrapolated=extrapolated, residual=residual, window=window
     )
 
 

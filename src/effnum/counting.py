@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
@@ -141,26 +141,21 @@ class ProbabilityVector:
 
 @dataclass(frozen=True)
 class WeightVector:
-    """Non-negative counting weights summing to the nominal count n.
+    """Non-negative counting weights summing to their number n.
 
-    ``n`` defaults to the number of entries; it may be given explicitly
-    when the weights carry trailing structural zeros beyond the nominal
-    count (a reduced density matrix larger than its Schmidt sector, say).
     The sum is checked with numpy's ``sum``, whose error (below
     (16 + log2 n) * 2**-53 * n, see :class:`ProbabilityVector`) is far
     inside ``WEIGHT_SUM_TOL * n``.
     """
 
     w: np.ndarray
-    n: int | None = None
+    n: int = field(init=False)
 
     def __post_init__(self):
         arr = _readonly_float_array(self.w, "weight vector")
         if np.any(arr < 0.0):
             raise InvalidInput("counting weights must be non-negative")
-        n = int(arr.size) if self.n is None else int(self.n)
-        if n < 1:
-            raise InvalidInput("nominal count must be positive")
+        n = int(arr.size)
         total = float(arr.sum())
         if abs(total - n) > WEIGHT_SUM_TOL * n:
             raise InvalidInput(
@@ -245,12 +240,28 @@ def effnum_min(w: WeightVector) -> float:
 
 def concat(w1: WeightVector, w2: WeightVector) -> WeightVector:
     """Join the weight tuples of two disjoint collections."""
-    return WeightVector(np.concatenate([w1.w, w2.w]), n=w1.n + w2.n)
+    return WeightVector(np.concatenate([w1.w, w2.w]))
 
 
 def product(p: ProbabilityVector, q: ProbabilityVector) -> ProbabilityVector:
     """Product distribution with entries p_i * q_j in row-major order."""
     return ProbabilityVector(np.outer(p.p, q.p).ravel())
+
+
+def tail_fit(xs, ys) -> tuple[float, float, float, int]:
+    """Least-squares line through the last points of a scan of k >= 3.
+
+    The fit window, the larger of 3 and k/2 rounded up, drops the early,
+    transient points.  Returns (intercept, slope, residual, window), the
+    residual being the largest misfit |fit - y| inside the window.
+    """
+    window = max(3, math.ceil(len(xs) / 2))
+    x = np.asarray(xs[-window:], dtype=float)
+    y = np.asarray(ys[-window:], dtype=float)
+    xbar, ybar = x.mean(), y.mean()
+    slope = float(np.sum((x - xbar) * (y - ybar)) / np.sum((x - xbar) ** 2))
+    intercept = float(ybar - slope * xbar)
+    return intercept, slope, float(np.max(np.abs(intercept + slope * x - y))), window
 
 
 @dataclass(frozen=True)
@@ -278,33 +289,19 @@ class CountingFunctionReport:
         return "\n".join(lines)
 
 
-def default_sample_grid(w_max: float = 64.0, points: int = 10_001) -> np.ndarray:
-    """Uniform validation grid on [0, w_max]."""
-    if w_max <= 1.0:
-        raise InvalidInput("sample grid must extend beyond w = 1")
-    return np.linspace(0.0, float(w_max), int(points))
-
-
-def validate_counting_function(
-    c: CountingFunction,
-    sample_grid: Sequence[float] | np.ndarray | None = None,
-    *,
-    continuity_factor: float = 10.0,
-) -> CountingFunctionReport:
+def validate_counting_function(c: CountingFunction) -> CountingFunctionReport:
     """Screen a kernel against the necessary conditions, by sampling.
 
-    Checked: c(0) = 0, c(1) = 1, boundedness 0 <= c <= 1, pointwise
-    domination of the minimal kernel, and a sampled continuity heuristic.
-    The continuity bound is scale-relative: adjacent sampled increments
-    must satisfy ``|dc| <= continuity_factor * dx / max(x, dx)``.  An
-    absolute bound cannot work near w = 0, where valid kernels may rise
-    arbitrarily steeply.  This is a screen for necessary conditions only;
-    passing it does not certify a kernel as a consistent counting rule.
+    Checked on 10,001 evenly spaced points of [0, 64]: c(0) = 0, c(1) = 1,
+    boundedness 0 <= c <= 1, pointwise domination of the minimal kernel,
+    and a sampled continuity heuristic.  The continuity bound is
+    scale-relative: adjacent sampled increments must satisfy
+    ``|dc| <= 10 * dx / max(x, dx)``.  An absolute bound cannot work near
+    w = 0, where valid kernels may rise arbitrarily steeply.  This is a
+    screen for necessary conditions only; passing it does not certify a
+    kernel as a consistent counting rule.
     """
-    grid = default_sample_grid() if sample_grid is None else np.asarray(sample_grid, dtype=float)
-    grid = np.unique(grid)
-    if grid.size < 16 or grid[0] < 0.0:
-        raise InvalidInput("sample grid must hold >= 16 distinct points in [0, w_max]")
+    grid = np.linspace(0.0, 64.0, 10_001)
     values = c(grid)
 
     tol = 1e-12
@@ -336,7 +333,7 @@ def validate_counting_function(
 
     dx = np.diff(grid)
     dc = np.abs(np.diff(values))
-    thresholds = continuity_factor * dx / np.maximum(grid[:-1], dx)
+    thresholds = 10.0 * dx / np.maximum(grid[:-1], dx)
     worst = float(np.max(dc / thresholds))
     checks.append(
         ConditionCheck(

@@ -164,27 +164,14 @@ def hermitian_eigen(rho: DensityMatrix) -> Eigensystem:
     return Eigensystem(eigenvalues=_normalized_spectrum(vals[order]), eigenvectors=vecs)
 
 
-def quantum_effnum(
-    rho: DensityMatrix,
-    c: CountingFunction,
-    *,
-    nominal: int | None = None,
-) -> float:
-    """Effective number of state components: sum_i c(n * rho_i).
-
-    ``nominal`` overrides the weight scale n (default: the matrix
-    dimension); entanglement measures use the smaller factor dimension so
-    that both reductions of a bipartite state agree.
-    """
-    n = rho.dim if nominal is None else int(nominal)
-    if n < 1:
-        raise InvalidInput(f"nominal count must be positive, got {n}")
-    return effnum(WeightVector(n * rho.spectrum, n=n), c)
+def quantum_effnum(rho: DensityMatrix, c: CountingFunction) -> float:
+    """Effective number of state components: sum_i c(N * rho_i)."""
+    return effnum(WeightVector(rho.dim * rho.spectrum), c)
 
 
-def quantum_effnum_min(rho: DensityMatrix, *, nominal: int | None = None) -> float:
-    """Smallest consistent state-component count: sum_i min{n rho_i, 1}."""
-    return quantum_effnum(rho, CountingFunction.minimal(), nominal=nominal)
+def quantum_effnum_min(rho: DensityMatrix) -> float:
+    """Smallest consistent state-component count: sum_i min{N rho_i, 1}."""
+    return quantum_effnum(rho, CountingFunction.minimal())
 
 
 def quantum_mu_entropy(rho: DensityMatrix, c: CountingFunction) -> float:
@@ -277,23 +264,16 @@ def schmidt_weights(psi: PureState, bp: BipartiteStructure) -> np.ndarray:
     return weights
 
 
-def mu_entanglement(
-    psi: PureState,
-    bp: BipartiteStructure,
-    c: CountingFunction,
-    side: str = "A",
-) -> float:
+def mu_entanglement(psi: PureState, bp: BipartiteStructure, c: CountingFunction) -> float:
     """State content shared across the bipartition: the effective
-    component count of the reduced density matrix.
+    component count of either reduced density matrix.
 
-    The count runs over the :func:`schmidt_weights`, so it does not
-    depend on ``side`` ("A" or "B", the factor kept) and is not limited by
-    ``DEFAULT_DIM_CAP``.  The weight scale is min(dim_a, dim_b) -- the
-    largest possible number of terms in the biorthogonal expansion.
-    Ranges from 1 (product state) to min(dim_a, dim_b) (maximal).
+    The count runs over the :func:`schmidt_weights`, so both reductions
+    give it and ``DEFAULT_DIM_CAP`` does not limit it.  The weight scale is
+    min(dim_a, dim_b) -- the largest possible number of terms in the
+    biorthogonal expansion.  Ranges from 1 (product state) to
+    min(dim_a, dim_b) (maximal).
     """
-    if side.upper() not in ("A", "B"):
-        raise InvalidInput(f'side must be "A" or "B", got {side!r}')
     return effnum(entanglement_weights(psi, bp), c)
 
 
@@ -305,5 +285,5 @@ def entanglement_weights(psi: PureState, bp: BipartiteStructure) -> WeightVector
     return WeightVector(weights.size * weights)
 
 
-def mu_entanglement_min(psi: PureState, bp: BipartiteStructure, side: str = "A") -> float:
-    return mu_entanglement(psi, bp, CountingFunction.minimal(), side=side)
+def mu_entanglement_min(psi: PureState, bp: BipartiteStructure) -> float:
+    return mu_entanglement(psi, bp, CountingFunction.minimal())

@@ -19,6 +19,7 @@ from .counting import (
     ProbabilityVector,
     effnum,
     product,
+    tail_fit,
     weights_from_probs,
 )
 from .errors import InvalidInput
@@ -101,12 +102,7 @@ class GammaScanResult:
     window: int
 
 
-def dfd_gamma_scan(
-    family,
-    c: CountingFunction,
-    *,
-    window: int | None = None,
-) -> GammaScanResult:
+def dfd_gamma_scan(family, c: CountingFunction) -> GammaScanResult:
     """Fit the decay exponent of the effective-count fraction over a family.
 
     ``family`` is a sequence of (n_k, p_k) with strictly increasing n_k;
@@ -115,8 +111,8 @@ def dfd_gamma_scan(
     k_eq = 1 + log F_k / log n_k are tabulated; gamma is minus the
     least-squares slope of log2 F_k against log2 n_k.
 
-    The fit uses the last ``window`` steps (default: the larger of 3 and
-    half the family, rounded up) to suppress small-n transients.
+    The fit uses the last max(3, ceil(k/2)) of the k steps
+    (:func:`~effnum.counting.tail_fit`) to suppress small-n transients.
     Behaviors slower than a power are not classified; judge the reported
     residual (max |fit - data| over the window).
     """
@@ -141,18 +137,7 @@ def dfd_gamma_scan(
         k_eq = 1.0 + math.log2(ratio) / math.log2(pv.n)
         steps.append(ScanStep(n=pv.n, ratio=ratio, k_eq=k_eq))
 
-    if window is None:
-        window = max(3, math.ceil(len(steps) / 2))
-    window = min(int(window), len(steps))
-    if window < 2:
-        raise InvalidInput("fit window must span at least 2 steps")
-    xs = np.array([math.log2(s.n) for s in steps[-window:]])
-    ys = np.array([math.log2(s.ratio) for s in steps[-window:]])
-    xbar = xs.mean()
-    ybar = ys.mean()
-    slope = float(np.sum((xs - xbar) * (ys - ybar)) / np.sum((xs - xbar) ** 2))
-    intercept = ybar - slope * xbar
-    residual = float(np.max(np.abs(intercept + slope * xs - ys)))
-    return GammaScanResult(
-        steps=tuple(steps), gamma=-slope, residual=residual, window=window
+    _, slope, residual, window = tail_fit(
+        [math.log2(s.n) for s in steps], [math.log2(s.ratio) for s in steps]
     )
+    return GammaScanResult(steps=tuple(steps), gamma=-slope, residual=residual, window=window)

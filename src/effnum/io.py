@@ -190,12 +190,12 @@ def load_density(path: str | Path) -> DensityMatrix:
 
 def load_decomposition(
     path: str | Path, dim: int
-) -> tuple[OrthogonalDecomposition, OrthonormalBasis | None, np.ndarray | None]:
+) -> tuple[OrthogonalDecomposition, OrthonormalBasis | None]:
     """Decomposition file (0-based indices):
 
     {"basis": "identity" | {"rows": [[[re, im], ...], ...]},
      "groups": [[i, ...], ...],
-     "eigtuples": [[x, ...], ...]}     # optional outcome labels
+     "eigtuples": [[x, ...], ...]}     # optional outcome labels, checked only
     """
     doc = _load_json(path)
     # one tuple per group, none of them in a cycle
@@ -211,12 +211,11 @@ def load_decomposition(
         basis = OrthonormalBasis(mat)
 
     eig = doc.get("eigtuples")
-    eigtuples = None
     if eig is not None:
         eigtuples = np.atleast_2d(_float_array(eig, path, "eigtuples"))
         if eigtuples.ndim != 2 or eigtuples.shape[0] != dec.m_count:
             raise InvalidInput(f"{path}: need one eigtuple per group")
-    return dec, basis, eigtuples
+    return dec, basis
 
 
 def load_grid_wavefunction(path: str | Path) -> GridWaveFunction:
@@ -247,6 +246,95 @@ def _interval(doc: dict, path) -> tuple[float, float]:
     return float(box[0]), float(box[1])
 
 
+def _constant_problem(doc: dict, path):
+    weights = _float_field(doc, "weights", path, listed=True)
+    spacing = _float_field(doc, "base_spacing", path) if "base_spacing" in doc else 1.0
+    return constant_refinement_problem(weights, spacing), "constant weights"
+
+
+def _half_box_problem(doc: dict, path):
+    lo, hi = _interval(doc, path)
+    cells = _int_field(doc, "base_cells", path)
+    mid = 0.5 * (lo + hi)
+
+    def indicator(x: np.ndarray) -> np.ndarray:
+        return (x < mid).astype(float)
+
+    return interval_refinement_problem(indicator, (lo, hi), cells), "half-box indicator"
+
+
+def _gaussian_problem(doc: dict, path):
+    lo, hi = _interval(doc, path)
+    center = _float_field(doc, "center", path)
+    sigma = _float_field(doc, "sigma", path)
+    cells = _int_field(doc, "base_cells", path)
+    if sigma <= 0.0:
+        raise InvalidInput(f"{path}: sigma must be positive")
+
+    def gaussian(x: np.ndarray) -> np.ndarray:
+        return np.exp(-((x - center) ** 2) / (2.0 * sigma * sigma))
+
+    return interval_refinement_problem(gaussian, (lo, hi), cells), "1-d Gaussian intensity"
+
+
+def _uniform_power_family(doc: dict, path):
+    gamma = _float_field(doc, "gamma", path)
+    if not 0.0 <= gamma <= 1.0:
+        raise InvalidInput(f"{path}: gamma must lie in [0, 1]")
+    exponents = _int_field(doc, "exponents", path, listed=True)
+    for j in exponents:
+        if not 1 <= j <= MAX_POWER_EXPONENT:
+            raise InvalidInput(
+                f"{path}: exponents must lie in [1, {MAX_POWER_EXPONENT}], got {j}"
+            )
+    if sum(2**j for j in exponents) > MAX_FAMILY_STATES:
+        raise InvalidInput(
+            f"{path}: the family would hold more than {MAX_FAMILY_STATES} states"
+        )
+    family = []
+    for j in exponents:
+        n = 2**j
+        support = min(n, math.ceil(n ** (1.0 - gamma)))
+        p = np.zeros(n)
+        p[:support] = 1.0 / support
+        family.append((n, ProbabilityVector(p)))
+    return family
+
+
+def _explicit_family(doc: dict, path):
+    members = _require(doc, "members", path)
+    if type(members) is not list:
+        raise InvalidInput(f"{path}: 'members' must be a list of objects")
+    family = []
+    for member in members:
+        n = _int_field(member, "n", path)
+        p = _float_field(member, "p", path, listed=True)
+        family.append((n, ProbabilityVector(p)))
+    return family
+
+
+# Readers of the documents that name their "kind", by kind: each takes the
+# document and its path.
+PROBLEM_KINDS = {"constant": _constant_problem, "half-box-1d": _half_box_problem,
+                 "gaussian-1d": _gaussian_problem}
+FAMILY_KINDS = {"uniform-power": _uniform_power_family, "explicit": _explicit_family}
+
+
+def _reader(doc, kinds: dict) -> Callable | None:
+    """The reader ``kinds`` holds for the document's "kind", or None."""
+    kind = doc.get("kind") if isinstance(doc, dict) else None
+    return kinds.get(kind) if type(kind) is str else None
+
+
+def _load_kind(path: str | Path, kinds: dict, what: str):
+    """Read the file's document with the reader of its "kind"."""
+    doc = _load_json(path)
+    read = _reader(doc, kinds)
+    if read is None:
+        raise InvalidInput(f"{path}: unknown {what} kind {_require(doc, 'kind', path)!r}")
+    return read(doc, path)
+
+
 def load_refine_problem(path: str | Path) -> tuple[Callable[[int], RefinementLevel], str]:
     """Refinement-problem file; returns (problem, description).
 
@@ -255,34 +343,7 @@ def load_refine_problem(path: str | Path) -> tuple[Callable[[int], RefinementLev
            {"kind": "gaussian-1d", "box": [lo, hi], "center": c,
             "sigma": s, "base_cells": m}
     """
-    doc = _load_json(path)
-    kind = _require(doc, "kind", path)
-    if kind == "constant":
-        weights = _float_field(doc, "weights", path, listed=True)
-        spacing = _float_field(doc, "base_spacing", path) if "base_spacing" in doc else 1.0
-        return constant_refinement_problem(weights, spacing), "constant weights"
-    if kind == "half-box-1d":
-        lo, hi = _interval(doc, path)
-        cells = _int_field(doc, "base_cells", path)
-        mid = 0.5 * (lo + hi)
-
-        def indicator(x: np.ndarray) -> np.ndarray:
-            return (x < mid).astype(float)
-
-        return interval_refinement_problem(indicator, (lo, hi), cells), "half-box indicator"
-    if kind == "gaussian-1d":
-        lo, hi = _interval(doc, path)
-        center = _float_field(doc, "center", path)
-        sigma = _float_field(doc, "sigma", path)
-        cells = _int_field(doc, "base_cells", path)
-        if sigma <= 0.0:
-            raise InvalidInput(f"{path}: sigma must be positive")
-
-        def gaussian(x: np.ndarray) -> np.ndarray:
-            return np.exp(-((x - center) ** 2) / (2.0 * sigma * sigma))
-
-        return interval_refinement_problem(gaussian, (lo, hi), cells), "1-d Gaussian intensity"
-    raise InvalidInput(f"{path}: unknown problem kind {kind!r}")
+    return _load_kind(path, PROBLEM_KINDS, "problem")
 
 
 def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
@@ -294,41 +355,7 @@ def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
     {"kind": "explicit", "members": [{"n": n, "p": [...]}, ...]} lists the
     distributions directly.
     """
-    doc = _load_json(path)
-    kind = _require(doc, "kind", path)
-    if kind == "uniform-power":
-        gamma = _float_field(doc, "gamma", path)
-        if not 0.0 <= gamma <= 1.0:
-            raise InvalidInput(f"{path}: gamma must lie in [0, 1]")
-        exponents = _int_field(doc, "exponents", path, listed=True)
-        for j in exponents:
-            if not 1 <= j <= MAX_POWER_EXPONENT:
-                raise InvalidInput(
-                    f"{path}: exponents must lie in [1, {MAX_POWER_EXPONENT}], got {j}"
-                )
-        if sum(2**j for j in exponents) > MAX_FAMILY_STATES:
-            raise InvalidInput(
-                f"{path}: the family would hold more than {MAX_FAMILY_STATES} states"
-            )
-        family = []
-        for j in exponents:
-            n = 2**j
-            support = min(n, math.ceil(n ** (1.0 - gamma)))
-            p = np.zeros(n)
-            p[:support] = 1.0 / support
-            family.append((n, ProbabilityVector(p)))
-        return family
-    if kind == "explicit":
-        members = _require(doc, "members", path)
-        if type(members) is not list:
-            raise InvalidInput(f"{path}: 'members' must be a list of objects")
-        family = []
-        for member in members:
-            n = _int_field(member, "n", path)
-            p = _float_field(member, "p", path, listed=True)
-            family.append((n, ProbabilityVector(p)))
-        return family
-    raise InvalidInput(f"{path}: unknown family kind {kind!r}")
+    return _load_kind(path, FAMILY_KINDS, "family")
 
 
 def _load_decomposition_alone(path, doc: dict):
@@ -348,10 +375,9 @@ SCHEMAS = (
     ("decomposition", lambda doc: "groups" in doc, _load_decomposition_alone),
     ("grid wave function", lambda doc: "values" in doc,
      lambda path, doc: load_grid_wavefunction(path)),
-    ("refinement problem",
-     lambda doc: doc.get("kind") in ("constant", "half-box-1d", "gaussian-1d"),
+    ("refinement problem", lambda doc: _reader(doc, PROBLEM_KINDS) is not None,
      lambda path, doc: load_refine_problem(path)),
-    ("family", lambda doc: doc.get("kind") in ("uniform-power", "explicit"),
+    ("family", lambda doc: _reader(doc, FAMILY_KINDS) is not None,
      lambda path, doc: load_dfd_family(path)),
 )
 

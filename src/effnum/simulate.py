@@ -38,9 +38,7 @@ class OutcomeSequence:
     trials: np.ndarray
     seed: int
     m_count: int
-    labels: np.ndarray | None = None
     t_count: int = field(init=False)
-    generator: str = GENERATOR_ID
 
     def __post_init__(self):
         arr = np.asarray(self.trials, dtype=np.int64).copy()
@@ -53,13 +51,6 @@ class OutcomeSequence:
         arr.flags.writeable = False
         object.__setattr__(self, "trials", arr)
         object.__setattr__(self, "t_count", int(arr.size))
-        if self.labels is not None:
-            labels = np.asarray(self.labels, dtype=float)
-            if labels.shape[0] != arr.size:
-                raise InvalidInput("need one outcome label per trial")
-            labels = labels.copy()
-            labels.flags.writeable = False
-            object.__setattr__(self, "labels", labels)
 
 
 def sample_outcomes(
@@ -68,16 +59,13 @@ def sample_outcomes(
     basis: OrthonormalBasis | None,
     t: int,
     seed: int,
-    *,
-    eigtuples: np.ndarray | None = None,
 ) -> OutcomeSequence:
     """Draw t i.i.d. subspace outcomes for the state under the decomposition.
 
     Deterministic for a fixed seed: uniforms come from Philox4x32-10 keyed
     by ``seed`` and are mapped through the cumulative collapse
-    probabilities.  Optional ``eigtuples`` attach an outcome label per
-    trial.  A t beyond ``MAX_TRIALS`` raises InvalidInput before anything
-    is allocated.
+    probabilities.  A t beyond ``MAX_TRIALS`` raises InvalidInput before
+    anything is allocated.
     """
     if not 1 <= t <= MAX_TRIALS:
         raise InvalidInput(f"trial count must lie in [1, {MAX_TRIALS}], got {t}")
@@ -89,28 +77,18 @@ def sample_outcomes(
     cumulative = np.cumsum(probs.p)
     cumulative[-1] = max(cumulative[-1], 1.0)  # guard the last bin against rounding
     indices = np.searchsorted(cumulative, uniforms, side="right")
-    labels = None
-    if eigtuples is not None:
-        pts = np.atleast_2d(np.asarray(eigtuples, dtype=float))
-        if pts.shape[0] != dec.m_count:
-            raise InvalidInput("need one eigenvalue tuple per block")
-        labels = pts[indices]
-    return OutcomeSequence(trials=indices, seed=int(seed), m_count=dec.m_count, labels=labels)
+    return OutcomeSequence(trials=indices, seed=int(seed), m_count=dec.m_count)
 
 
-def empirical_fractions(seq: OutcomeSequence, m: int | None = None) -> tuple[Fraction, ...]:
+def empirical_fractions(seq: OutcomeSequence) -> tuple[Fraction, ...]:
     """Outcome frequencies as exact rationals count / t; they sum to 1 exactly."""
-    m = seq.m_count if m is None else int(m)
-    if m < seq.m_count:
-        raise InvalidInput(f"block count {m} below the sequence's {seq.m_count}")
-    counts = np.bincount(seq.trials, minlength=m)
+    counts = np.bincount(seq.trials, minlength=seq.m_count)
     return tuple(Fraction(int(k), seq.t_count) for k in counts)
 
 
-def empirical_probs(seq: OutcomeSequence, m: int | None = None) -> ProbabilityVector:
+def empirical_probs(seq: OutcomeSequence) -> ProbabilityVector:
     """Outcome frequencies as floats (from the exact rational counts)."""
-    fractions = empirical_fractions(seq, m)
-    return ProbabilityVector(np.array([float(f) for f in fractions]))
+    return ProbabilityVector(np.array([float(f) for f in empirical_fractions(seq)]))
 
 
 @dataclass(frozen=True)
@@ -120,38 +98,29 @@ class PluginEstimate:
     n_bootstrap: int
 
 
-def plugin_mu_estimate(
-    seq: OutcomeSequence,
-    m: int | None = None,
-    c: CountingFunction | None = None,
-    *,
-    n_bootstrap: int = DEFAULT_BOOTSTRAP,
-) -> PluginEstimate:
+def plugin_mu_estimate(seq: OutcomeSequence, c: CountingFunction | None = None) -> PluginEstimate:
     """Plug-in estimate of the effective outcome count, with bootstrap error.
 
-    The estimate applies the kernel to the empirical counting weights.
-    The standard error comes from ``n_bootstrap`` multinomial resamples of
-    the counts, each driven by a sub-seed derived from the sequence seed,
-    so repeated calls are bit-identical.
+    The estimate applies the kernel (default: minimal) to the empirical
+    counting weights.  The standard error comes from ``DEFAULT_BOOTSTRAP``
+    multinomial resamples of the counts, each driven by a sub-seed derived
+    from the sequence seed, so repeated calls are bit-identical.
     """
     if seq.t_count < MIN_TRIALS_FOR_ESTIMATE:
         raise InvalidInput(
             f"need at least {MIN_TRIALS_FOR_ESTIMATE} trials, got {seq.t_count}"
         )
-    if n_bootstrap < 2:
-        raise InvalidInput("need at least 2 bootstrap replicas")
     c = CountingFunction.minimal() if c is None else c
-    m = seq.m_count if m is None else int(m)
-    freqs = empirical_probs(seq, m)
+    freqs = empirical_probs(seq)
     estimate = effnum(weights_from_probs(freqs), c)
 
     t = seq.t_count
-    replicas = np.empty(n_bootstrap)
-    for r in range(n_bootstrap):
+    replicas = np.empty(DEFAULT_BOOTSTRAP)
+    for r in range(DEFAULT_BOOTSTRAP):
         sub = SeedSequence(seq.seed, spawn_key=(1, r))
         rng = Generator(Philox(seed=sub))
         counts = rng.multinomial(t, freqs.p / float(np.sum(freqs.p)))
         resampled = ProbabilityVector(counts / t)
         replicas[r] = effnum(weights_from_probs(resampled), c)
     stderr = float(np.std(replicas, ddof=1))
-    return PluginEstimate(estimate=estimate, stderr=stderr, n_bootstrap=n_bootstrap)
+    return PluginEstimate(estimate=estimate, stderr=stderr, n_bootstrap=DEFAULT_BOOTSTRAP)

@@ -43,6 +43,7 @@ from effnum import (
     hermitian_eigen,
     interval_refinement_problem,
     mu_entanglement_min,
+    partial_trace,
     partition_additivity_check,
     plugin_mu_estimate,
     quantum_effnum,
@@ -139,9 +140,17 @@ def test_04_schmidt_symmetry_of_entanglement():
             dim_b = dim_a + 1 if dim_a < 5 else dim_a - 1
         bp = BipartiteStructure(dim_a, dim_b)
         psi = PureState(random_pure(rng, bp.dim))
-        a_side = mu_entanglement_min(psi, bp, side="A")
-        b_side = mu_entanglement_min(psi, bp, side="B")
+        # count each reduction's spectrum, at the Schmidt scale k, on its own
+        k = min(dim_a, dim_b)
+        joint = DensityMatrix.from_pure(psi)
+        a_side, b_side = (
+            effnum_min(WeightVector(k * partial_trace(joint, bp, keep).spectrum[:k]))
+            for keep in "AB"
+        )
         assert abs(a_side - b_side) <= 1e-9
+        shared = mu_entanglement_min(psi, bp)
+        assert abs(a_side - shared) <= 1e-9
+        assert abs(b_side - shared) <= 1e-9
     report(4, "Schmidt symmetry")
 
 

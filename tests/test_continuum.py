@@ -3,13 +3,16 @@ import sys
 
 import numpy as np
 import pytest
-from oracles import midpoint_min_fraction
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from oracles import midpoint_min_fraction, random_probs
 
 from effnum import (
     CountingFunction,
     Grid,
     GridWaveFunction,
     InvalidInput,
+    RefinementLevel,
     SectorFamily,
     SpectralDensityPair,
     constant_refinement_problem,
@@ -441,10 +444,27 @@ class TestRefinement:
             refine_sequence(problem, 2, MINIMAL)
 
     def test_level_weight_mismatch_rejected(self):
-        from effnum import RefinementLevel
-
         def bad(_k: int) -> RefinementLevel:
             return RefinementLevel(m_count=3, weights=np.array([1.0, 1.0]), spacing=1.0)
 
         with pytest.raises(InvalidInput):
             refine_sequence(bad, 3, MINIMAL)
+
+    @given(
+        sizes=st.lists(st.integers(1, 16), min_size=3, max_size=20),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.sampled_from([1.0, 0.5, 0.2]),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_extrapolation_is_the_polyfit_intercept_over_the_window(self, sizes, seed, alpha):
+        rng = np.random.default_rng(seed)
+        levels = [RefinementLevel(m_count=m, weights=m * random_probs(rng, m),
+                                  spacing=math.ldexp(1.0, -k)) for k, m in enumerate(sizes)]
+        result = refine_sequence(lambda k: levels[k - 1], len(sizes),
+                                 CountingFunction.canonical(alpha))
+        window = max(3, math.ceil(len(sizes) / 2))
+        assert result.window == window
+        x = [row.spacing for row in result.rows][-window:]
+        y = [row.ratio for row in result.rows][-window:]
+        intercept = np.polyfit(x, y, 1)[1]
+        assert result.extrapolated == pytest.approx(intercept, rel=1e-12)

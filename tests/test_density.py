@@ -41,6 +41,17 @@ def bell_state() -> PureState:
     return PureState(np.array([math.sqrt(0.5), 0.0, 0.0, math.sqrt(0.5)], dtype=complex))
 
 
+def reduced_counts(psi: PureState, bp: BipartiteStructure, c) -> tuple[float, float]:
+    """Reference entanglement counts of the two reductions, A kept and B
+    kept: each reduced spectrum's k = min(dim_a, dim_b) largest entries
+    counted as the weights k * rho_i."""
+    k = min(bp.dim_a, bp.dim_b)
+    joint = DensityMatrix.from_pure(psi)
+    a, b = (effnum(WeightVector(k * partial_trace(joint, bp, keep).spectrum[:k]), c)
+            for keep in "AB")
+    return a, b
+
+
 def werner_half() -> DensityMatrix:
     phi = np.outer(bell_state().amps, bell_state().amps.conj())
     return DensityMatrix(0.5 * phi + 0.5 * np.eye(4) / 4.0)
@@ -274,10 +285,6 @@ class TestQuantumEffnum:
             math.log(2.5), abs=1e-10
         )
 
-    def test_nominal_count_must_be_positive(self):
-        with pytest.raises(InvalidInput):
-            quantum_effnum(DensityMatrix.maximally_mixed(2), MINIMAL, nominal=0)
-
 
 class TestPartialTrace:
     def test_product_state_reduces_exactly(self):
@@ -345,9 +352,9 @@ class TestEntanglement:
         for dim_a, dim_b in ((2, 3), (3, 5), (4, 2), (8, 5)):
             bp = BipartiteStructure(dim_a, dim_b)
             psi = PureState(random_pure(rng, bp.dim))
-            a = mu_entanglement_min(psi, bp, side="A")
-            b = mu_entanglement_min(psi, bp, side="B")
+            a, b = reduced_counts(psi, bp, MINIMAL)
             assert abs(a - b) < 1e-9
+            assert abs(mu_entanglement_min(psi, bp) - a) < 1e-9
             assert 1.0 - 1e-12 <= a <= min(dim_a, dim_b) + 1e-12
 
     def test_sides_agree_for_canonical_kernels_loosely(self):
@@ -358,9 +365,9 @@ class TestEntanglement:
         for _ in range(10):
             bp = BipartiteStructure(3, 5)
             psi = PureState(random_pure(rng, bp.dim))
-            a = mu_entanglement(psi, bp, c, side="A")
-            b = mu_entanglement(psi, bp, c, side="B")
+            a, b = reduced_counts(psi, bp, c)
             assert abs(a - b) < 1e-6
+            assert abs(mu_entanglement(psi, bp, c) - a) < 1e-6
 
     def test_known_schmidt_spectrum_in_2x3(self):
         amps = np.zeros(6, complex)
@@ -368,16 +375,13 @@ class TestEntanglement:
         amps[4] = math.sqrt(0.2)   # |1>|1>
         psi = PureState(amps)
         bp = BipartiteStructure(2, 3)
-        for side in ("A", "B"):
-            assert mu_entanglement_min(psi, bp, side) == pytest.approx(1.4, abs=1e-10)
+        assert mu_entanglement_min(psi, bp) == pytest.approx(1.4, abs=1e-10)
+        for count in reduced_counts(psi, bp, MINIMAL):
+            assert count == pytest.approx(1.4, abs=1e-10)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
             mu_entanglement_min(bell_state(), BipartiteStructure(2, 3))
-
-    def test_unknown_side_rejected(self):
-        with pytest.raises(InvalidInput):
-            mu_entanglement_min(bell_state(), BipartiteStructure(2, 2), side="C")
 
     @pytest.mark.parametrize("dim_a, dim_b", [(2, 3), (3, 5), (8, 32), (16, 16)])
     def test_schmidt_weights_match_partial_trace_oracle(self, dim_a, dim_b):
@@ -390,11 +394,10 @@ class TestEntanglement:
             assert weights.size == k
             joint = DensityMatrix.from_pure(psi)
             for keep in "AB":
-                reduced = partial_trace(joint, bp, keep)
-                oracle = hermitian_eigen(reduced).eigenvalues[:k]
+                oracle = hermitian_eigen(partial_trace(joint, bp, keep)).eigenvalues[:k]
                 assert np.max(np.abs(weights - oracle)) < 1e-12
-                assert abs(mu_entanglement_min(psi, bp, side=keep)
-                           - quantum_effnum_min(reduced, nominal=k)) < 1e-12
+            for count in reduced_counts(psi, bp, MINIMAL):
+                assert abs(mu_entanglement_min(psi, bp) - count) < 1e-12
 
     def test_beyond_the_density_dimension_cap(self, tmp_path, capsys):
         rng = np.random.default_rng(79)

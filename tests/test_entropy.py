@@ -2,6 +2,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from oracles import random_probs
 
 from effnum import (
@@ -201,3 +203,22 @@ class TestGammaScan:
         for s in result.steps:
             assert 0.0 < s.ratio <= 1.0
             assert 0.0 <= s.k_eq <= 1.0 + 1e-12
+
+    @given(
+        sizes=st.lists(st.integers(2, 64), min_size=3, max_size=20, unique=True).map(sorted),
+        seed=st.integers(0, 2**32 - 1),
+        alpha=st.sampled_from([1.0, 0.5, 0.2]),
+    )
+    @settings(max_examples=100, deadline=None, derandomize=True)
+    def test_gamma_is_minus_the_polyfit_slope_over_the_window(self, sizes, seed, alpha):
+        rng = np.random.default_rng(seed)
+        family = [(n, ProbabilityVector(random_probs(rng, n))) for n in sizes]
+        result = dfd_gamma_scan(family, CountingFunction.canonical(alpha))
+        window = max(3, math.ceil(len(sizes) / 2))
+        assert result.window == window
+        x = [math.log2(s.n) for s in result.steps][-window:]
+        y = [math.log2(s.ratio) for s in result.steps][-window:]
+        slope = np.polyfit(x, y, 1)[0]
+        # the floor covers slopes near zero, where two correct fits differ
+        # by ~1e-16 but by more than 1e-12 relative
+        assert -result.gamma == pytest.approx(slope, rel=1e-12, abs=1e-14)

@@ -1,16 +1,19 @@
 """Fuzz of the command line: mutated input documents and arguments.
 
 Each example takes one command from ``expected.json`` (or ``check``),
-writes its fixture documents to a temporary directory with a mutation
-applied to one node of each (a string, a boolean, null, NaN, an integer
+writes its fixture documents to a temporary directory with mutations
+applied to nodes of each (a string, a boolean, null, NaN, an integer
 beyond float range, a ragged list, an extra level of nesting, ...), varies
-its arguments, and runs ``main()``.  The exit code must be one of the
+its arguments, and runs ``main()``.  One test mutates at most one node
+per document, the other two or three, so that a check that passes one
+broken field is not the only one reached.  The exit code must be one of the
 documented ones, 0, 2, 3 or 4, and no exception may escape.
 """
 
 from __future__ import annotations
 
 import contextlib
+import copy
 import io
 import json
 import math
@@ -40,12 +43,13 @@ COMMANDS = _commands()
 
 # Replacements for a node: every JSON type, the non-JSON constants Python's
 # decoder accepts, integers beyond int64 and float range, and empty or
-# ragged lists.
+# ragged lists.  Each draw is a copy, so a later mutation of the same
+# document cannot change the list itself.
 ATOMS = st.sampled_from([
     "x", "0.5", "", True, False, None, math.nan, math.inf, -math.inf,
     0, 1, -1, 2, 0.5, -0.5, 1e300, 5e-324, 2**63, -(2**63) - 1, 10**400, -(10**400),
     [], [[]], [1, [2]], [[1.0, 0.0], [1.0]], {}, {"kind": "explicit"},
-])
+]).map(copy.deepcopy)
 
 # Argument values: valid ones and each kind of invalid one.  Large level
 # and trial counts are rejected before anything is built.
@@ -93,13 +97,15 @@ def _mutate(doc, path, op: str, atom):
 
 
 @st.composite
-def jobs(draw):
+def jobs(draw, mutations=st.integers(0, 1)):
+    """(argv, {file name: document}) with ``mutations`` nodes of each
+    document mutated."""
     args = list(draw(st.sampled_from(COMMANDS)))
     files = {}
     for i, arg in enumerate(args):
         if arg.endswith(".json"):
             doc = json.loads((FIXTURES / arg).read_text())
-            if draw(st.booleans()):
+            for _ in range(draw(mutations)):
                 path = draw(st.sampled_from(list(_nodes(doc))))
                 op = draw(st.sampled_from(["replace", "replace", "nest", "truncate",
                                            "extend", "delete"]))
@@ -115,9 +121,7 @@ def jobs(draw):
     return args, files
 
 
-@settings(max_examples=300, deadline=None, derandomize=True)
-@given(jobs())
-def test_main_keeps_the_exit_code_contract(job):
+def _run(job) -> None:
     args, files = job
     with tempfile.TemporaryDirectory() as tmp:
         for name, doc in files.items():
@@ -132,3 +136,15 @@ def test_main_keeps_the_exit_code_contract(job):
     assert code in EXIT_CODES, (argv, files, err.getvalue())
     if code:
         assert err.getvalue().count("error:") >= 1, err.getvalue()
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(jobs())
+def test_main_keeps_the_exit_code_contract(job):
+    _run(job)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(jobs(mutations=st.integers(2, 3)))
+def test_main_keeps_the_exit_code_contract_with_several_mutations(job):
+    _run(job)

@@ -38,7 +38,6 @@ class TestSampling:
         a = sample_outcomes(psi, dec, None, 10_000, seed=123)
         b = sample_outcomes(psi, dec, None, 10_000, seed=123)
         assert np.array_equal(a.trials, b.trials)
-        assert a.generator == b.generator
 
     def test_different_seeds_differ(self):
         psi, dec = three_outcome_state()
@@ -55,13 +54,6 @@ class TestSampling:
         bound = 5.0 * math.sqrt(0.25 / t)
         assert abs(freqs.p[0] - 0.5) < bound
         assert abs(freqs.p[1] - 0.5) < bound
-
-    def test_outcome_labels_follow_trials(self):
-        psi, dec = three_outcome_state()
-        labels = np.array([[0.0], [1.0], [2.0]])
-        seq = sample_outcomes(psi, dec, None, 50, seed=7, eigtuples=labels)
-        assert seq.labels.shape == (50, 1)
-        assert np.array_equal(seq.labels[:, 0], seq.trials.astype(float))
 
     def test_trial_count_validated(self):
         psi, dec = three_outcome_state()
@@ -97,11 +89,6 @@ class TestEmpiricalFrequencies:
             seq = OutcomeSequence(trials=trials, seed=0, m_count=m)
             fractions = empirical_fractions(seq)
             assert sum(fractions, start=Fraction(0)) == 1
-
-    def test_block_count_must_cover_observed_indices(self):
-        seq = OutcomeSequence(trials=np.array([0, 1, 2]), seed=0, m_count=3)
-        with pytest.raises(InvalidInput):
-            empirical_fractions(seq, m=2)
 
 
 class TestPluginEstimate:
