@@ -203,7 +203,7 @@ def _cmd_simulate(args) -> Result:
     out.payload.update(m=dec.m_count, seed=args.seed, generator=simulate.GENERATOR_ID,
                        counting_function=c.label, exact=exact, runs=[])
     for t in trial_counts:
-        seq = simulate.sample_outcomes(psi, dec, basis, t, args.seed)
+        seq = simulate._sample(probs, t, args.seed)
         est = simulate.plugin_mu_estimate(seq, c)
         run = {"trials": t, "estimate": est.estimate, "stderr": est.stderr,
                "exact": exact, "abs_error": abs(est.estimate - exact)}

@@ -107,10 +107,15 @@ def riemann_sum(field: np.ndarray, grid: Grid) -> float:
 
 @dataclass(frozen=True)
 class GridWaveFunction:
-    """Complex cell samples of a wave function, unit Riemann norm."""
+    """Complex cell samples of a wave function, unit Riemann norm.
+
+    ``density`` holds the per-cell probability density |psi|^2 that the
+    norm check computes; every effective volume of the state reads it.
+    """
 
     grid: Grid
     values: np.ndarray
+    density: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         vals = np.asarray(self.values, dtype=complex)
@@ -119,13 +124,16 @@ class GridWaveFunction:
                 f"wave function has {vals.size} samples, grid has {self.grid.ncells} cells"
             )
         vals = vals.ravel().copy()
-        norm = float(np.sum(np.abs(vals) ** 2) * self.grid.cell_volume)
+        dens = np.abs(vals) ** 2
+        norm = float(np.sum(dens) * self.grid.cell_volume)
         if abs(norm - 1.0) > GRID_NORM_TOL:
             raise InvalidInput(
                 f"Riemann norm must equal 1 within {GRID_NORM_TOL:g}; got {norm!r}"
             )
         vals.flags.writeable = False
+        dens.flags.writeable = False
         object.__setattr__(self, "values", vals)
+        object.__setattr__(self, "density", dens)
 
     @classmethod
     def sample(cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> "GridWaveFunction":
@@ -140,8 +148,12 @@ class GridWaveFunction:
 
 
 def effective_volume(psi: GridWaveFunction, c: CountingFunction) -> float:
-    """Effective volume occupied by the state: integral of c(V |psi|^2)."""
-    return effective_jordan_content(psi.grid, np.abs(psi.values) ** 2, c)
+    """Effective volume occupied by the state: integral of c(V |psi|^2).
+
+    The density and its norm check are the state's own, so each further
+    kernel costs one kernel pass and one sum.
+    """
+    return riemann_sum(c(psi.grid.total_volume * psi.density), psi.grid)
 
 
 def effective_volume_density(psi: GridWaveFunction) -> np.ndarray:
@@ -149,8 +161,7 @@ def effective_volume_density(psi: GridWaveFunction) -> np.ndarray:
 
     Its Riemann sum equals ``effective_volume(psi, minimal)`` exactly.
     """
-    v = psi.grid.total_volume
-    return np.minimum(v * np.abs(psi.values) ** 2, 1.0)
+    return np.minimum(psi.grid.total_volume * psi.density, 1.0)
 
 
 def _as_cell_volumes(region: "Grid | np.ndarray | Sequence[float]") -> np.ndarray:

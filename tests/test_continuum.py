@@ -108,6 +108,22 @@ class TestEffectiveVolume:
         value = effective_volume(psi, MINIMAL)
         assert 0.0 < value <= psi.grid.total_volume
 
+    def test_density_is_the_read_only_squared_modulus(self):
+        psi = gaussian_state(64)
+        assert np.array_equal(psi.density, np.abs(psi.values) ** 2)
+        with pytest.raises(ValueError):
+            psi.density[0] = 0.0
+
+    def test_volume_equals_the_jordan_content_of_the_density(self):
+        # the state's own density gives the bits of the general region path
+        grid = Grid(shape=(4, 8, 2), spacing=(0.5, 0.25, 0.75), origin=(1.0, 0.0, -2.0))
+        values = np.random.default_rng(3).normal(size=64) * (1 + 0.5j)
+        psi = GridWaveFunction(grid, values / math.sqrt(np.sum(np.abs(values) ** 2)
+                                                       * grid.cell_volume))
+        for c in (MINIMAL, HALF, CountingFunction.from_callable(lambda w: np.tanh(w))):
+            expected = effective_jordan_content(grid, np.abs(psi.values) ** 2, c)
+            assert effective_volume(psi, c) == expected
+
 
 class TestGrid:
     def test_row_major_centers_in_2d(self):
