@@ -8,6 +8,7 @@ in json/csv output, 1-based in the human-readable tables.
 from __future__ import annotations
 
 import argparse
+import contextlib
 import math
 import os
 import re
@@ -98,8 +99,8 @@ def _parse_log_base(text: str) -> tuple[str, float]:
         base = float(text)
     except ValueError as exc:
         raise InvalidInput(f'--log-base must be "e" or a number > 1, got {text!r}') from exc
-    if base <= 1.0:
-        raise InvalidInput(f"--log-base must exceed 1, got {base}")
+    if not 1.0 < base < math.inf:
+        raise InvalidInput(f"--log-base must be a finite number > 1, got {text!r}")
     return text, math.log(base)
 
 
@@ -252,13 +253,38 @@ def _emit(text: str, out: str | None) -> None:
     if out is None:
         sys.stdout.write(text)
         return
-    tmp = out + ".tmp"
-    with open(tmp, "w") as handle:
-        handle.write(text)
-    os.replace(tmp, out)
+    tmp, opened = out + ".tmp", False
+    try:
+        with open(tmp, "w") as handle:
+            opened = True
+            handle.write(text)
+        os.replace(tmp, out)
+    except OSError as exc:
+        if opened:  # a <out>.tmp this call could not open is not its to remove
+            with contextlib.suppress(OSError):
+                os.remove(tmp)
+        raise InvalidInput(f"cannot write {out}: {exc.strerror or exc}") from exc
+
+
+_parser: argparse.ArgumentParser | None = None
 
 
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call (not at import) and
+    shared by every later one: :func:`main` pays for the command, not for
+    argparse.
+
+    Sharing is safe because ``parse_args`` keeps nothing between calls: each
+    call returns a new Namespace, and ``check``'s ``nargs="*"`` list is new
+    too.  Callers get the shared parser and must not mutate it.
+    """
+    global _parser
+    if _parser is None:
+        _parser = _new_parser()
+    return _parser
+
+
+def _new_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="effnum",
         description="Effective-number analysis of states, densities and distributions.",
@@ -327,14 +353,12 @@ _EXIT_CODES = {InvalidInput: 2, FileNotFoundError: 2, InvariantViolation: 3, Con
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
-        text = args.handler(args).render(args.format)
+        _emit(args.handler(args).render(args.format), args.out)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))
-    _emit(text, args.out)
     return 0
 
 

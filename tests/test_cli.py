@@ -1,12 +1,16 @@
 import gc
 import json
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from effnum import continuum, counting, io, simulate, states
-from effnum.cli import main
+from effnum import cli, continuum, counting, io, simulate, states
+from effnum.cli import build_parser, main
 from effnum.errors import InvalidInput
 from effnum.io import format_float, json_text
 
@@ -362,6 +366,21 @@ class TestOutputFiles:
         assert code == 3
         assert not target.exists()
 
+    @pytest.mark.parametrize("directory", [False, True], ids=["missing-directory", "directory"])
+    def test_unwritable_target_is_exit_two_and_leaves_nothing(self, capsys, tmp_path, directory):
+        target = tmp_path / "taken" if directory else tmp_path / "absent" / "x.json"
+        if directory:
+            target.mkdir()
+        before = sorted(tmp_path.rglob("*"))
+        code, out, err = run(
+            capsys, "mu", FIXTURES / "state_bell.json", FIXTURES / "dec_pairs4.json",
+            "--out", target,
+        )
+        assert code == 2
+        assert out == ""
+        assert err.startswith(f"error: cannot write {target}: ")
+        assert sorted(tmp_path.rglob("*")) == before
+
 
 class TestCheck:
     def test_kernel_and_fixture_screen_passes(self, capsys):
@@ -426,6 +445,72 @@ class TestLogBase:
             capsys, "qnum", FIXTURES / "density_werner.json", "--log-base", "1"
         )
         assert code == 2
+
+    @pytest.mark.parametrize("base", ["nan", "inf", "1e400"])
+    def test_non_finite_base_is_exit_two(self, capsys, base):
+        code, out, err = run(
+            capsys, "qnum", FIXTURES / "density_werner.json", "--log-base", base
+        )
+        assert code == 2
+        assert out == ""
+        assert err == f"error: --log-base must be a finite number > 1, got {base!r}\n"
+
+
+def run_exiting(capsys, argv: list[str]) -> tuple[int, str, str]:
+    """(code, stdout, stderr) of ``main(argv)``, argparse's exits included."""
+    try:
+        code = main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    captured = capsys.readouterr()
+    return code, captured.out, captured.err
+
+
+class TestSharedParser:
+    COMMANDS = ["mu", "qnum", "entangle", "effvol", "refine", "simulate", "dfd", "check"]
+
+    def test_one_parser_per_process(self):
+        assert build_parser() is build_parser()
+
+    def test_import_builds_no_parser(self):
+        src = str(Path(cli.__file__).resolve().parents[1])
+        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+            filter(None, [src, os.environ.get("PYTHONPATH")])))
+        probe = "import effnum.cli as c; print(c._parser)"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == "None\n"
+
+    @pytest.mark.parametrize("command", [None] + COMMANDS)
+    def test_help_matches_a_fresh_parser(self, capsys, command):
+        argv = ([command] if command else []) + ["--help"]
+        code, out, err = run_exiting(capsys, argv)
+        with pytest.raises(SystemExit) as fresh:
+            cli._new_parser().parse_args(argv)
+        assert (code, fresh.value.code) == (0, 0)
+        assert (out, err) == capsys.readouterr()
+        assert out.startswith("usage: effnum" + (f" {command}" if command else ""))
+
+    def test_calls_do_not_see_each_other(self, capsys, monkeypatch):
+        bad = ["qnum", "--log-base"]
+        sequence = [
+            bad,
+            ["--help"],
+            ["mu", str(FIXTURES / "state_bell.json"), str(FIXTURES / "dec_pairs4.json"),
+             "--format", "json"],
+            bad,
+        ]
+        first = {}
+        for argv in sequence:
+            monkeypatch.setattr(cli, "_parser", None)
+            first[tuple(argv)] = run_exiting(capsys, argv)
+        assert first[tuple(bad)][0] == 2 and first[("--help",)][0] == 0
+        assert first[tuple(sequence[2])][0] == 0
+        monkeypatch.setattr(cli, "_parser", None)
+        shared = build_parser()
+        for argv in sequence:
+            assert run_exiting(capsys, argv) == first[tuple(argv)]
+        assert build_parser() is shared
 
 
 class TestExactSumCalls:
