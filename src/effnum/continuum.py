@@ -498,8 +498,9 @@ def constant_refinement_problem(
     weights, base_spacing: float = 1.0
 ) -> Callable[[int], RefinementLevel]:
     """Family whose discretization is already converged: every level
-    carries the same weights (the spacing still halves per level)."""
-    arr = np.asarray(weights, dtype=float).copy()
+    carries the same weights, checked as a WeightVector (the spacing
+    still halves per level)."""
+    arr = WeightVector(weights).w
     m = arr.size
 
     def spacing(k: int) -> float:

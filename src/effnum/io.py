@@ -1,9 +1,11 @@
 """JSON input formats and machine-readable output rendering.
 
 All input files are JSON documents with complex numbers written as
-``[re, im]`` pairs and 0-based indices.  Floating-point output in the
-json/csv renderers carries 17 significant digits so values round-trip
-exactly.
+``[re, im]`` pairs and 0-based indices.  ``_load_json`` alone decodes
+files; each input kind has one reader of the decoded document and its
+path, called by ``load_<kind>`` and, through ``SCHEMAS``, by ``check_file``.
+Floating-point output in the json/csv renderers carries 17 significant
+digits so values round-trip exactly.
 """
 
 from __future__ import annotations
@@ -11,6 +13,7 @@ from __future__ import annotations
 import gc
 import json
 import math
+from functools import partial
 from itertools import chain
 from pathlib import Path
 from typing import Any, Callable
@@ -165,9 +168,7 @@ def _complex_array(value, path, key: str, ndim: int) -> np.ndarray:
     return arr.view(complex)[..., 0]
 
 
-def load_state(path: str | Path) -> PureState:
-    """State file: {"dim": N, "amps": [[re, im], ...]}."""
-    doc = _load_json(path)
+def _state(doc: dict, path) -> PureState:
     dim = _int_field(doc, "dim", path)
     amps = _complex_array(_require(doc, "amps", path), path, "amps", 1)
     if amps.size != dim:
@@ -175,17 +176,52 @@ def load_state(path: str | Path) -> PureState:
     return PureState(amps)
 
 
-def load_density(path: str | Path) -> DensityMatrix:
-    """Density file: {"dim": N, "rows": [[[re, im], ...], ...]} row-major."""
-    doc = _load_json(path)
+def load_state(path: str | Path) -> PureState:
+    """State file: {"dim": N, "amps": [[re, im], ...]}."""
+    return _state(_load_json(path), path)
+
+
+def _density(doc: dict, path) -> np.ndarray:
+    """The document's matrix, checked for shape.  Build the DensityMatrix after
+    this returns, so the parsed lists (several times its size) are gone by ``eigh``."""
     dim = _int_field(doc, "dim", path)
     mat = _complex_array(_require(doc, "rows", path), path, "rows", 2)
     if mat.shape != (dim, dim):
         raise InvalidInput(f"{path}: expected a {dim}x{dim} matrix, got shape {mat.shape}")
-    # Free the parsed lists, several times the matrix's size, before the
-    # eigensolver allocates its workspace: this lowers the peak memory.
-    del doc
-    return DensityMatrix(mat)
+    return mat
+
+
+def load_density(path: str | Path) -> DensityMatrix:
+    """Density file: {"dim": N, "rows": [[[re, im], ...], ...]} row-major."""
+    return DensityMatrix(_density(_load_json(path), path))
+
+
+def _decomposition(doc: dict, path, dim: int | None = None):
+    """(decomposition, basis or None) under ``dim``, which defaults to the
+    smallest dimension the indices fill (``check`` has no state to go by)."""
+    groups = _index_groups(doc, path)
+    if dim is None:
+        dim = 1 + max(chain.from_iterable(groups), default=-1)
+    # one tuple per group, none of them in a cycle
+    dec = _gc_paused(OrthogonalDecomposition, groups, dim)
+
+    basis_doc = doc.get("basis", "identity")
+    if basis_doc == "identity":
+        basis = None
+    elif isinstance(basis_doc, dict) and "rows" in basis_doc:
+        mat = _complex_array(basis_doc["rows"], path, "rows", 2)
+        if mat.shape != (dim, dim):
+            raise InvalidInput(f"{path}: basis must be a {dim}x{dim} matrix")
+        basis = OrthonormalBasis(mat)
+    else:
+        raise InvalidInput(f"{path}: 'basis' must be \"identity\" or an object with 'rows'")
+
+    eig = doc.get("eigtuples")
+    if eig is not None:
+        eigtuples = np.atleast_2d(_float_array(eig, path, "eigtuples"))
+        if eigtuples.ndim != 2 or eigtuples.shape[0] != dec.m_count:
+            raise InvalidInput(f"{path}: need one eigtuple per group")
+    return dec, basis
 
 
 def load_decomposition(
@@ -197,34 +233,10 @@ def load_decomposition(
      "groups": [[i, ...], ...],
      "eigtuples": [[x, ...], ...]}     # optional outcome labels, checked only
     """
-    doc = _load_json(path)
-    # one tuple per group, none of them in a cycle
-    dec = _gc_paused(OrthogonalDecomposition, _index_groups(doc, path), dim)
-
-    basis_doc = doc.get("basis", "identity")
-    if basis_doc == "identity":
-        basis = None
-    else:
-        mat = _complex_array(_require(basis_doc, "rows", path), path, "rows", 2)
-        if mat.shape != (dim, dim):
-            raise InvalidInput(f"{path}: basis must be a {dim}x{dim} matrix")
-        basis = OrthonormalBasis(mat)
-
-    eig = doc.get("eigtuples")
-    if eig is not None:
-        eigtuples = np.atleast_2d(_float_array(eig, path, "eigtuples"))
-        if eigtuples.ndim != 2 or eigtuples.shape[0] != dec.m_count:
-            raise InvalidInput(f"{path}: need one eigtuple per group")
-    return dec, basis
+    return _decomposition(_load_json(path), path, dim)
 
 
-def load_grid_wavefunction(path: str | Path) -> GridWaveFunction:
-    """Grid wave-function file:
-
-    {"d": D, "shape": [...], "spacing": [...], "values": [[re, im], ...]}
-    with cells enumerated row-major; "origin" is optional.
-    """
-    doc = _load_json(path)
+def _grid_wavefunction(doc: dict, path) -> GridWaveFunction:
     d = _int_field(doc, "d", path)
     shape = tuple(_int_field(doc, "shape", path, listed=True))
     spacing = tuple(_float_field(doc, "spacing", path, listed=True).tolist())
@@ -236,6 +248,15 @@ def load_grid_wavefunction(path: str | Path) -> GridWaveFunction:
     grid = Grid(shape=shape, spacing=spacing, origin=origin)
     values = _complex_array(_require(doc, "values", path), path, "values", 1)
     return GridWaveFunction(grid=grid, values=values)
+
+
+def load_grid_wavefunction(path: str | Path) -> GridWaveFunction:
+    """Grid wave-function file:
+
+    {"d": D, "shape": [...], "spacing": [...], "values": [[re, im], ...]}
+    with cells enumerated row-major; "origin" is optional.
+    """
+    return _grid_wavefunction(_load_json(path), path)
 
 
 def _interval(doc: dict, path) -> tuple[float, float]:
@@ -326,13 +347,16 @@ def _reader(doc, kinds: dict) -> Callable | None:
     return kinds.get(kind) if type(kind) is str else None
 
 
-def _load_kind(path: str | Path, kinds: dict, what: str):
-    """Read the file's document with the reader of its "kind"."""
-    doc = _load_json(path)
+def _read_kind(doc, path, kinds: dict, what: str):
+    """The document read by the reader ``kinds`` holds for its "kind"."""
     read = _reader(doc, kinds)
     if read is None:
         raise InvalidInput(f"{path}: unknown {what} kind {_require(doc, 'kind', path)!r}")
     return read(doc, path)
+
+
+_refine_problem = partial(_read_kind, kinds=PROBLEM_KINDS, what="problem")
+_dfd_family = partial(_read_kind, kinds=FAMILY_KINDS, what="family")
 
 
 def load_refine_problem(path: str | Path) -> tuple[Callable[[int], RefinementLevel], str]:
@@ -343,7 +367,7 @@ def load_refine_problem(path: str | Path) -> tuple[Callable[[int], RefinementLev
            {"kind": "gaussian-1d", "box": [lo, hi], "center": c,
             "sigma": s, "base_cells": m}
     """
-    return _load_kind(path, PROBLEM_KINDS, "problem")
+    return _refine_problem(_load_json(path), path)
 
 
 def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
@@ -355,44 +379,32 @@ def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
     {"kind": "explicit", "members": [{"n": n, "p": [...]}, ...]} lists the
     distributions directly.
     """
-    return _load_kind(path, FAMILY_KINDS, "family")
+    return _dfd_family(_load_json(path), path)
 
 
-def _load_decomposition_alone(path, doc: dict):
-    """A decomposition checked against the smallest dimension its indices fill."""
-    indices = [i for g in _index_groups(doc, path) for i in g]
-    if not indices:
-        raise InvalidInput(f"{path}: groups must be non-empty lists of integer indices")
-    return load_decomposition(path, 1 + max(indices))
-
-
-# The input kinds in the order ``check_file`` tries them: (name, test on the
-# document, loader of the path and document).  Loaders are looked up when
-# called, so a wrapper re-bound on this module (bench/tracing.py) sees them.
+# The input kinds, (name, test on the document, reader), in the order ``check_file`` tries them.
 SCHEMAS = (
-    ("state", lambda doc: "amps" in doc, lambda path, doc: load_state(path)),
-    ("density", lambda doc: "rows" in doc and "dim" in doc, lambda path, doc: load_density(path)),
-    ("decomposition", lambda doc: "groups" in doc, _load_decomposition_alone),
-    ("grid wave function", lambda doc: "values" in doc,
-     lambda path, doc: load_grid_wavefunction(path)),
-    ("refinement problem", lambda doc: _reader(doc, PROBLEM_KINDS) is not None,
-     lambda path, doc: load_refine_problem(path)),
-    ("family", lambda doc: _reader(doc, FAMILY_KINDS) is not None,
-     lambda path, doc: load_dfd_family(path)),
+    ("state", lambda doc: "amps" in doc, _state),
+    ("density", lambda doc: "rows" in doc and "dim" in doc, _density),
+    ("decomposition", lambda doc: "groups" in doc, _decomposition),
+    ("grid wave function", lambda doc: "values" in doc, _grid_wavefunction),
+    ("refinement problem", lambda doc: _reader(doc, PROBLEM_KINDS) is not None, _refine_problem),
+    ("family", lambda doc: _reader(doc, FAMILY_KINDS) is not None, _dfd_family),
 )
 
 
 def check_file(path: str | Path) -> str:
-    """Load an input file of any kind and return the kind's name.
-
-    The first kind in ``SCHEMAS`` whose test accepts the document decides;
-    a document no kind accepts, a JSON array say, raises InvalidInput.
-    """
+    """Load an input file of any kind and return the kind's name: the first
+    kind in ``SCHEMAS`` whose test accepts the document reads it.  A document
+    no kind accepts, a JSON array say, raises InvalidInput."""
     doc = _load_json(path)
     if isinstance(doc, dict):
-        for name, accepts, load in SCHEMAS:
+        for name, accepts, read in SCHEMAS:
             if accepts(doc):
-                load(path, doc)
+                obj = read(doc, path)
+                del doc  # as in load_density, the decoded lists are gone by eigh
+                if read is _density:
+                    DensityMatrix(obj)  # the density's invariants, as load_density checks them
                 return name
     raise InvalidInput("unrecognized document schema")
 

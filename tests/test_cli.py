@@ -9,7 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from effnum import cli, continuum, counting, io, simulate, states
+from effnum import cli, continuum, counting, density, io, simulate, states
 from effnum.cli import build_parser, main
 from effnum.errors import InvalidInput
 from effnum.io import format_float, json_text
@@ -242,16 +242,18 @@ class TestExitCodes:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
 
-    @pytest.mark.parametrize("doc", [
-        {"groups": [[0], [1.7], [2]]},
-        {"groups": [[0], [1], [2]], "eigtuples": [["a"], [1], [2]]},
-    ], ids=["group-index", "eigtuples"])
-    def test_malformed_decomposition_is_exit_two(self, capsys, tmp_path, doc):
+    @pytest.mark.parametrize("doc, says", [
+        ({"groups": [[0], [1.7], [2]]}, "groups"),
+        ({"groups": [[0], [1], [2]], "eigtuples": [["a"], [1], [2]]}, "'eigtuples'"),
+        ({"groups": [[0], [1], [2]], "basis": "foo"}, "'basis' must be \"identity\" or an object"),
+        ({"groups": [[0], [1], [2]], "basis": 5}, "'basis' must be \"identity\" or an object"),
+    ], ids=["group-index", "eigtuples", "basis-string", "basis-number"])
+    def test_malformed_decomposition_is_exit_two(self, capsys, tmp_path, doc, says):
         dec = tmp_path / "dec.json"
         dec.write_text(json.dumps(doc))
         code, _, err = run(capsys, "mu", FIXTURES / "state_p525.json", dec)
         assert code == 2
-        assert len(err.splitlines()) == 1 and err.startswith(f"error: {dec}: ")
+        assert len(err.splitlines()) == 1 and err.startswith(f"error: {dec}: {says}")
 
     @pytest.mark.parametrize("key", ["amps", "rows", "basis rows", "values"])
     @pytest.mark.parametrize("corrupt", list(CORRUPTIONS), ids=list(CORRUPTIONS))
@@ -411,6 +413,14 @@ class TestCheck:
         code, _, err = run(capsys, "check", path)
         assert code == 2
         assert err.startswith("error: ") and f"{path}: INVALID" in err
+
+    def test_check_rejects_the_constant_weights_refine_rejects(self, capsys, tmp_path):
+        for weights, says in [([5, -1], "must be non-negative"), ([1, 2], "must sum to n=2")]:
+            path = tmp_path / "problem.json"
+            path.write_text(json.dumps({"kind": "constant", "weights": weights}))
+            for command in ("check", "refine"):
+                code, _, err = run(capsys, command, path)
+                assert code == 2 and f"counting weights {says}" in err, (command, weights)
 
     @pytest.mark.parametrize("command", ["check", "qnum"])
     @pytest.mark.parametrize("data", [b"\xff\xfe{}", b"[" * 100_000 + b"]" * 100_000],
@@ -653,19 +663,55 @@ class TestColumns:
         assert json_text(empty) == "[]"
 
 
+@pytest.fixture
+def seen(monkeypatch):
+    """gc.isenabled() as json.loads saw it, call by call."""
+    states, original = [], io.json.loads
+
+    def spy(text, *args, **kwargs):
+        states.append(gc.isenabled())
+        return original(text, *args, **kwargs)
+
+    monkeypatch.setattr(io.json, "loads", spy)
+    return states
+
+
+class TestOneDecodePerFile:
+    @pytest.mark.parametrize("argv, decodes", [
+        (["check", "state_bell.json", "density_werner.json", "dec_pairs4.json",
+          "grid_gauss1d.json", "problem_constant.json", "family_explicit.json"], 6),
+        (["mu", "state_bell.json", "dec_pairs4.json"], 2),
+        (["simulate", "state_uniform4.json", "dec_singletons4.json", "--trials", "100"], 2),
+        (["qnum", "density_werner.json"], 1),
+        (["entangle", "state_bell.json", "--dims", "2x2"], 1),
+        (["effvol", "grid_gauss1d.json"], 1),
+        (["refine", "problem_constant.json"], 1),
+        (["dfd", "family_explicit.json"], 1),
+    ], ids=lambda v: v[0] if isinstance(v, list) else None)
+    def test_each_file_is_decoded_once(self, capsys, seen, argv, decodes):
+        assert run(capsys, *fixture_args(argv))[0] == 0
+        assert len(seen) == decodes
+
+    @pytest.mark.parametrize("command", ["qnum", "check"])
+    def test_density_document_is_freed_before_eigh(self, capsys, monkeypatch, command):
+        freed, freed_at_eigh = [], []
+        loads, eigh = io.json.loads, density._eigh
+
+        class Document(dict):
+            def __del__(self):
+                freed.append(True)
+
+        def spy_eigh(mat):
+            freed_at_eigh.append(bool(freed))
+            return eigh(mat)
+
+        monkeypatch.setattr(io.json, "loads", lambda text: Document(loads(text)))
+        monkeypatch.setattr(density, "_eigh", spy_eigh)
+        assert run(capsys, command, FIXTURES / "density_werner.json")[0] == 0
+        assert freed_at_eigh == [True]
+
+
 class TestLoadJsonPausesTheCollector:
-    @pytest.fixture
-    def seen(self, monkeypatch):
-        """gc.isenabled() as json.loads saw it, call by call."""
-        states, original = [], io.json.loads
-
-        def spy(text, *args, **kwargs):
-            states.append(gc.isenabled())
-            return original(text, *args, **kwargs)
-
-        monkeypatch.setattr(io.json, "loads", spy)
-        return states
-
     def test_restores_after_success(self, tmp_path, seen):
         path = tmp_path / "doc.json"
         path.write_text("[1, 2]")
