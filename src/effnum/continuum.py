@@ -77,7 +77,7 @@ class Grid:
 
     @property
     def ncells(self) -> int:
-        return int(np.prod(self.shape))
+        return math.prod(self.shape)
 
     @property
     def cell_volume(self) -> float:

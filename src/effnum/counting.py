@@ -254,14 +254,22 @@ def tail_fit(xs, ys) -> tuple[float, float, float, int]:
     The fit window, the larger of 3 and k/2 rounded up, drops the early,
     transient points.  Returns (intercept, slope, residual, window), the
     residual being the largest misfit |fit - y| inside the window.
+
+    The fit runs on x scaled by the power of two 2**-e that brings max |x|
+    into [0.5, 1), so that ``(x - xbar) ** 2`` neither underflows nor
+    overflows.  Scaling by a power of two is exact, so wherever the
+    unscaled fit stays in range the results are bit for bit the same.
     """
     window = max(3, math.ceil(len(xs) / 2))
     x = np.asarray(xs[-window:], dtype=float)
+    e = math.frexp(float(np.max(np.abs(x))))[1]
+    x = np.ldexp(x, -e)
     y = np.asarray(ys[-window:], dtype=float)
     xbar, ybar = x.mean(), y.mean()
     slope = float(np.sum((x - xbar) * (y - ybar)) / np.sum((x - xbar) ** 2))
     intercept = float(ybar - slope * xbar)
-    return intercept, slope, float(np.max(np.abs(intercept + slope * x - y))), window
+    residual = float(np.max(np.abs(intercept + slope * x - y)))
+    return intercept, math.ldexp(slope, -e), residual, window
 
 
 @dataclass(frozen=True)

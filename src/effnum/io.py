@@ -2,8 +2,9 @@
 
 All input files are JSON documents with complex numbers written as
 ``[re, im]`` pairs and 0-based indices.  ``_load_json`` alone decodes
-files; each input kind has one reader of the decoded document and its
-path, called by ``load_<kind>`` and, through ``SCHEMAS``, by ``check_file``.
+files.  Each input kind has one reader of the decoded document alone, which
+``load_<kind>`` and, through ``SCHEMAS``, ``check_file`` call through ``_named``:
+the one place an error raised while reading a file gets the file's name.
 Floating-point output in the json/csv renderers carries 17 significant
 digits so values round-trip exactly.
 """
@@ -29,7 +30,7 @@ from .continuum import (
 )
 from .counting import CountingFunction, ProbabilityVector
 from .density import DensityMatrix
-from .errors import InvalidInput
+from .errors import EffnumError, InvalidInput
 from .states import OrthogonalDecomposition, OrthonormalBasis, PureState
 
 # A uniform-power member holds 2**j floats: exponents lie in
@@ -83,23 +84,31 @@ def _load_json(path: str | Path) -> Any:
         raise InvalidInput(f"{path}: invalid JSON: nested too deeply") from exc
 
 
-def _require(doc: dict, key: str, path) -> Any:
+def _named(path, read: Callable, *args) -> Any:
+    """``read(*args)``, re-raising an EffnumError as its own type with ``path`` in front."""
+    try:
+        return read(*args)
+    except EffnumError as exc:
+        raise type(exc)(f"{path}: {exc}") from exc
+
+
+def _require(doc: dict, key: str) -> Any:
     if not isinstance(doc, dict) or key not in doc:
-        raise InvalidInput(f"{path}: missing required key {key!r}")
+        raise InvalidInput(f"missing required key {key!r}")
     return doc[key]
 
 
-def _int_field(doc: dict, key: str, path, *, listed: bool = False):
+def _int_field(doc: dict, key: str, *, listed: bool = False):
     """``doc[key]`` as a JSON integer, or as a list of them if ``listed``.
 
     Anything else, a float, a string or a boolean, raises InvalidInput.
     """
-    value = _require(doc, key, path)
+    value = _require(doc, key)
     if listed and not isinstance(value, list):
-        raise InvalidInput(f"{path}: {key!r} must be a list of JSON integers, got {value!r}")
+        raise InvalidInput(f"{key!r} must be a list of JSON integers, got {value!r}")
     for v in value if listed else [value]:
         if type(v) is not int:  # bool subclasses int but is no JSON integer
-            raise InvalidInput(f"{path}: {key!r} takes JSON integers only, got {v!r}")
+            raise InvalidInput(f"{key!r} takes JSON integers only, got {v!r}")
     return value
 
 
@@ -129,77 +138,74 @@ def _number_array(value) -> np.ndarray | None:
     return arr.reshape(shape) if np.isfinite(arr).all() else None
 
 
-def _float_array(value, path, key: str) -> np.ndarray:
+def _float_array(value, key: str) -> np.ndarray:
     """``value`` as a float array: finite JSON numbers in rectangular lists."""
     arr = _number_array(value)
     if arr is None:
-        raise InvalidInput(f"{path}: {key!r} takes finite JSON numbers only, got {value!r:.80}")
+        raise InvalidInput(f"{key!r} takes finite JSON numbers only, got {value!r:.80}")
     return arr
 
 
-def _float_field(doc: dict, key: str, path, *, listed: bool = False):
-    """``doc[key]`` as a finite JSON number, or as a 1-d float array of them
-    if ``listed``."""
-    arr = _float_array(_require(doc, key, path), path, key)
+def _float_field(doc: dict, key: str, *, listed: bool = False):
+    """``doc[key]`` as a finite JSON number, or as a 1-d float array of them if ``listed``."""
+    arr = _float_array(_require(doc, key), key)
     if arr.ndim != (1 if listed else 0):
         kind = "a list of JSON numbers" if listed else "a JSON number"
-        raise InvalidInput(f"{path}: {key!r} must be {kind}, got {doc[key]!r:.80}")
+        raise InvalidInput(f"{key!r} must be {kind}, got {doc[key]!r:.80}")
     return arr if listed else float(arr)
 
 
-def _index_groups(doc: dict, path) -> list[list[int]]:
+def _index_groups(doc: dict) -> list[list[int]]:
     """``doc["groups"]``: lists of 0-based indices, each a JSON integer."""
-    groups = _require(doc, "groups", path)
+    groups = _require(doc, "groups")
     if not (type(groups) is list and set(map(type, groups)) <= {list}
             and set(map(type, chain.from_iterable(groups))) <= {int}):
-        raise InvalidInput(f"{path}: groups must be lists of JSON integer indices")
+        raise InvalidInput("groups must be lists of JSON integer indices")
     return groups
 
 
-def _complex_array(value, path, key: str, ndim: int) -> np.ndarray:
+def _complex_array(value, key: str, ndim: int) -> np.ndarray:
     """``value`` as an ``ndim``-dimensional complex array: rectangular lists
     of [re, im] pairs of finite JSON numbers, each pair read bit for bit."""
     arr = _number_array(value)
     if arr is None or arr.ndim != ndim + 1 or arr.shape[-1] != 2:
         kind = "a list" if ndim == 1 else "rectangular lists"
-        raise InvalidInput(
-            f"{path}: {key!r} must be {kind} of [re, im] pairs of finite JSON numbers"
-        )
+        raise InvalidInput(f"{key!r} must be {kind} of [re, im] pairs of finite JSON numbers")
     return arr.view(complex)[..., 0]
 
 
-def _state(doc: dict, path) -> PureState:
-    dim = _int_field(doc, "dim", path)
-    amps = _complex_array(_require(doc, "amps", path), path, "amps", 1)
+def _state(doc: dict) -> PureState:
+    dim = _int_field(doc, "dim")
+    amps = _complex_array(_require(doc, "amps"), "amps", 1)
     if amps.size != dim:
-        raise InvalidInput(f"{path}: expected {dim} amplitudes, got {amps.size}")
+        raise InvalidInput(f"expected {dim} amplitudes, got {amps.size}")
     return PureState(amps)
 
 
 def load_state(path: str | Path) -> PureState:
     """State file: {"dim": N, "amps": [[re, im], ...]}."""
-    return _state(_load_json(path), path)
+    return _named(path, _state, _load_json(path))
 
 
-def _density(doc: dict, path) -> np.ndarray:
+def _density(doc: dict) -> np.ndarray:
     """The document's matrix, checked for shape.  Build the DensityMatrix after
     this returns, so the parsed lists (several times its size) are gone by ``eigh``."""
-    dim = _int_field(doc, "dim", path)
-    mat = _complex_array(_require(doc, "rows", path), path, "rows", 2)
+    dim = _int_field(doc, "dim")
+    mat = _complex_array(_require(doc, "rows"), "rows", 2)
     if mat.shape != (dim, dim):
-        raise InvalidInput(f"{path}: expected a {dim}x{dim} matrix, got shape {mat.shape}")
+        raise InvalidInput(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
     return mat
 
 
 def load_density(path: str | Path) -> DensityMatrix:
     """Density file: {"dim": N, "rows": [[[re, im], ...], ...]} row-major."""
-    return DensityMatrix(_density(_load_json(path), path))
+    return _named(path, DensityMatrix, _named(path, _density, _load_json(path)))
 
 
-def _decomposition(doc: dict, path, dim: int | None = None):
+def _decomposition(doc: dict, dim: int | None = None):
     """(decomposition, basis or None) under ``dim``, which defaults to the
     smallest dimension the indices fill (``check`` has no state to go by)."""
-    groups = _index_groups(doc, path)
+    groups = _index_groups(doc)
     if dim is None:
         dim = 1 + max(chain.from_iterable(groups), default=-1)
     # one tuple per group, none of them in a cycle
@@ -209,18 +215,18 @@ def _decomposition(doc: dict, path, dim: int | None = None):
     if basis_doc == "identity":
         basis = None
     elif isinstance(basis_doc, dict) and "rows" in basis_doc:
-        mat = _complex_array(basis_doc["rows"], path, "rows", 2)
+        mat = _complex_array(basis_doc["rows"], "rows", 2)
         if mat.shape != (dim, dim):
-            raise InvalidInput(f"{path}: basis must be a {dim}x{dim} matrix")
+            raise InvalidInput(f"basis must be a {dim}x{dim} matrix")
         basis = OrthonormalBasis(mat)
     else:
-        raise InvalidInput(f"{path}: 'basis' must be \"identity\" or an object with 'rows'")
+        raise InvalidInput("'basis' must be \"identity\" or an object with 'rows'")
 
     eig = doc.get("eigtuples")
     if eig is not None:
-        eigtuples = np.atleast_2d(_float_array(eig, path, "eigtuples"))
+        eigtuples = np.atleast_2d(_float_array(eig, "eigtuples"))
         if eigtuples.ndim != 2 or eigtuples.shape[0] != dec.m_count:
-            raise InvalidInput(f"{path}: need one eigtuple per group")
+            raise InvalidInput("need one eigtuple per group")
     return dec, basis
 
 
@@ -233,20 +239,20 @@ def load_decomposition(
      "groups": [[i, ...], ...],
      "eigtuples": [[x, ...], ...]}     # optional outcome labels, checked only
     """
-    return _decomposition(_load_json(path), path, dim)
+    return _named(path, _decomposition, _load_json(path), dim)
 
 
-def _grid_wavefunction(doc: dict, path) -> GridWaveFunction:
-    d = _int_field(doc, "d", path)
-    shape = tuple(_int_field(doc, "shape", path, listed=True))
-    spacing = tuple(_float_field(doc, "spacing", path, listed=True).tolist())
+def _grid_wavefunction(doc: dict) -> GridWaveFunction:
+    d = _int_field(doc, "d")
+    shape = tuple(_int_field(doc, "shape", listed=True))
+    spacing = tuple(_float_field(doc, "spacing", listed=True).tolist())
     if len(shape) != d or len(spacing) != d:
-        raise InvalidInput(f"{path}: shape/spacing must have {d} entries")
+        raise InvalidInput(f"shape/spacing must have {d} entries")
     origin = None
     if doc.get("origin") is not None:
-        origin = tuple(_float_field(doc, "origin", path, listed=True).tolist())
+        origin = tuple(_float_field(doc, "origin", listed=True).tolist())
     grid = Grid(shape=shape, spacing=spacing, origin=origin)
-    values = _complex_array(_require(doc, "values", path), path, "values", 1)
+    values = _complex_array(_require(doc, "values"), "values", 1)
     return GridWaveFunction(grid=grid, values=values)
 
 
@@ -256,26 +262,26 @@ def load_grid_wavefunction(path: str | Path) -> GridWaveFunction:
     {"d": D, "shape": [...], "spacing": [...], "values": [[re, im], ...]}
     with cells enumerated row-major; "origin" is optional.
     """
-    return _grid_wavefunction(_load_json(path), path)
+    return _named(path, _grid_wavefunction, _load_json(path))
 
 
-def _interval(doc: dict, path) -> tuple[float, float]:
+def _interval(doc: dict) -> tuple[float, float]:
     """``doc["box"]`` as the pair (lo, hi)."""
-    box = _float_field(doc, "box", path, listed=True)
+    box = _float_field(doc, "box", listed=True)
     if box.size != 2:
-        raise InvalidInput(f"{path}: 'box' must be [lo, hi], got {doc['box']!r}")
+        raise InvalidInput(f"'box' must be [lo, hi], got {doc['box']!r}")
     return float(box[0]), float(box[1])
 
 
-def _constant_problem(doc: dict, path):
-    weights = _float_field(doc, "weights", path, listed=True)
-    spacing = _float_field(doc, "base_spacing", path) if "base_spacing" in doc else 1.0
+def _constant_problem(doc: dict):
+    weights = _float_field(doc, "weights", listed=True)
+    spacing = _float_field(doc, "base_spacing") if "base_spacing" in doc else 1.0
     return constant_refinement_problem(weights, spacing), "constant weights"
 
 
-def _half_box_problem(doc: dict, path):
-    lo, hi = _interval(doc, path)
-    cells = _int_field(doc, "base_cells", path)
+def _half_box_problem(doc: dict):
+    lo, hi = _interval(doc)
+    cells = _int_field(doc, "base_cells")
     mid = 0.5 * (lo + hi)
 
     def indicator(x: np.ndarray) -> np.ndarray:
@@ -284,13 +290,13 @@ def _half_box_problem(doc: dict, path):
     return interval_refinement_problem(indicator, (lo, hi), cells), "half-box indicator"
 
 
-def _gaussian_problem(doc: dict, path):
-    lo, hi = _interval(doc, path)
-    center = _float_field(doc, "center", path)
-    sigma = _float_field(doc, "sigma", path)
-    cells = _int_field(doc, "base_cells", path)
+def _gaussian_problem(doc: dict):
+    lo, hi = _interval(doc)
+    center = _float_field(doc, "center")
+    sigma = _float_field(doc, "sigma")
+    cells = _int_field(doc, "base_cells")
     if sigma <= 0.0:
-        raise InvalidInput(f"{path}: sigma must be positive")
+        raise InvalidInput("sigma must be positive")
 
     def gaussian(x: np.ndarray) -> np.ndarray:
         return np.exp(-((x - center) ** 2) / (2.0 * sigma * sigma))
@@ -298,20 +304,16 @@ def _gaussian_problem(doc: dict, path):
     return interval_refinement_problem(gaussian, (lo, hi), cells), "1-d Gaussian intensity"
 
 
-def _uniform_power_family(doc: dict, path):
-    gamma = _float_field(doc, "gamma", path)
+def _uniform_power_family(doc: dict):
+    gamma = _float_field(doc, "gamma")
     if not 0.0 <= gamma <= 1.0:
-        raise InvalidInput(f"{path}: gamma must lie in [0, 1]")
-    exponents = _int_field(doc, "exponents", path, listed=True)
+        raise InvalidInput("gamma must lie in [0, 1]")
+    exponents = _int_field(doc, "exponents", listed=True)
     for j in exponents:
         if not 1 <= j <= MAX_POWER_EXPONENT:
-            raise InvalidInput(
-                f"{path}: exponents must lie in [1, {MAX_POWER_EXPONENT}], got {j}"
-            )
+            raise InvalidInput(f"exponents must lie in [1, {MAX_POWER_EXPONENT}], got {j}")
     if sum(2**j for j in exponents) > MAX_FAMILY_STATES:
-        raise InvalidInput(
-            f"{path}: the family would hold more than {MAX_FAMILY_STATES} states"
-        )
+        raise InvalidInput(f"the family would hold more than {MAX_FAMILY_STATES} states")
     family = []
     for j in exponents:
         n = 2**j
@@ -322,20 +324,19 @@ def _uniform_power_family(doc: dict, path):
     return family
 
 
-def _explicit_family(doc: dict, path):
-    members = _require(doc, "members", path)
+def _explicit_family(doc: dict):
+    members = _require(doc, "members")
     if type(members) is not list:
-        raise InvalidInput(f"{path}: 'members' must be a list of objects")
+        raise InvalidInput("'members' must be a list of objects")
     family = []
     for member in members:
-        n = _int_field(member, "n", path)
-        p = _float_field(member, "p", path, listed=True)
+        n = _int_field(member, "n")
+        p = _float_field(member, "p", listed=True)
         family.append((n, ProbabilityVector(p)))
     return family
 
 
-# Readers of the documents that name their "kind", by kind: each takes the
-# document and its path.
+# Readers of the documents that name their "kind", by kind.
 PROBLEM_KINDS = {"constant": _constant_problem, "half-box-1d": _half_box_problem,
                  "gaussian-1d": _gaussian_problem}
 FAMILY_KINDS = {"uniform-power": _uniform_power_family, "explicit": _explicit_family}
@@ -347,12 +348,12 @@ def _reader(doc, kinds: dict) -> Callable | None:
     return kinds.get(kind) if type(kind) is str else None
 
 
-def _read_kind(doc, path, kinds: dict, what: str):
+def _read_kind(doc, kinds: dict, what: str):
     """The document read by the reader ``kinds`` holds for its "kind"."""
     read = _reader(doc, kinds)
     if read is None:
-        raise InvalidInput(f"{path}: unknown {what} kind {_require(doc, 'kind', path)!r}")
-    return read(doc, path)
+        raise InvalidInput(f"unknown {what} kind {_require(doc, 'kind')!r}")
+    return read(doc)
 
 
 _refine_problem = partial(_read_kind, kinds=PROBLEM_KINDS, what="problem")
@@ -367,7 +368,7 @@ def load_refine_problem(path: str | Path) -> tuple[Callable[[int], RefinementLev
            {"kind": "gaussian-1d", "box": [lo, hi], "center": c,
             "sigma": s, "base_cells": m}
     """
-    return _refine_problem(_load_json(path), path)
+    return _named(path, _refine_problem, _load_json(path))
 
 
 def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
@@ -379,7 +380,7 @@ def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
     {"kind": "explicit", "members": [{"n": n, "p": [...]}, ...]} lists the
     distributions directly.
     """
-    return _dfd_family(_load_json(path), path)
+    return _named(path, _dfd_family, _load_json(path))
 
 
 # The input kinds, (name, test on the document, reader), in the order ``check_file`` tries them.
@@ -393,20 +394,22 @@ SCHEMAS = (
 )
 
 
-def check_file(path: str | Path) -> str:
-    """Load an input file of any kind and return the kind's name: the first
-    kind in ``SCHEMAS`` whose test accepts the document reads it.  A document
-    no kind accepts, a JSON array say, raises InvalidInput."""
-    doc = _load_json(path)
-    if isinstance(doc, dict):
-        for name, accepts, read in SCHEMAS:
-            if accepts(doc):
-                obj = read(doc, path)
-                del doc  # as in load_density, the decoded lists are gone by eigh
-                if read is _density:
-                    DensityMatrix(obj)  # the density's invariants, as load_density checks them
-                return name
+def _checked(doc) -> tuple[str, Any]:
+    """(name, object) read by the first kind in ``SCHEMAS`` whose test accepts
+    the document.  A document no kind accepts, a JSON array say, raises InvalidInput."""
+    for name, accepts, read in SCHEMAS if isinstance(doc, dict) else ():
+        if accepts(doc):
+            return name, read(doc)
     raise InvalidInput("unrecognized document schema")
+
+
+def check_file(path: str | Path) -> str:
+    """Load an input file of any kind and return the kind's name.  A density's
+    invariants are checked as in load_density, after its document is freed."""
+    name, obj = _named(path, _checked, _load_json(path))
+    if name == "density":
+        _named(path, DensityMatrix, obj)
+    return name
 
 
 # ---------------------------------------------------------------------------

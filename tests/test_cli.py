@@ -4,6 +4,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -107,7 +108,7 @@ class TestFormats:
         assert lines[0] == "trials,estimate,stderr,exact,abs_error"
         assert len(lines) == 3
 
-    def test_refine_emits_one_row_per_level(self, capsys):
+    def test_refine_emits_one_row_per_level(self, capsys, tmp_path):
         code, out, _ = run(
             capsys, "refine", FIXTURES / "problem_gaussian.json",
             "--levels", "4", "--format", "csv",
@@ -116,6 +117,19 @@ class TestFormats:
         lines = out.strip().splitlines()
         assert lines[0] == "level,m_count,spacing,ratio"
         assert len(lines) == 6  # 4 levels + extrapolation row + header
+        # spacings whose squared deviations underflow or overflow a double
+        path = tmp_path / "problem.json"
+        for doc, ratio in [
+            ({"kind": "constant", "weights": [1, 1, 1], "base_spacing": 1e-300}, 1.0),
+            ({"kind": "half-box-1d", "box": [0, 1e308], "base_cells": 4}, 0.5),
+        ]:
+            path.write_text(json.dumps(doc))
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                code, out, err = run(capsys, "refine", path, "--format", "json")
+            assert (code, err) == (0, "")
+            payload = json.loads(out, parse_constant=pytest.fail)  # no NaN or Infinity
+            assert (payload["extrapolated"], payload["residual"]) == (ratio, 0.0)
 
 
 # Valid [re, im] arrays for each complex key, and ways to corrupt them.
@@ -183,16 +197,23 @@ def complex_array_job(tmp_path, key: str, value) -> tuple[list, object]:
 
 class TestExitCodes:
     def test_validation_failure_is_exit_two(self, capsys):
-        code, _, err = run(
-            capsys, "mu", FIXTURES / "state_bad_norm.json", FIXTURES / "dec_singletons3.json"
-        )
-        assert code == 2
-        assert "norm" in err
+        state, dec = FIXTURES / "state_bad_norm.json", FIXTURES / "dec_singletons3.json"
+        for command in ("mu", "simulate"):
+            code, _, err = run(capsys, command, state, dec)
+            assert code == 2
+            assert err.startswith(f"error: {state}: state norm^2 ") and str(dec) not in err
 
-    def test_density_invariant_failure_is_exit_three(self, capsys):
-        code, _, err = run(capsys, "qnum", FIXTURES / "density_bad.json")
+    def test_density_invariant_failure_is_exit_three(self, capsys, tmp_path):
+        bad = FIXTURES / "density_bad.json"
+        code, _, err = run(capsys, "qnum", bad)
         assert code == 3
-        assert "positive semidefinite" in err
+        assert err.startswith(f"error: {bad}: matrix is not positive semidefinite")
+        path = tmp_path / "rho.json"
+        path.write_text(json.dumps({"dim": 2, "rows": [[[0.5, 0.0], [0.1, 0.0]],
+                                                       [[0.0, 0.0], [0.5, 0.0]]]}))
+        code, _, err = run(capsys, "qnum", path)
+        assert code == 3
+        assert err == f"error: {path}: matrix is not Hermitian: max |rho - rho^H| = 1.000e-01\n"
 
     def test_malformed_json_is_exit_two_with_line_number(self, capsys, tmp_path):
         bad = tmp_path / "broken.json"
@@ -234,26 +255,46 @@ class TestExitCodes:
         ("dfd", {"kind": "explicit", "members": [{"n": 2, "p": ["a", 1]}]}),
         ("refine", {"kind": "gaussian-1d", "box": [0.0, 1.0], "center": 0.5,
                     "sigma": float("inf"), "base_cells": 8}),
-    ], ids=["effvol-spacing", "refine-box", "refine-weights", "dfd-p", "refine-sigma-infinity"])
+        # well-formed fields that the constructors the readers call reject
+        ("effvol", {"d": 1, "shape": [2], "spacing": [1], "values": [[1, 0], [1, 0]]}),
+        ("effvol", {"d": 2, "shape": [2**62 + 1, 4], "spacing": [1, 1],
+                    "values": [[0.5, 0]] * 4}),
+        ("effvol", {"d": 2, "shape": [2**32, 2**32], "spacing": [1, 1],
+                    "values": [[0.5, 0]] * 4}),
+        ("refine", {"kind": "constant", "weights": [1, 2]}),
+        ("refine", {"kind": "half-box-1d", "box": [1, 0], "base_cells": 4}),
+        ("dfd", {"kind": "explicit", "members": [{"n": 2, "p": [0.5, 0.6]}]}),
+    ], ids=["effvol-spacing", "refine-box", "refine-weights", "dfd-p", "refine-sigma-infinity",
+            "effvol-norm", "effvol-cells-beyond-int64", "effvol-cells-2-to-64",
+            "refine-constant-weights", "refine-empty-box", "dfd-p-sum"])
     def test_malformed_float_field_is_exit_two(self, capsys, tmp_path, command, doc):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, command, path)
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
+        assert err.count(str(path)) == 1
 
     @pytest.mark.parametrize("doc, says", [
         ({"groups": [[0], [1.7], [2]]}, "groups"),
         ({"groups": [[0], [1], [2]], "eigtuples": [["a"], [1], [2]]}, "'eigtuples'"),
         ({"groups": [[0], [1], [2]], "basis": "foo"}, "'basis' must be \"identity\" or an object"),
         ({"groups": [[0], [1], [2]], "basis": 5}, "'basis' must be \"identity\" or an object"),
-    ], ids=["group-index", "eigtuples", "basis-string", "basis-number"])
+        ({"groups": [[0], [0], [2]]}, "blocks must partition {0,...,2}"),
+        ({"groups": [[0], [1], [2]], "basis": {"rows": [[[1, 0], [1, 0], [0, 0]],
+                                                         [[0, 0], [1, 0], [0, 0]],
+                                                         [[0, 0], [0, 0], [1, 0]]]}},
+         "basis columns are not orthonormal"),
+    ], ids=["group-index", "eigtuples", "basis-string", "basis-number", "not-a-partition",
+            "basis-not-orthonormal"])
     def test_malformed_decomposition_is_exit_two(self, capsys, tmp_path, doc, says):
         dec = tmp_path / "dec.json"
         dec.write_text(json.dumps(doc))
-        code, _, err = run(capsys, "mu", FIXTURES / "state_p525.json", dec)
-        assert code == 2
-        assert len(err.splitlines()) == 1 and err.startswith(f"error: {dec}: {says}")
+        for command in ("mu", "simulate"):
+            code, _, err = run(capsys, command, FIXTURES / "state_p525.json", dec)
+            assert code == 2
+            assert len(err.splitlines()) == 1 and err.startswith(f"error: {dec}: {says}")
+            assert err.count(str(dec)) == 1 and "state_p525.json" not in err
 
     @pytest.mark.parametrize("key", ["amps", "rows", "basis rows", "values"])
     @pytest.mark.parametrize("corrupt", list(CORRUPTIONS), ids=list(CORRUPTIONS))
@@ -406,13 +447,18 @@ class TestCheck:
         assert code == 2
         assert "INVALID" in err
 
-    @pytest.mark.parametrize("doc", [[1, 2, 3], {"groups": []}], ids=["array", "no-groups"])
+    @pytest.mark.parametrize("doc", [
+        [1, 2, 3],
+        {"groups": []},
+        {"dim": 2, "rows": [[[0.5, 0.0], [0.1, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
+    ], ids=["array", "no-groups", "non-hermitian-density"])
     def test_unloadable_document_fails_the_check(self, capsys, tmp_path, doc):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "check", path)
         assert code == 2
-        assert err.startswith("error: ") and f"{path}: INVALID" in err
+        assert err.startswith("error: ") and f"{path}: INVALID ({path}: " in err
+        assert err.count(str(path)) == 2  # the file's line, and once in its message
 
     def test_check_rejects_the_constant_weights_refine_rejects(self, capsys, tmp_path):
         for weights, says in [([5, -1], "must be non-negative"), ([1, 2], "must sum to n=2")]:

@@ -230,6 +230,15 @@ class TestTailFit:
         misfit = np.max(np.abs(ref_intercept + ref_slope * x - y))
         assert residual == pytest.approx(misfit, rel=1e-9, abs=1e-12)
 
+    @pytest.mark.parametrize("power", [-1000, -600, 0, 600, 1000])
+    def test_power_of_two_scales_of_x_give_the_same_fit_bit_for_bit(self, power):
+        rng = np.random.default_rng(5)
+        xs = np.sort(rng.uniform(0.5, 1.0, size=7))[::-1]
+        ys = rng.normal(size=7)
+        intercept, slope, residual, window = tail_fit(xs, ys)
+        scaled = tail_fit(np.ldexp(xs, power), ys)
+        assert scaled == (intercept, math.ldexp(slope, -power), residual, window)
+
 
 @given(st.integers(min_value=2, max_value=64))
 @settings(max_examples=30, deadline=None)
