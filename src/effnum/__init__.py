@@ -43,7 +43,6 @@ from .density import (
     BipartiteStructure,
     DensityMatrix,
     Eigensystem,
-    density_from_ensemble,
     entanglement_weights,
     hermitian_eigen,
     mu_entanglement,
@@ -51,8 +50,6 @@ from .density import (
     partial_trace,
     quantum_effnum,
     quantum_effnum_min,
-    quantum_mu_entropy,
-    quantum_mu_entropy_min,
     schmidt_weights,
 )
 from .continuum import (
@@ -67,7 +64,6 @@ from .continuum import (
     constant_refinement_problem,
     effective_jordan_content,
     effective_volume,
-    effective_volume_density,
     interval_refinement_problem,
     mixed_relative_mu,
     partition_additivity_check,

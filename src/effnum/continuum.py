@@ -85,7 +85,7 @@ class Grid:
 
     @property
     def total_volume(self) -> float:
-        return float(np.prod([n * h for n, h in zip(self.shape, self.spacing)]))
+        return math.prod(n * h for n, h in zip(self.shape, self.spacing))
 
     def centers(self) -> np.ndarray:
         """Cell midpoints as an (ncells, d) array, row-major."""
@@ -123,10 +123,13 @@ class GridWaveFunction:
             raise InvalidInput(
                 f"wave function has {vals.size} samples, grid has {self.grid.ncells} cells"
             )
+        volume = self.grid.total_volume
+        if not math.isfinite(volume):
+            raise InvalidInput(f"grid total volume must be finite; got {volume!r}")
         vals = vals.ravel().copy()
         dens = np.abs(vals) ** 2
         norm = float(np.sum(dens) * self.grid.cell_volume)
-        if abs(norm - 1.0) > GRID_NORM_TOL:
+        if not abs(norm - 1.0) <= GRID_NORM_TOL:
             raise InvalidInput(
                 f"Riemann norm must equal 1 within {GRID_NORM_TOL:g}; got {norm!r}"
             )
@@ -134,17 +137,6 @@ class GridWaveFunction:
         dens.flags.writeable = False
         object.__setattr__(self, "values", vals)
         object.__setattr__(self, "density", dens)
-
-    @classmethod
-    def sample(cls, grid: Grid, fn: Callable[[np.ndarray], np.ndarray]) -> "GridWaveFunction":
-        """Sample ``fn`` at the cell midpoints and normalize."""
-        vals = np.asarray(fn(grid.centers()), dtype=complex).ravel()
-        if vals.size != grid.ncells:
-            raise InvalidInput("sampling callable returned the wrong number of values")
-        norm = float(np.sum(np.abs(vals) ** 2) * grid.cell_volume)
-        if norm <= 0.0:
-            raise InvalidInput("cannot normalize an identically-zero wave function")
-        return cls(grid=grid, values=vals / math.sqrt(norm))
 
 
 def effective_volume(psi: GridWaveFunction, c: CountingFunction) -> float:
@@ -154,14 +146,6 @@ def effective_volume(psi: GridWaveFunction, c: CountingFunction) -> float:
     kernel costs one kernel pass and one sum.
     """
     return riemann_sum(c(psi.grid.total_volume * psi.density), psi.grid)
-
-
-def effective_volume_density(psi: GridWaveFunction) -> np.ndarray:
-    """Per-cell minimal volume density min{V |psi|^2, 1}.
-
-    Its Riemann sum equals ``effective_volume(psi, minimal)`` exactly.
-    """
-    return np.minimum(psi.grid.total_volume * psi.density, 1.0)
 
 
 def _as_cell_volumes(region: "Grid | np.ndarray | Sequence[float]") -> np.ndarray:
@@ -192,7 +176,7 @@ def effective_jordan_content(
     if np.any(p < 0.0):
         raise InvalidInput("density samples must be non-negative")
     total = float(np.sum(p * vols))
-    if abs(total - 1.0) > GRID_NORM_TOL:
+    if not abs(total - 1.0) <= GRID_NORM_TOL:
         raise InvalidInput(f"density must integrate to 1 within {GRID_NORM_TOL:g}; got {total!r}")
     v = region.total_volume if isinstance(region, Grid) else float(np.sum(vols))
     return float(np.sum(c(v * p) * vols))
@@ -244,7 +228,7 @@ class SectorFamily:
                 )
         for name, arrs in (("P", ps), ("eta", etas)):
             total = math.fsum(float(np.sum(a * vols)) for a in arrs)
-            if abs(total - 1.0) > GRID_NORM_TOL:
+            if not abs(total - 1.0) <= GRID_NORM_TOL:
                 raise InvalidInput(
                     f"sector {name} densities must integrate to 1 in total; got {total!r}"
                 )
@@ -279,10 +263,6 @@ class SpectralDensityPair(SectorFamily):
     @property
     def eta(self) -> np.ndarray:
         return self.etas[0]
-
-    @property
-    def support_mask(self) -> np.ndarray:
-        return _support_mask(self.eta)
 
 
 def mixed_relative_mu(sf: SectorFamily, c: CountingFunction) -> float:

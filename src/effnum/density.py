@@ -15,7 +15,6 @@ and as the reference path the tests compare against.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -172,39 +171,6 @@ def quantum_effnum(rho: DensityMatrix, c: CountingFunction) -> float:
 def quantum_effnum_min(rho: DensityMatrix) -> float:
     """Smallest consistent state-component count: sum_i min{N rho_i, 1}."""
     return quantum_effnum(rho, CountingFunction.minimal())
-
-
-def quantum_mu_entropy(rho: DensityMatrix, c: CountingFunction) -> float:
-    """log of the effective state-component count; in [0, log N]."""
-    return math.log(quantum_effnum(rho, c))
-
-
-def quantum_mu_entropy_min(rho: DensityMatrix) -> float:
-    return math.log(quantum_effnum_min(rho))
-
-
-def density_from_ensemble(states) -> DensityMatrix:
-    """Mixture sum_j p_j |psi_j><psi_j| from (weight, PureState) pairs.
-
-    The number of members is arbitrary (it may exceed the dimension) and
-    members need not be orthogonal; no deduplication is attempted.
-    """
-    pairs = list(states)
-    if not pairs:
-        raise InvalidInput("ensemble must contain at least one state")
-    weights = np.array([float(w) for w, _ in pairs])
-    if np.any(weights < 0.0):
-        raise InvalidInput("mixture weights must be non-negative")
-    total = math.fsum(weights.tolist())
-    if abs(total - 1.0) > 1e-12:
-        raise InvalidInput(f"mixture weights must sum to 1; got {total!r}")
-    dim = pairs[0][1].dim
-    acc = np.zeros((dim, dim), dtype=complex)
-    for w, psi in pairs:
-        if psi.dim != dim:
-            raise InvalidInput(f"ensemble states have mixed dimensions {dim} and {psi.dim}")
-        acc += w * np.outer(psi.amps, psi.amps.conj())
-    return DensityMatrix(acc)
 
 
 @dataclass(frozen=True)

@@ -66,7 +66,7 @@ class OrthonormalBasis:
             raise InvalidInput(f"basis must be a square matrix, got shape {mat.shape}")
         gram = mat.conj().T @ mat
         defect = float(np.max(np.abs(gram - np.eye(mat.shape[0]))))
-        if defect > BASIS_ORTHO_TOL:
+        if not defect <= BASIS_ORTHO_TOL:
             raise InvalidInput(
                 f"basis columns are not orthonormal: max |U^H U - I| = {defect:.3e}"
             )
@@ -132,16 +132,6 @@ class OrthogonalDecomposition:
     @classmethod
     def singletons(cls, dim: int) -> "OrthogonalDecomposition":
         return cls(tuple((i,) for i in range(dim)), dim)
-
-    def merged(self, a: int, b: int) -> "OrthogonalDecomposition":
-        """Coarsen by joining blocks a and b (order of remaining blocks kept)."""
-        if a == b:
-            raise InvalidInput("cannot merge a block with itself")
-        a, b = sorted((a, b))
-        new = list(self.blocks)
-        new[a] = new[a] + new[b]
-        del new[b]
-        return OrthogonalDecomposition(tuple(new), self.dim)
 
 
 def euclidean_metric(x: np.ndarray, y: np.ndarray) -> float:

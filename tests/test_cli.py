@@ -19,6 +19,13 @@ from conftest import FIXTURES
 
 MANIFEST = json.loads((FIXTURES / "expected.json").read_text())
 
+# Grids whose volume overflows: the first's cells, so its Riemann norm is
+# inf * 0 = NaN; the second's total only, with a valid norm.
+OVERFLOW_GRIDS = [
+    {"d": 2, "shape": [2, 2], "spacing": [1e200, 1e200], "values": [[0, 0]] * 4},
+    {"d": 1, "shape": [4], "spacing": [1e308], "values": [[5e-155, 0]] * 4},
+]
+
 
 def run(capsys, *argv) -> tuple[int, str, str]:
     code = main([str(a) for a in argv])
@@ -261,11 +268,14 @@ class TestExitCodes:
                     "values": [[0.5, 0]] * 4}),
         ("effvol", {"d": 2, "shape": [2**32, 2**32], "spacing": [1, 1],
                     "values": [[0.5, 0]] * 4}),
+        ("effvol", OVERFLOW_GRIDS[0]),
+        ("effvol", OVERFLOW_GRIDS[1]),
         ("refine", {"kind": "constant", "weights": [1, 2]}),
         ("refine", {"kind": "half-box-1d", "box": [1, 0], "base_cells": 4}),
         ("dfd", {"kind": "explicit", "members": [{"n": 2, "p": [0.5, 0.6]}]}),
     ], ids=["effvol-spacing", "refine-box", "refine-weights", "dfd-p", "refine-sigma-infinity",
             "effvol-norm", "effvol-cells-beyond-int64", "effvol-cells-2-to-64",
+            "effvol-cell-volume-overflows", "effvol-total-volume-overflows",
             "refine-constant-weights", "refine-empty-box", "dfd-p-sum"])
     def test_malformed_float_field_is_exit_two(self, capsys, tmp_path, command, doc):
         path = tmp_path / "doc.json"
@@ -451,7 +461,9 @@ class TestCheck:
         [1, 2, 3],
         {"groups": []},
         {"dim": 2, "rows": [[[0.5, 0.0], [0.1, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
-    ], ids=["array", "no-groups", "non-hermitian-density"])
+        *OVERFLOW_GRIDS,
+    ], ids=["array", "no-groups", "non-hermitian-density", "grid-cell-volume-overflows",
+            "grid-total-volume-overflows"])
     def test_unloadable_document_fails_the_check(self, capsys, tmp_path, doc):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

@@ -12,20 +12,19 @@ from effnum import (
     Grid,
     GridWaveFunction,
     InvalidInput,
+    OrthonormalBasis,
     RefinementLevel,
     SectorFamily,
     SpectralDensityPair,
     constant_refinement_problem,
     effective_jordan_content,
     effective_volume,
-    effective_volume_density,
     interval_refinement_problem,
     mixed_relative_mu,
     partition_additivity_check,
     refine_sequence,
     relative_mu_continuum,
     reparametrization_check,
-    riemann_sum,
 )
 
 MINIMAL = CountingFunction.minimal()
@@ -54,9 +53,9 @@ def half_box_state(cells: int = 8, spacing: float = 0.25) -> GridWaveFunction:
 
 def gaussian_state(cells: int) -> GridWaveFunction:
     grid = Grid(shape=(cells,), spacing=(1.0 / cells,))
-    return GridWaveFunction.sample(
-        grid, lambda pts: np.sqrt(gaussian_intensity(pts[:, 0])).astype(complex)
-    )
+    values = np.sqrt(gaussian_intensity(grid.centers()[:, 0])).astype(complex)
+    values /= math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.cell_volume))
+    return GridWaveFunction(grid, values)
 
 
 def gaussian_pair(cells: int, lo: float = 1.0, hi: float = 8.0) -> SpectralDensityPair:
@@ -85,19 +84,6 @@ class TestEffectiveVolume:
         oracle = midpoint_min_fraction(gaussian_intensity, 0.0, 1.0, 20480)
         assert abs(value - oracle) / oracle < 1e-6
 
-    def test_density_field_examples(self):
-        assert effective_volume_density(uniform_state()).tolist() == [1.0] * 8
-        assert effective_volume_density(half_box_state()).tolist() == [1.0] * 4 + [0.0] * 4
-        psi = gaussian_state(64)
-        v = psi.grid.total_volume
-        expected = np.minimum(v * np.abs(psi.values) ** 2, 1.0)
-        assert np.array_equal(effective_volume_density(psi), expected)
-
-    def test_density_field_sums_to_volume_exactly(self):
-        for psi in (uniform_state(), half_box_state(), gaussian_state(256)):
-            field = effective_volume_density(psi)
-            assert riemann_sum(field, psi.grid) == effective_volume(psi, MINIMAL)
-
     def test_norm_violation_rejected(self):
         grid = Grid(shape=(4,), spacing=(1.0,))
         with pytest.raises(InvalidInput):
@@ -123,6 +109,19 @@ class TestEffectiveVolume:
         for c in (MINIMAL, HALF, CountingFunction.from_callable(lambda w: np.tanh(w))):
             expected = effective_jordan_content(grid, np.abs(psi.values) ** 2, c)
             assert effective_volume(psi, c) == expected
+
+
+@pytest.mark.parametrize("build", [
+    lambda: GridWaveFunction(Grid(shape=(2,), spacing=(1.0,)), np.array([math.nan, 1.0])),
+    lambda: SectorFamily.from_grid(Grid(shape=(2,), spacing=(0.5,)),
+                                   [(np.array([math.nan, 1.0]), np.ones(2))]),
+    lambda: effective_jordan_content(Grid(shape=(2,), spacing=(0.5,)),
+                                     np.array([math.nan, 1.0]), MINIMAL),
+    lambda: OrthonormalBasis(np.full((2, 2), math.nan)),
+], ids=["grid-norm", "sector-totals", "jordan-content-total", "basis-orthonormality"])
+def test_tolerance_checks_reject_nan(build):
+    with pytest.raises(InvalidInput):
+        build()
 
 
 class TestGrid:

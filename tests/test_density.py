@@ -20,7 +20,6 @@ from effnum import (
     InvariantViolation,
     PureState,
     WeightVector,
-    density_from_ensemble,
     effnum,
     hermitian_eigen,
     mu_entanglement,
@@ -28,8 +27,6 @@ from effnum import (
     partial_trace,
     quantum_effnum,
     quantum_effnum_min,
-    quantum_mu_entropy,
-    quantum_mu_entropy_min,
     schmidt_weights,
 )
 from effnum.cli import main
@@ -97,53 +94,6 @@ class TestStoredSpectrum:
         rho = werner_half()
         with pytest.raises(ValueError):
             rho.spectrum[0] = 0.0
-
-
-class TestEnsembles:
-    def test_single_state_gives_pure_projector(self):
-        rng = np.random.default_rng(3)
-        psi = PureState(random_pure(rng, 3))
-        rho = density_from_ensemble([(1.0, psi)])
-        spectrum = hermitian_eigen(rho).eigenvalues
-        assert spectrum[0] == pytest.approx(1.0, abs=1e-12)
-        assert np.all(spectrum[1:] < 1e-12)
-
-    def test_equal_mixture_of_basis_states_is_maximally_mixed(self):
-        members = [(0.25, PureState.basis_vector(i, 4)) for i in range(4)]
-        rho = density_from_ensemble(members)
-        assert np.array_equal(rho.mat, np.eye(4, dtype=complex) / 4.0)
-
-    def test_three_overlapping_qubit_states(self):
-        amps = [
-            np.array([1.0, 0.0], complex),
-            np.array([math.sqrt(0.5), math.sqrt(0.5)], complex),
-            np.array([math.sqrt(0.5), 1j * math.sqrt(0.5)], complex),
-        ]
-        third = 1.0 / 3.0
-        rho = density_from_ensemble([(third, PureState(a)) for a in amps])
-        # outer-product accumulation oracle, written out by hand
-        expected = np.zeros((2, 2), complex)
-        for a in amps:
-            expected += third * np.outer(a, a.conj())
-        assert np.max(np.abs(rho.mat - expected)) == 0.0
-        assert abs(np.trace(rho.mat) - 1.0) < 1e-12
-
-    def test_overcomplete_ensembles_are_fine(self):
-        rng = np.random.default_rng(5)
-        members = [(0.2, PureState(random_pure(rng, 2))) for _ in range(5)]
-        rho = density_from_ensemble(members)
-        assert rho.dim == 2
-
-    def test_rejects_unnormalized_weights(self):
-        psi = PureState.basis_vector(0, 2)
-        with pytest.raises(InvalidInput):
-            density_from_ensemble([(0.7, psi)])
-
-    def test_rejects_mixed_dimensions(self):
-        with pytest.raises(InvalidInput):
-            density_from_ensemble(
-                [(0.5, PureState.basis_vector(0, 2)), (0.5, PureState.basis_vector(0, 3))]
-            )
 
 
 class TestHermitianEigen:
@@ -273,17 +223,6 @@ class TestQuantumEffnum:
                     WeightVector(np.concatenate([n * f1 * lam1, n * f2 * lam2])), c
                 )
                 assert abs(whole - parts) < 1e-10
-
-    def test_entropy_examples(self):
-        rng = np.random.default_rng(47)
-        pure = DensityMatrix.from_pure(PureState(random_pure(rng, 4)))
-        assert abs(quantum_mu_entropy_min(pure)) < 1e-12
-        assert quantum_mu_entropy(DensityMatrix.maximally_mixed(8), MINIMAL) == pytest.approx(
-            math.log(8), abs=1e-10
-        )
-        assert quantum_mu_entropy_min(werner_half()) == pytest.approx(
-            math.log(2.5), abs=1e-10
-        )
 
 
 class TestPartialTrace:

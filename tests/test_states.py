@@ -53,9 +53,8 @@ class TestSubspaceProbs:
     def test_merging_blocks_contracts_probabilities(self):
         # dyadic amplitudes make the block sums exact in floating point
         psi = state(0.5, 0.5, math.sqrt(0.5))
-        dec = OrthogonalDecomposition.singletons(3)
-        parts = subspace_probs(psi, dec)
-        merged = subspace_probs(psi, dec.merged(0, 1))
+        parts = subspace_probs(psi, OrthogonalDecomposition.singletons(3))
+        merged = subspace_probs(psi, OrthogonalDecomposition(((0, 1), (2,)), 3))
         assert merged.p[0] == parts.p[0] + parts.p[1]
         assert merged.p[1] == parts.p[2]
         assert merged.p.size == 2
