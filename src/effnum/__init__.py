@@ -56,7 +56,7 @@ from .continuum import (
     Grid,
     GridWaveFunction,
     PartitionAdditivityResult,
-    RefinementLevel,
+    RefinementProblem,
     RefinementResult,
     ReparamCheckResult,
     SectorFamily,

@@ -203,8 +203,8 @@ def _cmd_simulate(args) -> Result:
                  ["trials", "estimate", "stderr", "exact", "abs_error"])
     out.payload.update(m=dec.m_count, seed=args.seed, generator=simulate.GENERATOR_ID,
                        counting_function=c.label, exact=exact, runs=[])
-    for t in trial_counts:
-        seq = simulate._sample(probs, t, args.seed)
+    for i, t in enumerate(trial_counts):
+        seq = simulate._sample(probs, t, args.seed, i)
         est = simulate.plugin_mu_estimate(seq, c)
         run = {"trials": t, "estimate": est.estimate, "stderr": est.stderr,
                "exact": exact, "abs_error": abs(est.estimate - exact)}
@@ -240,8 +240,8 @@ def _cmd_check(args) -> Result:
     for path in args.files:
         try:
             valid, detail = True, check_file(path)
-        except (InvalidInput, InvariantViolation) as exc:
-            valid, detail = False, str(exc)
+        except (InvalidInput, InvariantViolation) as exc:  # quoted without the row's path
+            valid, detail = False, str(exc).removeprefix(f"{path}:").lstrip()
         out.payload["files"].append({"path": path, "valid": valid, "detail": detail})
         out.add(f"{path}: {'ok' if valid else 'INVALID'} ({detail})", [path, valid, detail])
     if not report.passed or not all(f["valid"] for f in out.payload["files"]):

@@ -1,11 +1,11 @@
 """Continuum limits: effective volumes, spectral-density fractions, and
 refinement/extrapolation drivers.
 
-Everything here is evaluated with midpoint-rule Riemann sums on hypercubic
-grids: a cell contributes its midpoint sample times its volume.  That
-single convention keeps the additivity identity for partitions of the
-support exact at finite resolution and makes matched-sampling consistency
-relations hold bit-for-bit.
+Every integral over cells here is one call of ``riemann_sum``, the
+midpoint rule on hypercubic grids: a cell contributes its midpoint sample
+times its volume.  That single convention keeps the additivity identity
+for partitions of the support exact at finite resolution and makes
+matched-sampling consistency relations hold bit-for-bit.
 
 The central quantity is the relative uncertainty fraction
 
@@ -22,7 +22,7 @@ from __future__ import annotations
 import math
 import sys
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -81,7 +81,7 @@ class Grid:
 
     @property
     def cell_volume(self) -> float:
-        return float(np.prod(self.spacing))
+        return math.prod(self.spacing)
 
     @property
     def total_volume(self) -> float:
@@ -97,12 +97,11 @@ class Grid:
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def riemann_sum(field: np.ndarray, grid: Grid) -> float:
-    """Midpoint-rule integral of a per-cell field over the grid."""
-    field = np.asarray(field, dtype=float)
-    if field.size != grid.ncells:
-        raise InvalidInput(f"field has {field.size} cells, grid has {grid.ncells}")
-    return float(np.sum(field * grid.cell_volume))
+def riemann_sum(field: np.ndarray, vol: float | np.ndarray) -> float:
+    """Midpoint-rule integral of per-cell samples: the sum of each sample
+    times its cell's volume, ``vol`` being a grid's one cell volume or an
+    explicit region's array of them."""
+    return float(np.sum(field * vol))
 
 
 @dataclass(frozen=True)
@@ -128,7 +127,7 @@ class GridWaveFunction:
             raise InvalidInput(f"grid total volume must be finite; got {volume!r}")
         vals = vals.ravel().copy()
         dens = np.abs(vals) ** 2
-        norm = float(np.sum(dens) * self.grid.cell_volume)
+        norm = riemann_sum(dens, self.grid.cell_volume)
         if not abs(norm - 1.0) <= GRID_NORM_TOL:
             raise InvalidInput(
                 f"Riemann norm must equal 1 within {GRID_NORM_TOL:g}; got {norm!r}"
@@ -145,16 +144,7 @@ def effective_volume(psi: GridWaveFunction, c: CountingFunction) -> float:
     The density and its norm check are the state's own, so each further
     kernel costs one kernel pass and one sum.
     """
-    return riemann_sum(c(psi.grid.total_volume * psi.density), psi.grid)
-
-
-def _as_cell_volumes(region: "Grid | np.ndarray | Sequence[float]") -> np.ndarray:
-    if isinstance(region, Grid):
-        return np.full(region.ncells, region.cell_volume)
-    vols = np.asarray(region, dtype=float).ravel()
-    if vols.size == 0 or np.any(vols <= 0.0):
-        raise InvalidInput("cell volumes must be positive and non-empty")
-    return vols
+    return riemann_sum(c(psi.grid.total_volume * psi.density), psi.grid.cell_volume)
 
 
 def effective_jordan_content(
@@ -167,32 +157,38 @@ def effective_jordan_content(
     ``region`` is a grid or an explicit array of cell volumes; ``p`` holds
     midpoint samples of a density with unit Riemann integral.  Returns the
     integral of c(V * p) where V is the region's total volume; uniform p
-    gives V back for every kernel.
+    gives V back for every kernel.  V must be finite.
     """
-    vols = _as_cell_volumes(region)
+    if isinstance(region, Grid):
+        vol, ncells, v = region.cell_volume, region.ncells, region.total_volume
+    else:
+        vol = np.asarray(region, dtype=float).ravel()
+        if vol.size == 0 or not np.all(vol > 0.0):
+            raise InvalidInput("cell volumes must be positive and non-empty")
+        ncells = vol.size
+        with np.errstate(over="ignore"):  # an overflowing total is rejected below
+            v = riemann_sum(1.0, vol)
+    if not math.isfinite(v):
+        raise InvalidInput(f"region total volume must be finite; got {v!r}")
     p = np.asarray(p, dtype=float).ravel()
-    if p.size != vols.size:
-        raise InvalidInput(f"density has {p.size} cells, region has {vols.size}")
+    if p.size != ncells:
+        raise InvalidInput(f"density has {p.size} cells, region has {ncells}")
     if np.any(p < 0.0):
         raise InvalidInput("density samples must be non-negative")
-    total = float(np.sum(p * vols))
+    total = riemann_sum(p, vol)
     if not abs(total - 1.0) <= GRID_NORM_TOL:
         raise InvalidInput(f"density must integrate to 1 within {GRID_NORM_TOL:g}; got {total!r}")
-    v = region.total_volume if isinstance(region, Grid) else float(np.sum(vols))
-    return float(np.sum(c(v * p) * vols))
+    return riemann_sum(c(v * p), vol)
 
 
 def _support_mask(eta: np.ndarray) -> np.ndarray:
     return eta >= SUPPORT_RTOL * float(np.max(eta))
 
 
-def _relative_mu(
-    p: np.ndarray, eta: np.ndarray, vols: np.ndarray, c: CountingFunction
-) -> float:
-    """Riemann sum of eta * c(p / eta) over the support cells."""
+def _relative_mu(p: np.ndarray, eta: np.ndarray, vol: float, c: CountingFunction) -> float:
+    """Riemann sum of eta * c(p / eta) over the support cells of volume ``vol``."""
     mask = _support_mask(eta)
-    ratio = p[mask] / eta[mask]
-    return float(np.sum(eta[mask] * c(ratio) * vols[mask]))
+    return riemann_sum(eta[mask] * c(p[mask] / eta[mask]), vol)
 
 
 @dataclass(frozen=True)
@@ -208,16 +204,14 @@ class SectorFamily:
     ps: tuple[np.ndarray, ...]
     etas: tuple[np.ndarray, ...]
     grid: Grid
-    cell_volumes: np.ndarray = field(init=False)
 
     def __post_init__(self):
-        vols = np.full(self.grid.ncells, self.grid.cell_volume)
         ps = tuple(np.asarray(a, dtype=float).ravel().copy() for a in self.ps)
         etas = tuple(np.asarray(a, dtype=float).ravel().copy() for a in self.etas)
         if len(ps) == 0 or len(ps) != len(etas):
             raise InvalidInput("need matching non-empty P and eta sector lists")
         for m, (p, eta) in enumerate(zip(ps, etas)):
-            if p.size != vols.size or eta.size != vols.size:
+            if p.size != self.grid.ncells or eta.size != self.grid.ncells:
                 raise InvalidInput(f"sector {m}: density samples must cover the grid's cells")
             if np.any(p < 0.0) or np.any(eta < 0.0):
                 raise InvalidInput(f"sector {m}: density samples must be non-negative")
@@ -227,16 +221,15 @@ class SectorFamily:
                     "the spectral support"
                 )
         for name, arrs in (("P", ps), ("eta", etas)):
-            total = math.fsum(float(np.sum(a * vols)) for a in arrs)
+            total = math.fsum(riemann_sum(a, self.grid.cell_volume) for a in arrs)
             if not abs(total - 1.0) <= GRID_NORM_TOL:
                 raise InvalidInput(
                     f"sector {name} densities must integrate to 1 in total; got {total!r}"
                 )
-        for arr in (*ps, *etas, vols):
+        for arr in (*ps, *etas):
             arr.flags.writeable = False
         object.__setattr__(self, "ps", ps)
         object.__setattr__(self, "etas", etas)
-        object.__setattr__(self, "cell_volumes", vols)
 
     @classmethod
     def from_grid(cls, grid: Grid, sectors) -> "SectorFamily":
@@ -268,7 +261,7 @@ class SpectralDensityPair(SectorFamily):
 def mixed_relative_mu(sf: SectorFamily, c: CountingFunction) -> float:
     """Uncertainty fraction summed over discrete sectors."""
     return math.fsum(
-        _relative_mu(p, eta, sf.cell_volumes, c) for p, eta in zip(sf.ps, sf.etas)
+        _relative_mu(p, eta, sf.grid.cell_volume, c) for p, eta in zip(sf.ps, sf.etas)
     )
 
 
@@ -304,16 +297,15 @@ def partition_additivity_check(
     mask = np.asarray(part_one, dtype=bool).ravel()
     if mask.size != sd.p.size:
         raise InvalidInput("partition mask must cover every cell")
-    value = _relative_mu(sd.p, sd.eta, sd.cell_volumes, c)
+    vol = sd.grid.cell_volume
+    value = _relative_mu(sd.p, sd.eta, vol, c)
     split_terms = []
     fractions = []
     for part in (mask, ~mask):
-        f_part = float(np.sum(sd.eta[part] * sd.cell_volumes[part]))
+        f_part = riemann_sum(sd.eta[part], vol)
         if f_part <= 0.0:
             raise InvalidInput("partition part carries no spectral mass")
-        piece = _relative_mu(
-            sd.p[part] / f_part, sd.eta[part] / f_part, sd.cell_volumes[part], c
-        )
+        piece = _relative_mu(sd.p[part] / f_part, sd.eta[part] / f_part, vol, c)
         fractions.append(f_part)
         split_terms.append(f_part * piece)
     split_value = split_terms[0] + split_terms[1]
@@ -381,18 +373,13 @@ def reparametrization_check(
     h_target = sd.grid.spacing[0]
     h_source = source_grid.spacing[0]
 
-    def target_side(p, eta, h):
-        return _relative_mu(p, eta, np.full(p.size, h), c)
-
     def mapped_side(xs, ps, es, f_s, fp_s, h):
-        return target_side(np.interp(f_s, xs, ps) * fp_s, np.interp(f_s, xs, es) * fp_s, h)
+        return _relative_mu(np.interp(f_s, xs, ps) * fp_s, np.interp(f_s, xs, es) * fp_s, h, c)
 
-    value = target_side(sd.p, sd.eta, h_target)
-    value_coarse = target_side(_coarsen(sd.p), _coarsen(sd.eta), 2.0 * h_target)
+    value = _relative_mu(sd.p, sd.eta, h_target, c)
+    value_coarse = _relative_mu(_coarsen(sd.p), _coarsen(sd.eta), 2.0 * h_target, c)
     mapped = mapped_side(centers, sd.p, sd.eta, f, fp, h_source)
-    mapped_coarse = mapped_side(
-        centers, sd.p, sd.eta, _coarsen(f), _coarsen(fp), 2.0 * h_source
-    )
+    mapped_coarse = mapped_side(centers, sd.p, sd.eta, _coarsen(f), _coarsen(fp), 2.0 * h_source)
 
     discrepancy = abs(value - mapped)
     bound = abs(value - value_coarse) + abs(mapped - mapped_coarse)
@@ -402,14 +389,13 @@ def reparametrization_check(
     )
 
 
-@dataclass(frozen=True)
-class RefinementLevel:
-    """One step of a refinement family: counting weights over m blocks at
-    regularization scale ``spacing``."""
+class RefinementProblem(NamedTuple):
+    """A refinement family as two functions of the level k = 1, 2, ...:
+    ``weights(k)`` builds level k's counting weights, one per block, and
+    ``spacing(k)`` gives its regularization scale without building it."""
 
-    m_count: int
-    weights: np.ndarray
-    spacing: float
+    weights: Callable[[int], np.ndarray]
+    spacing: Callable[[int], float]
 
 
 @dataclass(frozen=True)
@@ -430,82 +416,61 @@ class RefinementResult:
 
 
 def refine_sequence(
-    problem: Callable[[int], RefinementLevel], levels: int, c: CountingFunction
+    problem: RefinementProblem, levels: int, c: CountingFunction
 ) -> RefinementResult:
     """Drive a refinement family and extrapolate its fraction to zero spacing.
 
-    ``problem(k)`` supplies the discretization for level k = 1..levels.
-    Each level contributes the ratio F_k = effective count / m_count; the
-    limit is the intercept of a least-squares fit of F_k = F_inf + a * h_k
-    over the last max(3, ceil(levels/2)) levels (:func:`~effnum.counting.tail_fit`).
-    The reported residual is the largest misfit inside the window; treat a
-    residual comparable to the level-to-level differences as a sign the
-    model order is wrong.
+    Level k = 1..levels contributes the ratio F_k = effective count / m_count
+    of its m_count weights ``problem.weights(k)`` at spacing h_k =
+    ``problem.spacing(k)``; the limit is the intercept of a least-squares
+    fit of F_k = F_inf + a * h_k over the last max(3, ceil(levels/2))
+    levels (:func:`~effnum.counting.tail_fit`).  The reported residual is
+    the largest misfit inside the window; treat a residual comparable to
+    the level-to-level differences as a sign the model order is wrong.
 
-    If ``problem.spacing(k)`` gives level k's spacing without building it,
-    as for the built-in problems, a finest spacing below
-    ``MIN_REFINE_SPACING`` raises InvalidInput before level 1 is built.
+    A finest spacing below ``MIN_REFINE_SPACING`` raises InvalidInput
+    before level 1 is built.
     """
     if levels < 3:
         raise InvalidInput("need at least 3 refinement levels to extrapolate")
-    if hasattr(problem, "spacing"):
-        finest = problem.spacing(levels)
-        if not finest >= MIN_REFINE_SPACING:
-            raise InvalidInput(
-                f"refinement level {levels} would have spacing {finest:g}, "
-                f"below the cap of {MIN_REFINE_SPACING:g} (the smallest normal double)"
-            )
+    finest = problem.spacing(levels)
+    if not finest >= MIN_REFINE_SPACING:
+        raise InvalidInput(
+            f"refinement level {levels} would have spacing {finest:g}, "
+            f"below the cap of {MIN_REFINE_SPACING:g} (the smallest normal double)"
+        )
     rows = []
     for k in range(1, levels + 1):
-        lev = problem(k)
-        wv = WeightVector(lev.weights)
-        if wv.n != lev.m_count:
-            raise InvalidInput(
-                f"level {k}: weight vector length {wv.n} != m_count {lev.m_count}"
-            )
-        ratio = effnum(wv, c) / lev.m_count
-        rows.append(RefinementRow(level=k, m_count=lev.m_count,
-                                  spacing=float(lev.spacing), ratio=ratio))
-    extrapolated, _, residual, window = tail_fit(
-        [row.spacing for row in rows], [row.ratio for row in rows]
-    )
+        wv = WeightVector(problem.weights(k))
+        rows.append(RefinementRow(level=k, m_count=wv.n, spacing=float(problem.spacing(k)),
+                                  ratio=effnum(wv, c) / wv.n))
+    extrapolated, _, residual, window = tail_fit([r.spacing for r in rows], [r.ratio for r in rows])
     return RefinementResult(
         rows=tuple(rows), extrapolated=extrapolated, residual=residual, window=window
     )
 
 
-def constant_refinement_problem(
-    weights, base_spacing: float = 1.0
-) -> Callable[[int], RefinementLevel]:
+def constant_refinement_problem(weights, base_spacing: float = 1.0) -> RefinementProblem:
     """Family whose discretization is already converged: every level
-    carries the same weights, checked as a WeightVector (the spacing
-    still halves per level)."""
+    carries the same weights, checked as a WeightVector, and level k's
+    spacing is base_spacing * 2**(1 - k), for any k."""
     arr = WeightVector(weights).w
-    m = arr.size
-
-    def spacing(k: int) -> float:
-        return math.ldexp(base_spacing, 1 - k)  # base_spacing * 2**(1 - k), for any k
-
-    def problem(k: int) -> RefinementLevel:
-        return RefinementLevel(m_count=m, weights=arr, spacing=spacing(k))
-
-    problem.spacing = spacing
-    return problem
+    return RefinementProblem(lambda k: arr, lambda k: math.ldexp(base_spacing, 1 - k))
 
 
 def interval_refinement_problem(
     intensity: Callable[[np.ndarray], np.ndarray],
     box: tuple[float, float],
     base_cells: int,
-) -> Callable[[int], RefinementLevel]:
+) -> RefinementProblem:
     """Dyadic refinement of a 1-d intensity profile on an interval.
 
     ``intensity`` returns non-negative midpoint samples proportional to
     the probability density (a wave function's |psi|^2, say); each level
     doubles the cell count, renormalizes the cell masses and converts
     them to counting weights.  A level of more than ``MAX_REFINE_CELLS``
-    cells raises InvalidInput; ``problem.spacing(k)`` applies that check
-    without building level k.
+    cells raises InvalidInput; ``spacing(k)`` applies that check without
+    building level k.
     """
     lo, hi = float(box[0]), float(box[1])
     if hi <= lo:
@@ -524,18 +489,15 @@ def interval_refinement_problem(
     def spacing(k: int) -> float:
         return (hi - lo) / cells(k)
 
-    def problem(k: int) -> RefinementLevel:
+    def weights(k: int) -> np.ndarray:
         m = cells(k)
-        h = (hi - lo) / m
-        x = lo + (np.arange(m) + 0.5) * h
+        x = lo + (np.arange(m) + 0.5) * spacing(k)
         vals = np.asarray(intensity(x), dtype=float)
         if np.any(vals < 0.0):
             raise InvalidInput("intensity samples must be non-negative")
         total = float(np.sum(vals))
         if total <= 0.0:
             raise InvalidInput("intensity vanishes on the whole box")
-        weights = m * (vals / total)
-        return RefinementLevel(m_count=m, weights=weights, spacing=h)
+        return m * (vals / total)
 
-    problem.spacing = spacing
-    return problem
+    return RefinementProblem(weights, spacing)

@@ -24,7 +24,7 @@ import numpy as np
 from .continuum import (
     Grid,
     GridWaveFunction,
-    RefinementLevel,
+    RefinementProblem,
     constant_refinement_problem,
     interval_refinement_problem,
 )
@@ -71,9 +71,8 @@ def _gc_paused(fn: Callable, *args) -> Any:
 
 
 def _load_json(path: str | Path) -> Any:
-    path = Path(path)
     try:
-        text = path.read_text()
+        text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:
         raise InvalidInput(f"{path}: cannot read file: {exc}") from exc
     try:
@@ -360,8 +359,12 @@ _refine_problem = partial(_read_kind, kinds=PROBLEM_KINDS, what="problem")
 _dfd_family = partial(_read_kind, kinds=FAMILY_KINDS, what="family")
 
 
-def load_refine_problem(path: str | Path) -> tuple[Callable[[int], RefinementLevel], str]:
+def load_refine_problem(path: str | Path) -> tuple[RefinementProblem, str]:
     """Refinement-problem file; returns (problem, description).
+
+    The problem is a ``RefinementProblem``: ``weights(k)`` builds level
+    k's counting weights, and ``spacing(k)`` gives its spacing, checking
+    the caps, without building it.
 
     Kinds: {"kind": "constant", "weights": [...], "base_spacing": 1.0}
            {"kind": "half-box-1d", "box": [lo, hi], "base_cells": m}

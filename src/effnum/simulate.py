@@ -3,7 +3,8 @@
 Outcomes are drawn i.i.d. from the subspace collapse probabilities of a
 state (Born rule); nothing dynamical is simulated.  Sampling is fully
 reproducible: a counter-based Philox generator keyed by the seed produces
-uniforms that are converted by inverse CDF, and bootstrap replicas derive
+uniforms that are converted by inverse CDF, run i of one seed's table
+reads that stream jumped i times, and bootstrap replicas derive
 their own sub-seeds, so identical inputs give bit-identical results.
 
 The inverse CDF is an indexed search (Chen & Asau 1974; Devroye 1986,
@@ -77,16 +78,21 @@ def sample_outcomes(
     probabilities.  A t beyond ``MAX_TRIALS`` raises InvalidInput before
     anything of size t is allocated.
     """
-    return _sample(subspace_probs(psi, dec, basis), t, seed)
+    return _sample(subspace_probs(psi, dec, basis), t, seed, 0)
 
 
-def _sample(probs: ProbabilityVector, t: int, seed: int) -> OutcomeSequence:
-    """``sample_outcomes`` from the collapse probabilities themselves."""
+def _sample(probs: ProbabilityVector, t: int, seed: int, run: int) -> OutcomeSequence:
+    """``sample_outcomes`` from the collapse probabilities themselves.
+
+    The uniforms come from Philox keyed by ``seed`` and jumped ``run``
+    times, as if 2**128 draws were made per jump, so the runs of one seed
+    share no draw; run 0 is the unjumped stream of ``sample_outcomes``.
+    """
     if not 1 <= t <= MAX_TRIALS:
         raise InvalidInput(f"trial count must lie in [1, {MAX_TRIALS}], got {t}")
     if not 0 <= seed < 2**64:
         raise InvalidInput(f"seed must lie in [0, 2**64), got {seed}")
-    rng = Generator(Philox(key=np.uint64(seed)))
+    rng = Generator(Philox(key=np.uint64(seed)).jumped(run))
     uniforms = rng.random(int(t))
     cumulative = np.cumsum(probs.p)
     cumulative[-1] = max(cumulative[-1], 1.0)  # guard the last bin against rounding

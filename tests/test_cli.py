@@ -469,8 +469,8 @@ class TestCheck:
         path.write_text(json.dumps(doc))
         code, _, err = run(capsys, "check", path)
         assert code == 2
-        assert err.startswith("error: ") and f"{path}: INVALID ({path}: " in err
-        assert err.count(str(path)) == 2  # the file's line, and once in its message
+        assert err.startswith("error: ") and f"{path}: INVALID (" in err
+        assert err.count(str(path)) == 1  # the row names the file; its detail does not
 
     def test_check_rejects_the_constant_weights_refine_rejects(self, capsys, tmp_path):
         for weights, says in [([5, -1], "must be non-negative"), ([1, 2], "must sum to n=2")]:

@@ -13,7 +13,7 @@ from effnum import (
     GridWaveFunction,
     InvalidInput,
     OrthonormalBasis,
-    RefinementLevel,
+    RefinementProblem,
     SectorFamily,
     SpectralDensityPair,
     constant_refinement_problem,
@@ -252,6 +252,20 @@ class TestJordanContent:
         p = np.full(3, 1.0)
         assert effective_jordan_content(vols, p, MINIMAL) == 1.0
 
+    @pytest.mark.filterwarnings("error")
+    def test_explicit_volumes_with_an_overflowing_total_are_rejected(self):
+        # each cell's mass p * vol is 0.5, so the density integrates to 1
+        with pytest.raises(InvalidInput, match="total volume must be finite"):
+            effective_jordan_content(np.array([1e308, 1e308]), np.array([0.5e-308, 0.5e-308]),
+                                     MINIMAL)
+
+    @pytest.mark.filterwarnings("error")
+    def test_grid_with_an_overflowing_cell_volume_is_rejected_without_a_warning(self):
+        grid = Grid(shape=(2, 2), spacing=(1e200, 1e200))
+        assert grid.cell_volume == math.inf
+        with pytest.raises(InvalidInput, match="total volume must be finite"):
+            effective_jordan_content(grid, np.full(4, 0.25), MINIMAL)
+
 
 class TestPartitionAdditivity:
     def test_symmetric_cut_splits_evenly(self):
@@ -424,22 +438,36 @@ class TestRefinement:
             refine_sequence(problem, 80, MINIMAL)
         assert sampled == []
         with pytest.raises(InvalidInput, match="above the cap"):
-            problem(80)
+            problem.weights(80)
 
     def test_spacing_cap_is_checked_before_any_level_is_built(self):
         constant = constant_refinement_problem(np.array([1.5, 0.5]))
         built = []
 
-        def problem(k: int):
+        def weights(k: int):
             built.append(k)
-            return constant(k)
+            return constant.weights(k)
 
-        problem.spacing = constant.spacing
+        problem = RefinementProblem(weights, constant.spacing)
         # base spacing 1: level 1023 has the smallest normal spacing, 1024 a subnormal one
         assert problem.spacing(1023) == sys.float_info.min
         for levels in (1024, 1100, 10**9, 10**400):
             with pytest.raises(InvalidInput, match="below the cap"):
                 refine_sequence(problem, levels, MINIMAL)
+        assert built == []
+
+    def test_hand_built_problem_with_a_subnormal_finest_spacing_is_rejected(self):
+        built = []
+
+        def weights(k: int) -> np.ndarray:
+            built.append(k)
+            return np.ones(2)
+
+        # levels 1 and 2 have normal spacings, level 3 the subnormal 2**-1023
+        problem = RefinementProblem(weights, lambda k: math.ldexp(1.0, -1020 - k))
+        assert problem.spacing(2) == sys.float_info.min
+        with pytest.raises(InvalidInput, match="below the cap"):
+            refine_sequence(problem, 3, MINIMAL)
         assert built == []
 
     @pytest.mark.parametrize("base_spacing", [0.0, -1.0])
@@ -458,13 +486,6 @@ class TestRefinement:
         with pytest.raises(InvalidInput):
             refine_sequence(problem, 2, MINIMAL)
 
-    def test_level_weight_mismatch_rejected(self):
-        def bad(_k: int) -> RefinementLevel:
-            return RefinementLevel(m_count=3, weights=np.array([1.0, 1.0]), spacing=1.0)
-
-        with pytest.raises(InvalidInput):
-            refine_sequence(bad, 3, MINIMAL)
-
     @given(
         sizes=st.lists(st.integers(1, 16), min_size=3, max_size=20),
         seed=st.integers(0, 2**32 - 1),
@@ -473,10 +494,9 @@ class TestRefinement:
     @settings(max_examples=100, deadline=None, derandomize=True)
     def test_extrapolation_is_the_polyfit_intercept_over_the_window(self, sizes, seed, alpha):
         rng = np.random.default_rng(seed)
-        levels = [RefinementLevel(m_count=m, weights=m * random_probs(rng, m),
-                                  spacing=math.ldexp(1.0, -k)) for k, m in enumerate(sizes)]
-        result = refine_sequence(lambda k: levels[k - 1], len(sizes),
-                                 CountingFunction.canonical(alpha))
+        weights = [m * random_probs(rng, m) for m in sizes]
+        problem = RefinementProblem(lambda k: weights[k - 1], lambda k: math.ldexp(1.0, 1 - k))
+        result = refine_sequence(problem, len(sizes), CountingFunction.canonical(alpha))
         window = max(3, math.ceil(len(sizes) / 2))
         assert result.window == window
         x = [row.spacing for row in result.rows][-window:]

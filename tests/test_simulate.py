@@ -22,7 +22,7 @@ from effnum import (
     sample_outcomes,
     weights_from_probs,
 )
-from effnum import cli, simulate, states
+from effnum import cli, io, simulate, states
 from effnum.simulate import DEFAULT_BOOTSTRAP, PluginEstimate, _indexed_search
 
 from conftest import FIXTURES
@@ -306,3 +306,21 @@ def test_simulate_computes_the_collapse_probabilities_once(monkeypatch, capsys):
     code = cli.main(["simulate", str(FIXTURES / "state_uniform4.json"),
                      str(FIXTURES / "dec_singletons4.json"), "--trials", "1000,100000"])
     assert code == 0 and len(calls) == 1
+
+
+def test_runs_of_a_trial_table_are_independent_streams(monkeypatch, capsys):
+    runs, sample = [], simulate._sample
+
+    def recorded(*args):
+        runs.append(sample(*args))
+        return runs[-1]
+
+    monkeypatch.setattr(simulate, "_sample", recorded)
+    state, dec = FIXTURES / "state_uniform4.json", FIXTURES / "dec_singletons4.json"
+    code = cli.main(["simulate", str(state), str(dec), "--trials", "1000,100000", "--seed", "7"])
+    assert code == 0 and [seq.t_count for seq in runs] == [1000, 100000]
+    # runs keyed by the seed alone would make the shorter one a prefix of the longer
+    assert not np.array_equal(runs[0].trials, runs[1].trials[:1000])
+    psi = io.load_state(state)
+    alone = sample_outcomes(psi, *io.load_decomposition(dec, psi.dim), 1000, seed=7)
+    assert np.array_equal(runs[0].trials, alone.trials)
