@@ -1,4 +1,4 @@
-"""Command-line frontend.
+"""Command-line frontend: each ``_cmd_*`` handler fills one ``io.Result``.
 
 Exit codes: 0 success, 2 input validation failure, 3 domain invariant
 violation, 4 numerical non-convergence.  Indices are 0-based in files and
@@ -19,10 +19,8 @@ from . import continuum, density, entropy, simulate, states
 from .counting import CountingFunction, effnum, validate_counting_function, weights_from_probs
 from .errors import ConvergenceError, InvalidInput, InvariantViolation
 from .io import (
-    Column,
+    Result,
     check_file,
-    csv_text,
-    json_text,
     load_decomposition,
     load_density,
     load_dfd_family,
@@ -30,47 +28,7 @@ from .io import (
     load_refine_problem,
     load_state,
     parse_counting_selector,
-    table_text,
 )
-
-
-class Result:
-    """One command's output, filled once: the JSON payload plus rows that
-    :meth:`render` turns into the table or the csv text.
-
-    A row is (table part, csv cells).  The table part is a (label, value)
-    pair, aligned with the other pairs, a preformatted line, or None; the
-    csv cells are None for a row shown only in the table.  A Column is
-    both parts at once.
-    """
-
-    def __init__(self, command: str, title: str, header: list[str]):
-        self.payload = {"command": command}
-        self.title, self.header, self.rows = title, header, []
-
-    def add(self, table, csv: list | None = None) -> None:
-        self.rows.append((table, csv))
-
-    def put(self, key: str, value, label: str | None = None, csv: bool = False) -> None:
-        """Set a payload entry, shown in the table under ``label`` and as
-        the csv row [key, value] if ``csv``."""
-        self.payload[key] = value
-        self.add((label, value) if label else None, [key, value] if csv else None)
-
-    def column(self, key: str, label: str, values) -> None:
-        """Set the payload entry ``key`` to a 1-d float array, shown as one
-        table pair ``label[i]`` (1-based) and one csv row [i, value]
-        (0-based) per entry."""
-        self.payload[key] = values
-        column = Column(label, values)
-        self.add(column, column)
-
-    def render(self, fmt: str) -> str:
-        if fmt == "json":
-            return json_text(self.payload) + "\n"
-        if fmt == "csv":
-            return csv_text(self.header, [cells for _, cells in self.rows if cells is not None])
-        return table_text(self.title, [table for table, _ in self.rows])
 
 
 def _cmd_mu(args) -> Result:
@@ -83,7 +41,7 @@ def _cmd_mu(args) -> Result:
     out.put("n", psi.dim, "dimension N")
     out.put("m", dec.m_count, "blocks M")
     out.put("counting_function", c.label, "kernel")
-    out.column("block_probs", "p", probs.p)
+    out.put("block_probs", probs.p, "p", csv=True)
     out.put("mu_uncertainty", effnum(weights, c), "mu-uncertainty", csv=True)
     out.put("mu_uncertainty_min", effnum(weights, CountingFunction.minimal()), "minimal (star)",
             csv=True)
@@ -113,7 +71,7 @@ def _cmd_qnum(args) -> Result:
     out.put("n", rho.dim, "dimension N")
     out.put("counting_function", c.label, "kernel")
     out.payload["log_base"] = base_label
-    out.column("spectrum", "rho", rho.spectrum)
+    out.put("spectrum", rho.spectrum, "rho", csv=True)
     value, minimal = density.quantum_effnum(rho, c), density.quantum_effnum_min(rho)
     out.put("qnum", value, "state components", csv=True)
     out.put("qnum_min", minimal, "minimal (star)", csv=True)
@@ -236,7 +194,7 @@ def _cmd_check(args) -> Result:
                        kernel_passed=report.passed, files=[])
     out.add(report.summary().replace("\n", "\n  "))
     for k in report.checks:
-        out.add(None, list(astuple(k)))
+        out.add(csv=list(astuple(k)))
     for path in args.files:
         try:
             valid, detail = True, check_file(path)
@@ -349,7 +307,7 @@ def _new_parser() -> argparse.ArgumentParser:
     return parser
 
 
-_EXIT_CODES = {InvalidInput: 2, FileNotFoundError: 2, InvariantViolation: 3, ConvergenceError: 4}
+_EXIT_CODES = {InvalidInput: 2, InvariantViolation: 3, ConvergenceError: 4}
 
 
 def main(argv: list[str] | None = None) -> int:

@@ -1,10 +1,11 @@
-"""JSON input formats and machine-readable output rendering.
+"""JSON input formats and command output.
 
 All input files are JSON documents with complex numbers written as
 ``[re, im]`` pairs and 0-based indices.  ``_load_json`` alone decodes
 files.  Each input kind has one reader of the decoded document alone, which
 ``load_<kind>`` and, through ``SCHEMAS``, ``check_file`` call through ``_named``:
 the one place an error raised while reading a file gets the file's name.
+A command's output is one ``Result``, rendered as json, csv or a table.
 Floating-point output in the json/csv renderers carries 17 significant
 digits so values round-trip exactly.
 """
@@ -53,34 +54,27 @@ def parse_counting_selector(text: str) -> CountingFunction:
     raise InvalidInput(f'counting-function selector must be "star" or "alpha=<x>", got {text!r}')
 
 
-def _gc_paused(fn: Callable, *args) -> Any:
-    """``fn(*args)`` with the cyclic garbage collector paused, then restored
-    to its previous state.
-
-    A decoded JSON document holds no reference cycles, nor do the tuples
-    and arrays built from it, so a collection triggered by their many new
-    objects would free nothing; it would only walk them, and the heap.
-    """
+def _load_json(path: str | Path) -> Any:
+    """The document in the file at ``path``, decoded with the cyclic garbage
+    collector paused: a decoded document holds no reference cycles, so a
+    collection triggered by its many new objects would free nothing; it
+    would only walk them, and the heap."""
+    try:
+        text = Path(path).read_text()
+    except (OSError, UnicodeDecodeError) as exc:  # a UnicodeDecodeError has no strerror
+        reason = getattr(exc, "strerror", None) or exc
+        raise InvalidInput(f"{path}: cannot read file: {reason}") from exc
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return fn(*args)
-    finally:
-        if enabled:
-            gc.enable()
-
-
-def _load_json(path: str | Path) -> Any:
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:
-        raise InvalidInput(f"{path}: cannot read file: {exc}") from exc
-    try:
-        return _gc_paused(json.loads, text)
+        return json.loads(text)
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     except RecursionError as exc:
         raise InvalidInput(f"{path}: invalid JSON: nested too deeply") from exc
+    finally:
+        if enabled:
+            gc.enable()
 
 
 def _named(path, read: Callable, *args) -> Any:
@@ -207,8 +201,7 @@ def _decomposition(doc: dict, dim: int | None = None):
     groups = _index_groups(doc)
     if dim is None:
         dim = 1 + max(chain.from_iterable(groups), default=-1)
-    # one tuple per group, none of them in a cycle
-    dec = _gc_paused(OrthogonalDecomposition, groups, dim)
+    dec = OrthogonalDecomposition(groups, dim)
 
     basis_doc = doc.get("basis", "identity")
     if basis_doc == "identity":
@@ -424,29 +417,41 @@ def format_float(x: float) -> str:
     return f"{float(x):.17g}"
 
 
-class Column:
-    """Rows for every entry of a 1-d float array, rendered in bulk: entry i
-    is the table pair ``label[i + 1]`` and the csv row ``i,value``."""
+class Result:
+    """One command's output, filled once: the JSON payload, the parts of its
+    ``table_text`` and the rows of its ``csv_text``, rendered by :meth:`render`."""
 
-    def __init__(self, label: str, values: np.ndarray):
-        self.label, self.values = label, values
+    def __init__(self, command: str, title: str, header: list[str]):
+        self.payload = {"command": command}
+        self.title, self.header, self.table, self.csv = title, header, [], []
 
+    def add(self, table=None, csv: list | None = None) -> None:
+        if table is not None:
+            self.table.append(table)
+        if csv is not None:
+            self.csv.append(csv)
 
-def _coerce(value: Any) -> Any:
-    if isinstance(value, (np.floating,)):
-        return float(value)
-    if isinstance(value, (np.integer,)):
-        return int(value)
-    if isinstance(value, np.ndarray):
-        return value.tolist()
-    return value
+    def put(self, key: str, value, label: str | None = None, csv: bool = False) -> None:
+        """Set a payload entry, shown in the table under ``label`` and as
+        the csv row [key, value] if ``csv``.  A 1-d float array is shown as
+        one table pair ``label[i]`` (1-based) and one csv row i,value
+        (0-based) per entry."""
+        self.payload[key] = value
+        row = value if isinstance(value, np.ndarray) else [key, value]
+        self.add((label, value) if label else None, row if csv else None)
+
+    def render(self, fmt: str) -> str:
+        if fmt == "json":
+            return json_text(self.payload) + "\n"
+        if fmt == "csv":
+            return csv_text(self.header, self.csv)
+        return table_text(self.title, self.table)
 
 
 def json_text(obj: Any, indent: int = 0) -> str:
     """Serialize to JSON with floats at 17 significant digits."""
-    if isinstance(obj, np.ndarray) and obj.ndim == 1 and obj.dtype.kind == "f":
+    if isinstance(obj, np.ndarray):
         return "[" + ", ".join(map("{:.17g}".format, obj.tolist())) + "]"
-    obj = _coerce(obj)
     pad = "  " * indent
     inner = "  " * (indent + 1)
     if isinstance(obj, dict):
@@ -455,28 +460,21 @@ def json_text(obj: Any, indent: int = 0) -> str:
         items = [f'{inner}{json.dumps(str(k))}: {json_text(v, indent + 1)}' for k, v in obj.items()]
         return "{\n" + ",\n".join(items) + f"\n{pad}}}"
     if isinstance(obj, (list, tuple)):
-        seq = list(obj)
-        if not seq:
+        if not obj:
             return "[]"
-        flat = all(not isinstance(_coerce(v), (dict, list, tuple)) for v in seq)
-        if flat:
-            return "[" + ", ".join(json_text(v) for v in seq) + "]"
-        items = [f"{inner}{json_text(v, indent + 1)}" for v in seq]
+        if not any(isinstance(v, (dict, list, tuple)) for v in obj):
+            return "[" + ", ".join(map(json_text, obj)) + "]"
+        items = [f"{inner}{json_text(v, indent + 1)}" for v in obj]
         return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, bool) or obj is None:
-        return json.dumps(obj)
     if isinstance(obj, float):
         return format_float(obj)
-    if isinstance(obj, int):
-        return str(obj)
     return json.dumps(obj)
 
 
 def csv_text(header: list[str], rows: list) -> str:
-    """Render rows, lists of cells or Columns, as CSV with
-    17-significant-digit floats."""
+    """Render rows, lists of cells or 1-d float arrays, as CSV with
+    17-significant-digit floats; an array's entry i is the row i,value."""
     def cell(value: Any) -> str:
-        value = _coerce(value)
         if isinstance(value, bool):
             return "true" if value else "false"
         if isinstance(value, float):
@@ -485,8 +483,8 @@ def csv_text(header: list[str], rows: list) -> str:
 
     lines = [",".join(header)]
     for row in rows:
-        if isinstance(row, Column):
-            lines.extend(map("{},{:.17g}".format, range(row.values.size), row.values.tolist()))
+        if isinstance(row, np.ndarray):
+            lines.extend(map("{},{:.17g}".format, range(row.size), row.tolist()))
         else:
             lines.append(",".join(map(cell, row)))
     return "\n".join(lines) + "\n"
@@ -495,22 +493,24 @@ def csv_text(header: list[str], rows: list) -> str:
 def table_text(title: str, parts: list) -> str:
     """Render the title and one indented line per part: a (label, value)
     pair, aligned with the other pairs and with floats at 12 significant
-    digits; a Column of such pairs; or a preformatted line.  A part that
-    is None is skipped."""
-    labels = [p[0] for p in parts if isinstance(p, tuple)]
-    labels += [f"{p.label}[{p.values.size}]" for p in parts
-               if isinstance(p, Column) and p.values.size]  # the last label is the longest
+    digits, or a preformatted line.  A pair whose value is a 1-d float
+    array renders one pair ``label[i]`` (1-based) per entry."""
+    pairs = [p for p in parts if isinstance(p, tuple)]
+    # an array's last label is its longest; an empty array has none
+    labels = [f"{label}[{value.size}]" if isinstance(value, np.ndarray) else label
+              for label, value in pairs if not isinstance(value, np.ndarray) or value.size]
     width = max(map(len, labels), default=0)
     lines = [title]
     for part in parts:
-        if isinstance(part, tuple):
-            label, value = part
+        if not isinstance(part, tuple):
+            lines.append(f"  {part}")
+            continue
+        label, value = part
+        if isinstance(value, np.ndarray):
+            pair = f"  {{:<{width}}}  {{:.12g}}".format
+            names = map(f"{label}[{{}}]".format, range(1, value.size + 1))
+            lines.extend(map(pair, names, value.tolist()))
+        else:
             value = f"{value:.12g}" if isinstance(value, float) else value
             lines.append(f"  {label:<{width}}  {value}")
-        elif isinstance(part, Column):
-            pair = f"  {{:<{width}}}  {{:.12g}}".format
-            names = map(f"{part.label}[{{}}]".format, range(1, part.values.size + 1))
-            lines.extend(map(pair, names, part.values.tolist()))
-        elif part is not None:
-            lines.append(f"  {part}")
     return "\n".join(lines) + "\n"

@@ -4,8 +4,8 @@ Outcomes are drawn i.i.d. from the subspace collapse probabilities of a
 state (Born rule); nothing dynamical is simulated.  Sampling is fully
 reproducible: a counter-based Philox generator keyed by the seed produces
 uniforms that are converted by inverse CDF, run i of one seed's table
-reads that stream jumped i times, and bootstrap replicas derive
-their own sub-seeds, so identical inputs give bit-identical results.
+reads that stream jumped i times, and the bootstrap replicas of each run
+derive their own sub-seeds, so identical inputs give bit-identical results.
 
 The inverse CDF is an indexed search (Chen & Asau 1974; Devroye 1986,
 section III.2.4): a guide table over K equal buckets of [0, 1), K the
@@ -49,6 +49,7 @@ class OutcomeSequence:
     trials: np.ndarray
     seed: int
     m_count: int
+    run: int = 0  # the run of its seed's table (see ``_sample``), which keys its bootstrap
     t_count: int = field(init=False)
 
     def __post_init__(self):
@@ -97,7 +98,7 @@ def _sample(probs: ProbabilityVector, t: int, seed: int, run: int) -> OutcomeSeq
     cumulative = np.cumsum(probs.p)
     cumulative[-1] = max(cumulative[-1], 1.0)  # guard the last bin against rounding
     indices = _indexed_search(cumulative, uniforms)
-    return OutcomeSequence(trials=indices, seed=int(seed), m_count=probs.n)
+    return OutcomeSequence(trials=indices, seed=int(seed), m_count=probs.n, run=run)
 
 
 def _indexed_search(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
@@ -149,7 +150,8 @@ def plugin_mu_estimate(seq: OutcomeSequence, c: CountingFunction | None = None) 
     The estimate applies the kernel (default: minimal) to the empirical
     counting weights.  The standard error comes from ``DEFAULT_BOOTSTRAP``
     multinomial resamples of the counts, each driven by a sub-seed derived
-    from the sequence seed, so repeated calls are bit-identical.  A
+    from the sequence's seed and run, so repeated calls are bit-identical
+    and the runs of one seed's table resample from streams of their own.  A
     replica's weights M * (counts / t) are reduced as ``effnum`` reduces
     them; counts that are non-negative and sum to t already make valid
     probabilities and weights, so only those two facts are checked.
@@ -166,7 +168,7 @@ def plugin_mu_estimate(seq: OutcomeSequence, c: CountingFunction | None = None) 
     pvals = freqs.p / float(np.sum(freqs.p))
     replicas = np.empty(DEFAULT_BOOTSTRAP)
     for r in range(DEFAULT_BOOTSTRAP):
-        sub = SeedSequence(seq.seed, spawn_key=(1, r))
+        sub = SeedSequence(seq.seed, spawn_key=(1 + seq.run, r))
         counts = Generator(Philox(seed=sub)).multinomial(t, pvals)
         if counts.min() < 0 or counts.sum() != t:
             raise InvariantViolation(f"bootstrap replica {r} does not hold {t} trials")

@@ -11,8 +11,8 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from dataclasses import InitVar, dataclass, field
+from typing import Callable, Sequence
 
 import numpy as np
 
@@ -80,33 +80,31 @@ class OrthonormalBasis:
         return cls(np.eye(dim, dtype=complex))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class OrthogonalDecomposition:
     """Partition of the basis-index set {0, ..., dim-1} into disjoint blocks.
 
     Each block models one orthogonal subspace; blocks with more than one
-    index represent degenerate outcome sectors.  Indices are 0-based.
-    ``flat`` lists the indices block after block and ``segment`` the block
-    of each entry of ``flat``; both are read-only.
+    index represent degenerate outcome sectors.  Indices are 0-based.  The
+    blocks are kept as ``flat``, the indices block after block, and
+    ``segment``, the block of each entry of ``flat``; both are read-only.
     """
 
-    blocks: tuple[tuple[int, ...], ...]
+    blocks: InitVar[Sequence[Sequence[int]]]
     dim: int
-    flat: np.ndarray = field(init=False, repr=False, compare=False)
-    segment: np.ndarray = field(init=False, repr=False, compare=False)
+    m_count: int = field(init=False)
+    flat: np.ndarray = field(init=False, repr=False)
+    segment: np.ndarray = field(init=False, repr=False)
 
-    def __post_init__(self):
-        blocks = tuple(map(tuple, self.blocks))
+    def __post_init__(self, blocks):
         indices = list(itertools.chain.from_iterable(blocks))
         kinds = set(map(type, indices))
-        if not kinds <= {int}:
-            # numpy integers are indices too; a bool or a float is not one
-            if not all(issubclass(k, np.integer) or k is int for k in kinds):
-                names = ", ".join(sorted(k.__name__ for k in kinds))
-                raise InvalidInput(f"block indices must be integers, got {names}")
-            blocks = tuple(tuple(map(int, block)) for block in blocks)
+        # numpy integers are indices too; a bool or a float is not one
+        if not all(k is int or issubclass(k, np.integer) for k in kinds):
+            names = ", ".join(sorted(k.__name__ for k in kinds))
+            raise InvalidInput(f"block indices must be integers, got {names}")
         sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
-        if not blocks or not sizes.all():
+        if not sizes.size or not sizes.all():
             raise InvalidInput("decomposition blocks must be non-empty")
         try:
             flat = np.fromiter(indices, np.intp, len(indices))
@@ -118,16 +116,12 @@ class OrthogonalDecomposition:
             raise InvalidInput(
                 f"blocks must partition {{0,...,{self.dim - 1}}} into disjoint pieces"
             )
-        segment = np.repeat(np.arange(len(blocks)), sizes)
+        segment = np.repeat(np.arange(sizes.size), sizes)
         flat.flags.writeable = False
         segment.flags.writeable = False
-        object.__setattr__(self, "blocks", blocks)
+        object.__setattr__(self, "m_count", sizes.size)
         object.__setattr__(self, "flat", flat)
         object.__setattr__(self, "segment", segment)
-
-    @property
-    def m_count(self) -> int:
-        return len(self.blocks)
 
     @classmethod
     def singletons(cls, dim: int) -> "OrthogonalDecomposition":

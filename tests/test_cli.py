@@ -233,6 +233,22 @@ class TestExitCodes:
         code, _, err = run(capsys, "qnum", tmp_path / "nope.json")
         assert code == 2
 
+    @pytest.mark.parametrize("command", ["qnum", "check"])
+    @pytest.mark.parametrize("kind, reason", [
+        ("missing", "No such file or directory"),
+        ("directory", "Is a directory"),
+        ("not-utf8", "'utf-8' codec can't decode byte 0xff"),
+    ], ids=["missing", "directory", "not-utf8"])
+    def test_unreadable_file_is_named_once(self, capsys, tmp_path, command, kind, reason):
+        path = tmp_path / "doc.json"
+        if kind == "directory":
+            path.mkdir()
+        elif kind == "not-utf8":
+            path.write_bytes(b"\xff\xfe{}")
+        code, _, err = run(capsys, command, path)
+        assert code == 2
+        assert f"cannot read file: {reason}" in err and err.count(str(path)) == 1
+
     def test_bad_alpha_is_exit_two(self, capsys):
         code, _, err = run(
             capsys, "qnum", FIXTURES / "density_werner.json", "--cf", "alpha=1.5"
@@ -642,7 +658,7 @@ def csv_reference(header: list, rows: list) -> str:
 
 
 class TestColumns:
-    """Columns render the bytes that one row per entry rendered."""
+    """Array entries render the bytes that one row per entry rendered."""
 
     def outputs(self, capsys, *argv) -> tuple[dict, str, str]:
         texts = {}
@@ -706,18 +722,17 @@ class TestColumns:
     def test_renderers_match_their_per_entry_forms(self):
         values = np.concatenate([[0.0, -0.0, 5e-324, 1e-300, 1.0 / 3.0, 1e300, -2.5],
                                  np.random.default_rng(5).random(1227)])
-        column = io.Column("weight", values)
         pairs = [(f"weight[{i + 1}]", v) for i, v in enumerate(values.tolist())]
-        # the column's last label, weight[1234], is the widest and sets the width
-        assert io.table_text("t", [("a", 1.5), column, "note", None]) == (
+        # the array's last label, weight[1234], is the widest and sets the width
+        assert io.table_text("t", [("a", 1.5), ("weight", values), "note"]) == (
             table_reference("t", [("a", 1.5)] + pairs)[:-1] + "\n  note\n")
         rows = [[i, v] for i, v in enumerate(values.tolist())]
-        assert io.csv_text(["i", "v"], [column, ["x", 2.5]]) == csv_reference(
+        assert io.csv_text(["i", "v"], [values, ["x", 2.5]]) == csv_reference(
             ["i", "v"], rows + [["x", 2.5]])
         assert json_text({"v": values}) == json_text({"v": values.tolist()})
         empty = np.zeros(0)
-        assert io.table_text("t", [("a", 1), io.Column("w", empty)]) == "t\n  a  1\n"
-        assert io.csv_text(["i", "v"], [io.Column("w", empty)]) == "i,v\n"
+        assert io.table_text("t", [("a", 1), ("w", empty)]) == "t\n  a  1\n"
+        assert io.csv_text(["i", "v"], [empty]) == "i,v\n"
         assert json_text(empty) == "[]"
 
 

@@ -19,9 +19,10 @@ import math
 import os
 import re
 
+import numpy as np
 import pytest
 
-from effnum.cli import main
+from effnum.cli import build_parser, main
 
 from conftest import FIXTURES
 
@@ -72,6 +73,37 @@ def assert_same_text(got: str, want: str) -> None:
 
 def snapshot() -> dict[tuple[str, ...], dict]:
     return {tuple(rec["argv"]): rec for rec in json.loads(GOLDEN.read_text())}
+
+
+def payload_leaves(value):
+    """The leaves of a payload: everything that is not a dict, list or tuple."""
+    if isinstance(value, dict):
+        value = list(value.values())
+    if isinstance(value, (list, tuple)):
+        for v in value:
+            yield from payload_leaves(v)
+    else:
+        yield value
+
+
+def test_payload_leaves_are_plain_values_or_float_vectors():
+    """``io.json_text`` writes a bool, int, float or str, or a 1-d float array;
+    a numpy scalar in a payload would make it raise."""
+    seen = set()
+    cwd = os.getcwd()
+    os.chdir(FIXTURES)
+    try:
+        for argv in commands():
+            args = build_parser().parse_args(argv)
+            seen.add(args.command)
+            for leaf in payload_leaves(args.handler(args).payload):
+                if isinstance(leaf, np.ndarray):
+                    assert leaf.ndim == 1 and leaf.dtype == float, (argv, leaf)
+                else:
+                    assert type(leaf) in (bool, int, float, str), (argv, leaf)
+    finally:
+        os.chdir(cwd)
+    assert len(seen) == 8
 
 
 def test_snapshot_covers_every_case():

@@ -163,7 +163,7 @@ def reference_plugin_mu_estimate(seq: OutcomeSequence, c: CountingFunction) -> P
     t = seq.t_count
     replicas = np.empty(DEFAULT_BOOTSTRAP)
     for r in range(DEFAULT_BOOTSTRAP):
-        rng = Generator(Philox(seed=SeedSequence(seq.seed, spawn_key=(1, r))))
+        rng = Generator(Philox(seed=SeedSequence(seq.seed, spawn_key=(1 + seq.run, r))))
         counts = rng.multinomial(t, freqs.p / float(np.sum(freqs.p)))
         replicas[r] = effnum(weights_from_probs(ProbabilityVector(counts / t)), c)
     return PluginEstimate(estimate, float(np.std(replicas, ddof=1)), DEFAULT_BOOTSTRAP)
@@ -273,6 +273,15 @@ class TestBootstrapMatchesTheReferenceLoop:
         seq = sample_outcomes(psi, dec, None, 10_000, seed=8)
         for c in (MINIMAL, CountingFunction.canonical(0.5)):
             assert plugin_mu_estimate(seq, c) == reference_plugin_mu_estimate(seq, c)
+
+    def test_each_run_resamples_from_its_own_streams(self, sequence):
+        later = OutcomeSequence(sequence.trials, sequence.seed, sequence.m_count, run=1)
+        first, second = plugin_mu_estimate(sequence, MINIMAL), plugin_mu_estimate(later, MINIMAL)
+        assert first.estimate == second.estimate and first.stderr != second.stderr
+        assert second == reference_plugin_mu_estimate(later, MINIMAL)
+        # run 0 keeps the replica streams SeedSequence(seed, spawn_key=(1, r)) and their value
+        assert sequence.run == 0 and first == reference_plugin_mu_estimate(sequence, MINIMAL)
+        assert math.isclose(first.stderr, 5.248561348196808, rel_tol=1e-13)
 
     def test_a_replica_that_loses_trials_is_an_invariant_violation(self, monkeypatch):
         class ShortGenerator(Generator):

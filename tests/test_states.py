@@ -244,9 +244,15 @@ class TestDecomposition:
     @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, np.intp])
     def test_numpy_integer_indices_are_accepted(self, kind):
         dec = OrthogonalDecomposition(((kind(2), 0), np.array([1], dtype=kind)), 3)
-        assert dec.blocks == ((2, 0), (1,))
-        assert {type(i) for block in dec.blocks for i in block} == {int}
+        assert dec.m_count == 2 and type(dec.m_count) is int
         assert dec.flat.tolist() == [2, 0, 1]
+        assert dec.segment.tolist() == [0, 0, 1]
+
+    def test_equality_is_identity(self):
+        # fields alone would equate partitions that share dim and block count
+        dec = OrthogonalDecomposition([[0, 1], [2]], 3)
+        assert dec == dec
+        assert dec != OrthogonalDecomposition([[0], [1, 2]], 3)
 
     def test_block_probabilities_equal_per_block_fsum(self):
         rng = np.random.default_rng(9)
