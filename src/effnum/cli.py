@@ -13,7 +13,6 @@ import math
 import os
 import re
 import sys
-from dataclasses import asdict, astuple
 
 from . import continuum, density, entropy, simulate, states
 from .counting import CountingFunction, effnum, validate_counting_function, weights_from_probs
@@ -134,11 +133,11 @@ def _cmd_refine(args) -> Result:
     out = Result("refine", f"refinement of {description} ({c.label})",
                  ["level", "m_count", "spacing", "ratio"])
     out.payload.update(problem=description, counting_function=c.label,
-                       levels=[asdict(r) for r in fit.rows], extrapolated=fit.extrapolated,
+                       levels=[r._asdict() for r in fit.rows], extrapolated=fit.extrapolated,
                        residual=fit.residual, fit_order=fit.fit_order, fit_window=fit.window)
     for r in fit.rows:
         out.add(f"level {r.level}: M = {r.m_count:<8d} h = {r.spacing:<12.6g} F = {r.ratio:.12g}",
-                list(astuple(r)))
+                list(r))
     out.add(f"extrapolated F = {fit.extrapolated:.12g} (order {fit.fit_order}, "
             f"window {fit.window}, residual {fit.residual:.3e})",
             ["extrapolated", "", "", fit.extrapolated])
@@ -177,10 +176,10 @@ def _cmd_dfd(args) -> Result:
     c = parse_counting_selector(args.cf)
     fit = entropy.dfd_gamma_scan(family, c)
     out = Result("dfd", f"degree-of-freedom density scan ({c.label})", ["n", "ratio", "k_eq"])
-    out.payload.update(counting_function=c.label, steps=[asdict(s) for s in fit.steps],
+    out.payload.update(counting_function=c.label, steps=[s._asdict() for s in fit.steps],
                        gamma=fit.gamma, residual=fit.residual, fit_window=fit.window)
     for s in fit.steps:
-        out.add(f"n = {s.n:<9d} F = {s.ratio:<22.12g} k_eq = {s.k_eq:.12g}", list(astuple(s)))
+        out.add(f"n = {s.n:<9d} F = {s.ratio:<22.12g} k_eq = {s.k_eq:.12g}", list(s))
     out.add(f"gamma = {fit.gamma:.12g} (window {fit.window}, residual {fit.residual:.3e})",
             ["gamma", fit.gamma, ""])
     return out
@@ -190,11 +189,12 @@ def _cmd_check(args) -> Result:
     c = parse_counting_selector(args.cf)
     report = validate_counting_function(c)
     out = Result("check", f"kernel {c.label}:", ["target", "passed", "detail"])
-    out.payload.update(counting_function=c.label, kernel_checks=[asdict(k) for k in report.checks],
+    out.payload.update(counting_function=c.label,
+                       kernel_checks=[k._asdict() for k in report.checks],
                        kernel_passed=report.passed, files=[])
     out.add(report.summary().replace("\n", "\n  "))
     for k in report.checks:
-        out.add(csv=list(astuple(k)))
+        out.add(csv=list(k))
     for path in args.files:
         try:
             valid, detail = True, check_file(path)

@@ -21,12 +21,11 @@ from __future__ import annotations
 
 import math
 import sys
-from dataclasses import dataclass, field
 from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import CountingFunction, WeightVector, effnum, tail_fit
+from .counting import CountingFunction, Frozen, WeightVector, as_dim, effnum, tail_fit
 from .errors import InvalidInput
 
 GRID_NORM_TOL = 1e-8
@@ -39,8 +38,7 @@ MAX_REFINE_CELLS = 2**24  # cells of an interval problem's finest level
 MIN_REFINE_SPACING = sys.float_info.min
 
 
-@dataclass(frozen=True)
-class Grid:
+class Grid(Frozen):
     """Hypercubic cell grid in up to three dimensions.
 
     ``shape`` holds the cell counts per axis, ``spacing`` the cell edge
@@ -48,13 +46,10 @@ class Grid:
     cells are enumerated row-major.
     """
 
-    shape: tuple[int, ...]
-    spacing: tuple[float, ...]
-    origin: tuple[float, ...] | None = None
-
-    def __post_init__(self):
-        shape = tuple(int(s) for s in self.shape)
-        spacing = tuple(float(s) for s in self.spacing)
+    def __init__(self, shape: Sequence[int], spacing: Sequence[float],
+                 origin: Sequence[float] | None = None):
+        shape = tuple(as_dim(s, "cell count") for s in shape)
+        spacing = tuple(float(s) for s in spacing)
         if not 1 <= len(shape) <= MAX_GRID_DIM:
             raise InvalidInput(
                 f"grids support 1..{MAX_GRID_DIM} dimensions, got {len(shape)}; "
@@ -64,12 +59,10 @@ class Grid:
             raise InvalidInput("shape and spacing must have the same length")
         if any(s < 1 for s in shape) or any(h <= 0.0 for h in spacing):
             raise InvalidInput("cell counts must be >= 1 and spacings positive")
-        origin = (0.0,) * len(shape) if self.origin is None else tuple(float(x) for x in self.origin)
+        origin = (0.0,) * len(shape) if origin is None else tuple(float(x) for x in origin)
         if len(origin) != len(shape):
             raise InvalidInput("origin must have one coordinate per dimension")
-        object.__setattr__(self, "shape", shape)
-        object.__setattr__(self, "spacing", spacing)
-        object.__setattr__(self, "origin", origin)
+        vars(self).update(shape=shape, spacing=spacing, origin=origin)
 
     @property
     def d(self) -> int:
@@ -104,38 +97,32 @@ def riemann_sum(field: np.ndarray, vol: float | np.ndarray) -> float:
     return float(np.sum(field * vol))
 
 
-@dataclass(frozen=True)
-class GridWaveFunction:
+class GridWaveFunction(Frozen):
     """Complex cell samples of a wave function, unit Riemann norm.
 
     ``density`` holds the per-cell probability density |psi|^2 that the
     norm check computes; every effective volume of the state reads it.
     """
 
-    grid: Grid
-    values: np.ndarray
-    density: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        vals = np.asarray(self.values, dtype=complex)
-        if vals.size != self.grid.ncells:
+    def __init__(self, grid: Grid, values):
+        vals = np.asarray(values, dtype=complex)
+        if vals.size != grid.ncells:
             raise InvalidInput(
-                f"wave function has {vals.size} samples, grid has {self.grid.ncells} cells"
+                f"wave function has {vals.size} samples, grid has {grid.ncells} cells"
             )
-        volume = self.grid.total_volume
+        volume = grid.total_volume
         if not math.isfinite(volume):
             raise InvalidInput(f"grid total volume must be finite; got {volume!r}")
         vals = vals.ravel().copy()
         dens = np.abs(vals) ** 2
-        norm = riemann_sum(dens, self.grid.cell_volume)
+        norm = riemann_sum(dens, grid.cell_volume)
         if not abs(norm - 1.0) <= GRID_NORM_TOL:
             raise InvalidInput(
                 f"Riemann norm must equal 1 within {GRID_NORM_TOL:g}; got {norm!r}"
             )
         vals.flags.writeable = False
         dens.flags.writeable = False
-        object.__setattr__(self, "values", vals)
-        object.__setattr__(self, "density", dens)
+        vars(self).update(grid=grid, values=vals, density=dens)
 
 
 def effective_volume(psi: GridWaveFunction, c: CountingFunction) -> float:
@@ -191,8 +178,7 @@ def _relative_mu(p: np.ndarray, eta: np.ndarray, vol: float, c: CountingFunction
     return riemann_sum(eta[mask] * c(p[mask] / eta[mask]), vol)
 
 
-@dataclass(frozen=True)
-class SectorFamily:
+class SectorFamily(Frozen):
     """Mixed discrete/continuous decomposition: one (P_m, eta_m) pair of
     midpoint samples per discrete sector on a shared grid.
 
@@ -201,17 +187,13 @@ class SectorFamily:
     above 1e-14 of its maximum; P_m must vanish (within 1e-12) off it.
     """
 
-    ps: tuple[np.ndarray, ...]
-    etas: tuple[np.ndarray, ...]
-    grid: Grid
-
-    def __post_init__(self):
-        ps = tuple(np.asarray(a, dtype=float).ravel().copy() for a in self.ps)
-        etas = tuple(np.asarray(a, dtype=float).ravel().copy() for a in self.etas)
+    def __init__(self, ps: Sequence[np.ndarray], etas: Sequence[np.ndarray], grid: Grid):
+        ps = tuple(np.asarray(a, dtype=float).ravel().copy() for a in ps)
+        etas = tuple(np.asarray(a, dtype=float).ravel().copy() for a in etas)
         if len(ps) == 0 or len(ps) != len(etas):
             raise InvalidInput("need matching non-empty P and eta sector lists")
         for m, (p, eta) in enumerate(zip(ps, etas)):
-            if p.size != self.grid.ncells or eta.size != self.grid.ncells:
+            if p.size != grid.ncells or eta.size != grid.ncells:
                 raise InvalidInput(f"sector {m}: density samples must cover the grid's cells")
             if np.any(p < 0.0) or np.any(eta < 0.0):
                 raise InvalidInput(f"sector {m}: density samples must be non-negative")
@@ -221,15 +203,14 @@ class SectorFamily:
                     "the spectral support"
                 )
         for name, arrs in (("P", ps), ("eta", etas)):
-            total = math.fsum(riemann_sum(a, self.grid.cell_volume) for a in arrs)
+            total = math.fsum(riemann_sum(a, grid.cell_volume) for a in arrs)
             if not abs(total - 1.0) <= GRID_NORM_TOL:
                 raise InvalidInput(
                     f"sector {name} densities must integrate to 1 in total; got {total!r}"
                 )
         for arr in (*ps, *etas):
             arr.flags.writeable = False
-        object.__setattr__(self, "ps", ps)
-        object.__setattr__(self, "etas", etas)
+        vars(self).update(ps=ps, etas=etas, grid=grid)
 
     @classmethod
     def from_grid(cls, grid: Grid, sectors) -> "SectorFamily":
@@ -270,8 +251,7 @@ def relative_mu_continuum(sd: SpectralDensityPair, c: CountingFunction) -> float
     return mixed_relative_mu(sd, c)
 
 
-@dataclass(frozen=True)
-class PartitionAdditivityResult:
+class PartitionAdditivityResult(NamedTuple):
     value: float          # fraction of the full pair
     split_value: float    # F1 * fraction(part 1) + F2 * fraction(part 2)
     gap: float
@@ -317,8 +297,7 @@ def partition_additivity_check(
     )
 
 
-@dataclass(frozen=True)
-class ReparamCheckResult:
+class ReparamCheckResult(NamedTuple):
     value: float
     mapped_value: float
     discrepancy: float
@@ -398,16 +377,14 @@ class RefinementProblem(NamedTuple):
     spacing: Callable[[int], float]
 
 
-@dataclass(frozen=True)
-class RefinementRow:
+class RefinementRow(NamedTuple):
     level: int
     m_count: int
     spacing: float
     ratio: float
 
 
-@dataclass(frozen=True)
-class RefinementResult:
+class RefinementResult(NamedTuple):
     rows: tuple[RefinementRow, ...]
     extrapolated: float
     residual: float

@@ -22,8 +22,7 @@ pairwise ``sum`` instead (see :class:`ProbabilityVector`).
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Callable
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -35,6 +34,31 @@ WEIGHT_SUM_TOL = 1e-12  # scaled by n at the point of use
 # segment it is faster than exact_sums' numpy passes up to about 700
 # entries (about 25 us either way there).
 EXACT_SUM_CUTOFF = 512
+
+
+class Frozen:
+    """Base of the library's value classes.  ``__init__`` validates its
+    arguments and stores the attributes with ``vars(self).update``; after
+    that, assigning or deleting an attribute raises AttributeError.
+    Equality is identity."""
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete {type(self).__name__}.{name}")
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
+        return f"{type(self).__name__}({fields})"
+
+
+def as_dim(value, name: str) -> int:
+    """``value`` as an int, if it is a Python or numpy integer; anything
+    else, a bool, a float or a string, raises InvalidInput."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)):
+        raise InvalidInput(f"{name} must be an integer, got {value!r}")
+    return int(value)
 
 
 def _fsums(x: np.ndarray, seg: np.ndarray | None, m: int) -> np.ndarray:
@@ -113,8 +137,7 @@ def _readonly_float_array(values, name: str) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True)
-class ProbabilityVector:
+class ProbabilityVector(Frozen):
     """Non-negative probabilities over n objects, summing to one.
 
     The sum is checked with numpy's ``sum``, which adds blocks of 128
@@ -123,11 +146,8 @@ class ProbabilityVector:
     inside ``PROB_SUM_TOL``.
     """
 
-    p: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        arr = _readonly_float_array(self.p, "probability vector")
+    def __init__(self, p):
+        arr = _readonly_float_array(p, "probability vector")
         if np.any(arr < 0.0):
             raise InvalidInput("probabilities must be non-negative")
         total = float(arr.sum())
@@ -135,12 +155,10 @@ class ProbabilityVector:
             raise InvalidInput(
                 f"probabilities must sum to 1 within {PROB_SUM_TOL:g}; got {total!r}"
             )
-        object.__setattr__(self, "p", arr)
-        object.__setattr__(self, "n", int(arr.size))
+        vars(self).update(p=arr, n=int(arr.size))
 
 
-@dataclass(frozen=True)
-class WeightVector:
+class WeightVector(Frozen):
     """Non-negative counting weights summing to their number n.
 
     The sum is checked with numpy's ``sum``, whose error (below
@@ -148,11 +166,8 @@ class WeightVector:
     inside ``WEIGHT_SUM_TOL * n``.
     """
 
-    w: np.ndarray
-    n: int = field(init=False)
-
-    def __post_init__(self):
-        arr = _readonly_float_array(self.w, "weight vector")
+    def __init__(self, w):
+        arr = _readonly_float_array(w, "weight vector")
         if np.any(arr < 0.0):
             raise InvalidInput("counting weights must be non-negative")
         n = int(arr.size)
@@ -162,8 +177,7 @@ class WeightVector:
                 f"counting weights must sum to n={n} within {WEIGHT_SUM_TOL * n:g}; "
                 f"got {total!r}"
             )
-        object.__setattr__(self, "w", arr)
-        object.__setattr__(self, "n", n)
+        vars(self).update(w=arr, n=n)
 
 
 def _minimal_eval(w: np.ndarray) -> np.ndarray:
@@ -177,17 +191,16 @@ def _canonical_eval(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
     return _eval
 
 
-@dataclass(frozen=True)
-class CountingFunction:
+class CountingFunction(Frozen):
     """Per-weight kernel c(w) of an effective number function.
 
     ``kind`` is one of ``"minimal"``, ``"canonical"`` or ``"user"``; the
     canonical family carries its exponent in ``alpha``.
     """
 
-    kind: str
-    func: Callable[[np.ndarray], np.ndarray]
-    alpha: float | None = None
+    def __init__(self, kind: str, func: Callable[[np.ndarray], np.ndarray],
+                 alpha: float | None = None):
+        vars(self).update(kind=kind, func=func, alpha=alpha)
 
     @classmethod
     def minimal(cls) -> "CountingFunction":
@@ -272,15 +285,13 @@ def tail_fit(xs, ys) -> tuple[float, float, float, int]:
     return intercept, math.ldexp(slope, -e), residual, window
 
 
-@dataclass(frozen=True)
-class ConditionCheck:
+class ConditionCheck(NamedTuple):
     name: str
     passed: bool
     detail: str
 
 
-@dataclass(frozen=True)
-class CountingFunctionReport:
+class CountingFunctionReport(NamedTuple):
     """Pass/fail record of the necessary-condition screen of a kernel."""
 
     checks: tuple[ConditionCheck, ...]

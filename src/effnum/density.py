@@ -15,11 +15,9 @@ and as the reference path the tests compare against.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
-from .counting import CountingFunction, WeightVector, effnum, exact_sums
+from .counting import CountingFunction, Frozen, WeightVector, as_dim, effnum, exact_sums
 from .errors import ConvergenceError, InvalidInput, InvariantViolation
 from .states import PureState
 
@@ -29,8 +27,7 @@ NEGATIVE_EIGENVALUE_TOL = 1e-10
 DEFAULT_DIM_CAP = 4096
 
 
-@dataclass(frozen=True)
-class DensityMatrix:
+class DensityMatrix(Frozen):
     """Hermitian, trace-one, positive semidefinite complex matrix.
 
     ``spectrum`` holds its eigenvalues, sorted descending, with negatives
@@ -38,12 +35,8 @@ class DensityMatrix:
     to one (exactly summed, :func:`~effnum.counting.exact_sums`) and read-only.
     """
 
-    mat: np.ndarray
-    dim: int = field(init=False)
-    spectrum: np.ndarray = field(init=False, repr=False, compare=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.mat, dtype=complex)
+    def __init__(self, mat):
+        mat = np.asarray(mat, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidInput(f"density matrix must be square, got shape {mat.shape}")
         n = mat.shape[0]
@@ -67,9 +60,7 @@ class DensityMatrix:
         # eigh, not eigvalsh: the two LAPACK drivers differ in the last bit,
         # and hermitian_eigen's values must equal this spectrum exactly.
         vals = _eigh(mat)[0]
-        object.__setattr__(self, "mat", mat)
-        object.__setattr__(self, "dim", int(n))
-        object.__setattr__(self, "spectrum", _normalized_spectrum(vals[::-1]))
+        vars(self).update(mat=mat, dim=int(n), spectrum=_normalized_spectrum(vals[::-1]))
 
     @classmethod
     def from_pure(cls, psi: PureState) -> "DensityMatrix":
@@ -80,8 +71,7 @@ class DensityMatrix:
         return cls(np.eye(dim, dtype=complex) / dim)
 
 
-@dataclass(frozen=True)
-class Eigensystem:
+class Eigensystem(Frozen):
     """Spectral decomposition with a deterministic ordering convention.
 
     Eigenvalues are sorted descending; tiny negatives (within the
@@ -90,16 +80,12 @@ class Eigensystem:
     first non-negligible component is real and positive.
     """
 
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-    def __post_init__(self):
-        vals = np.asarray(self.eigenvalues, dtype=float).copy()
-        vecs = np.asarray(self.eigenvectors, dtype=complex).copy()
+    def __init__(self, eigenvalues, eigenvectors):
+        vals = np.asarray(eigenvalues, dtype=float).copy()
+        vecs = np.asarray(eigenvectors, dtype=complex).copy()
         vals.flags.writeable = False
         vecs.flags.writeable = False
-        object.__setattr__(self, "eigenvalues", vals)
-        object.__setattr__(self, "eigenvectors", vecs)
+        vars(self).update(eigenvalues=vals, eigenvectors=vecs)
 
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
@@ -173,18 +159,14 @@ def quantum_effnum_min(rho: DensityMatrix) -> float:
     return quantum_effnum(rho, CountingFunction.minimal())
 
 
-@dataclass(frozen=True)
-class BipartiteStructure:
+class BipartiteStructure(Frozen):
     """Factorization N = dim_a * dim_b with row-major index a * dim_b + b."""
 
-    dim_a: int
-    dim_b: int
-
-    def __post_init__(self):
-        if int(self.dim_a) < 1 or int(self.dim_b) < 1:
+    def __init__(self, dim_a: int, dim_b: int):
+        dim_a, dim_b = as_dim(dim_a, "factor dimension"), as_dim(dim_b, "factor dimension")
+        if dim_a < 1 or dim_b < 1:
             raise InvalidInput("factor dimensions must be positive")
-        object.__setattr__(self, "dim_a", int(self.dim_a))
-        object.__setattr__(self, "dim_b", int(self.dim_b))
+        vars(self).update(dim_a=dim_a, dim_b=dim_b)
 
     @property
     def dim(self) -> int:

@@ -10,13 +10,15 @@ K_eq = S / log(kappa) and a degree-of-freedom density k_eq = K_eq / K.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
 from .counting import (
     CountingFunction,
+    Frozen,
     ProbabilityVector,
+    as_dim,
     effnum,
     product,
     tail_fit,
@@ -25,20 +27,16 @@ from .counting import (
 from .errors import InvalidInput
 
 
-@dataclass(frozen=True)
-class DofModel:
+class DofModel(Frozen):
     """K degrees of freedom, each with a kappa-dimensional state space."""
 
-    kappa: int
-    k_count: int
-
-    def __post_init__(self):
-        if int(self.kappa) < 2:
-            raise InvalidInput(f"per-degree dimension must be >= 2, got {self.kappa}")
-        if int(self.k_count) < 1:
-            raise InvalidInput(f"degree count must be >= 1, got {self.k_count}")
-        object.__setattr__(self, "kappa", int(self.kappa))
-        object.__setattr__(self, "k_count", int(self.k_count))
+    def __init__(self, kappa: int, k_count: int):
+        kappa, k_count = as_dim(kappa, "per-degree dimension"), as_dim(k_count, "degree count")
+        if kappa < 2:
+            raise InvalidInput(f"per-degree dimension must be >= 2, got {kappa}")
+        if k_count < 1:
+            raise InvalidInput(f"degree count must be >= 1, got {k_count}")
+        vars(self).update(kappa=kappa, k_count=k_count)
 
     @property
     def n(self) -> int:
@@ -87,15 +85,13 @@ def dfd(p: ProbabilityVector, model: DofModel, c: CountingFunction) -> float:
     return k_equivalent(p, model, c) / model.k_count
 
 
-@dataclass(frozen=True)
-class ScanStep:
+class ScanStep(NamedTuple):
     n: int
     ratio: float        # effective count / n
     k_eq: float         # 1 + log(ratio) / log(n)
 
 
-@dataclass(frozen=True)
-class GammaScanResult:
+class GammaScanResult(NamedTuple):
     steps: tuple[ScanStep, ...]
     gamma: float
     residual: float

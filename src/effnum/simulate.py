@@ -26,13 +26,19 @@ bias/noise tradeoff is visible, and no debiasing is attempted.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from fractions import Fraction
+from typing import NamedTuple
 
 import numpy as np
-from numpy.random import Generator, Philox, SeedSequence
 
-from .counting import CountingFunction, ProbabilityVector, effnum, exact_sums, weights_from_probs
+from .counting import (
+    CountingFunction,
+    Frozen,
+    ProbabilityVector,
+    as_dim,
+    effnum,
+    exact_sums,
+    weights_from_probs,
+)
 from .errors import InvalidInput, InvariantViolation
 from .states import OrthogonalDecomposition, OrthonormalBasis, PureState, subspace_probs
 
@@ -42,27 +48,24 @@ MAX_TRIALS = 2**24  # a run's arrays take a few dozen bytes per trial
 DEFAULT_BOOTSTRAP = 200
 
 
-@dataclass(frozen=True)
-class OutcomeSequence:
-    """Recorded outcomes of repeated measurements of one prepared state."""
+class OutcomeSequence(Frozen):
+    """Recorded outcomes of repeated measurements of one prepared state.
 
-    trials: np.ndarray
-    seed: int
-    m_count: int
-    run: int = 0  # the run of its seed's table (see ``_sample``), which keys its bootstrap
-    t_count: int = field(init=False)
+    ``run`` is the run of its seed's table (see ``_sample``), which keys
+    its bootstrap.
+    """
 
-    def __post_init__(self):
-        arr = np.asarray(self.trials, dtype=np.int64).copy()
+    def __init__(self, trials, seed: int, m_count: int, run: int = 0):
+        arr = np.asarray(trials, dtype=np.int64).copy()
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidInput("trials must be a non-empty index vector")
-        if self.m_count < 1:
+        m_count = as_dim(m_count, "block count")
+        if m_count < 1:
             raise InvalidInput("block count must be positive")
-        if arr.min() < 0 or arr.max() >= self.m_count:
-            raise InvalidInput(f"trial indices must lie in [0, {self.m_count})")
+        if arr.min() < 0 or arr.max() >= m_count:
+            raise InvalidInput(f"trial indices must lie in [0, {m_count})")
         arr.flags.writeable = False
-        object.__setattr__(self, "trials", arr)
-        object.__setattr__(self, "t_count", int(arr.size))
+        vars(self).update(trials=arr, seed=seed, m_count=m_count, run=run, t_count=int(arr.size))
 
 
 def sample_outcomes(
@@ -93,6 +96,8 @@ def _sample(probs: ProbabilityVector, t: int, seed: int, run: int) -> OutcomeSeq
         raise InvalidInput(f"trial count must lie in [1, {MAX_TRIALS}], got {t}")
     if not 0 <= seed < 2**64:
         raise InvalidInput(f"seed must lie in [0, 2**64), got {seed}")
+    from numpy.random import Generator, Philox
+
     rng = Generator(Philox(key=np.uint64(seed)).jumped(run))
     uniforms = rng.random(int(t))
     cumulative = np.cumsum(probs.p)
@@ -122,8 +127,11 @@ def _indexed_search(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     return index
 
 
-def empirical_fractions(seq: OutcomeSequence) -> tuple[Fraction, ...]:
-    """Outcome frequencies as exact rationals count / t; they sum to 1 exactly."""
+def empirical_fractions(seq: OutcomeSequence) -> tuple:
+    """Outcome frequencies as exact rationals, ``fractions.Fraction(count, t)``;
+    they sum to 1 exactly."""
+    from fractions import Fraction
+
     counts = np.bincount(seq.trials, minlength=seq.m_count)
     return tuple(Fraction(int(k), seq.t_count) for k in counts)
 
@@ -137,8 +145,7 @@ def empirical_probs(seq: OutcomeSequence) -> ProbabilityVector:
     return ProbabilityVector(np.bincount(seq.trials, minlength=seq.m_count) / seq.t_count)
 
 
-@dataclass(frozen=True)
-class PluginEstimate:
+class PluginEstimate(NamedTuple):
     estimate: float
     stderr: float
     n_bootstrap: int
@@ -160,6 +167,8 @@ def plugin_mu_estimate(seq: OutcomeSequence, c: CountingFunction | None = None) 
         raise InvalidInput(
             f"need at least {MIN_TRIALS_FOR_ESTIMATE} trials, got {seq.t_count}"
         )
+    from numpy.random import Generator, Philox, SeedSequence
+
     c = CountingFunction.minimal() if c is None else c
     freqs = empirical_probs(seq)
     estimate = effnum(weights_from_probs(freqs), c)

@@ -11,27 +11,30 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import InitVar, dataclass, field
 from typing import Callable, Sequence
 
 import numpy as np
 
-from .counting import CountingFunction, ProbabilityVector, effnum, exact_sums, weights_from_probs
+from .counting import (
+    CountingFunction,
+    Frozen,
+    ProbabilityVector,
+    as_dim,
+    effnum,
+    exact_sums,
+    weights_from_probs,
+)
 from .errors import InvalidInput
 
 STATE_NORM_TOL = 1e-12
 BASIS_ORTHO_TOL = 1e-10
 
 
-@dataclass(frozen=True)
-class PureState:
+class PureState(Frozen):
     """Unit-norm complex amplitude vector."""
 
-    amps: np.ndarray
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        arr = np.asarray(self.amps, dtype=complex)
+    def __init__(self, amps):
+        arr = np.asarray(amps, dtype=complex)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidInput(f"state amplitudes must be a non-empty vector, got shape {arr.shape}")
         if not np.all(np.isfinite(arr.view(float))):
@@ -43,8 +46,7 @@ class PureState:
             )
         arr = arr.copy()
         arr.flags.writeable = False
-        object.__setattr__(self, "amps", arr)
-        object.__setattr__(self, "dim", int(arr.size))
+        vars(self).update(amps=arr, dim=int(arr.size))
 
     @classmethod
     def basis_vector(cls, index: int, dim: int) -> "PureState":
@@ -53,15 +55,11 @@ class PureState:
         return cls(amps)
 
 
-@dataclass(frozen=True)
-class OrthonormalBasis:
+class OrthonormalBasis(Frozen):
     """Square complex matrix whose columns are the basis states."""
 
-    vectors: np.ndarray
-    dim: int = field(init=False)
-
-    def __post_init__(self):
-        mat = np.asarray(self.vectors, dtype=complex)
+    def __init__(self, vectors):
+        mat = np.asarray(vectors, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidInput(f"basis must be a square matrix, got shape {mat.shape}")
         gram = mat.conj().T @ mat
@@ -72,16 +70,14 @@ class OrthonormalBasis:
             )
         mat = mat.copy()
         mat.flags.writeable = False
-        object.__setattr__(self, "vectors", mat)
-        object.__setattr__(self, "dim", int(mat.shape[0]))
+        vars(self).update(vectors=mat, dim=int(mat.shape[0]))
 
     @classmethod
     def identity(cls, dim: int) -> "OrthonormalBasis":
         return cls(np.eye(dim, dtype=complex))
 
 
-@dataclass(frozen=True, eq=False)
-class OrthogonalDecomposition:
+class OrthogonalDecomposition(Frozen):
     """Partition of the basis-index set {0, ..., dim-1} into disjoint blocks.
 
     Each block models one orthogonal subspace; blocks with more than one
@@ -90,13 +86,8 @@ class OrthogonalDecomposition:
     ``segment``, the block of each entry of ``flat``; both are read-only.
     """
 
-    blocks: InitVar[Sequence[Sequence[int]]]
-    dim: int
-    m_count: int = field(init=False)
-    flat: np.ndarray = field(init=False, repr=False)
-    segment: np.ndarray = field(init=False, repr=False)
-
-    def __post_init__(self, blocks):
+    def __init__(self, blocks: Sequence[Sequence[int]], dim: int):
+        dim = as_dim(dim, "decomposition dimension")
         indices = list(itertools.chain.from_iterable(blocks))
         kinds = set(map(type, indices))
         # numpy integers are indices too; a bool or a float is not one
@@ -111,17 +102,13 @@ class OrthogonalDecomposition:
         except OverflowError:  # an index beyond the platform's integer range
             flat = None
         # dim indices in range, none missing: by pigeonhole, none repeated
-        if (flat is None or flat.size != self.dim or flat.min() < 0 or flat.max() >= self.dim
-                or not np.bincount(flat, minlength=self.dim).all()):
-            raise InvalidInput(
-                f"blocks must partition {{0,...,{self.dim - 1}}} into disjoint pieces"
-            )
+        if (flat is None or flat.size != dim or flat.min() < 0 or flat.max() >= dim
+                or not np.bincount(flat, minlength=dim).all()):
+            raise InvalidInput(f"blocks must partition {{0,...,{dim - 1}}} into disjoint pieces")
         segment = np.repeat(np.arange(sizes.size), sizes)
         flat.flags.writeable = False
         segment.flags.writeable = False
-        object.__setattr__(self, "m_count", sizes.size)
-        object.__setattr__(self, "flat", flat)
-        object.__setattr__(self, "segment", segment)
+        vars(self).update(dim=dim, m_count=sizes.size, flat=flat, segment=segment)
 
     @classmethod
     def singletons(cls, dim: int) -> "OrthogonalDecomposition":
@@ -132,24 +119,20 @@ def euclidean_metric(x: np.ndarray, y: np.ndarray) -> float:
     return float(np.sqrt(np.sum((np.asarray(x, float) - np.asarray(y, float)) ** 2)))
 
 
-@dataclass(frozen=True)
-class MeasurementSetup:
+class MeasurementSetup(Frozen):
     """Decomposition plus an outcome label (eigenvalue tuple) per subspace.
 
     The labels live in R^D; the metric on label space defaults to
     Euclidean and is only used by the metric uncertainty.
     """
 
-    decomposition: OrthogonalDecomposition
-    eigtuples: np.ndarray
-    metric: Callable[[np.ndarray, np.ndarray], float] = euclidean_metric
-
-    def __post_init__(self):
-        pts = np.atleast_2d(np.asarray(self.eigtuples, dtype=float))
-        if pts.shape[0] != self.decomposition.m_count:
+    def __init__(self, decomposition: OrthogonalDecomposition, eigtuples: np.ndarray,
+                 metric: Callable[[np.ndarray, np.ndarray], float] = euclidean_metric):
+        pts = np.atleast_2d(np.asarray(eigtuples, dtype=float))
+        if pts.shape[0] != decomposition.m_count:
             raise InvalidInput(
                 f"need one eigenvalue tuple per subspace: got {pts.shape[0]} "
-                f"for {self.decomposition.m_count} blocks"
+                f"for {decomposition.m_count} blocks"
             )
         # Sorted stably, equal labels are adjacent and in index order; the
         # first pair (i, j) in index order starts the run with the smallest i.
@@ -162,7 +145,7 @@ class MeasurementSetup:
             raise InvalidInput(f"eigenvalue tuples {order[k]} and {order[k + 1]} coincide")
         pts = pts.copy()
         pts.flags.writeable = False
-        object.__setattr__(self, "eigtuples", pts)
+        vars(self).update(decomposition=decomposition, eigtuples=pts, metric=metric)
 
 
 def _amps_in_basis(psi: PureState, basis: OrthonormalBasis | None) -> np.ndarray:

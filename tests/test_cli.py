@@ -33,6 +33,15 @@ def run(capsys, *argv) -> tuple[int, str, str]:
     return code, captured.out, captured.err
 
 
+def fresh_python(probe: str, *args: str, cwd=None) -> str:
+    """stdout of ``probe`` run by a new interpreter that imports effnum from this tree."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    return subprocess.run([sys.executable, "-c", probe, *args], env=env, cwd=cwd,
+                          capture_output=True, text=True, check=True).stdout
+
+
 def fixture_args(args: list[str]) -> list[str]:
     return [str(FIXTURES / a) if a.endswith(".json") else a for a in args]
 
@@ -557,13 +566,7 @@ class TestSharedParser:
         assert build_parser() is build_parser()
 
     def test_import_builds_no_parser(self):
-        src = str(Path(cli.__file__).resolve().parents[1])
-        env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-            filter(None, [src, os.environ.get("PYTHONPATH")])))
-        probe = "import effnum.cli as c; print(c._parser)"
-        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
-                              text=True, check=True)
-        assert done.stdout == "None\n"
+        assert fresh_python("import effnum.cli as c; print(c._parser)") == "None\n"
 
     @pytest.mark.parametrize("command", [None] + COMMANDS)
     def test_help_matches_a_fresh_parser(self, capsys, command):
@@ -595,6 +598,34 @@ class TestSharedParser:
         for argv in sequence:
             assert run_exiting(capsys, argv) == first[tuple(argv)]
         assert build_parser() is shared
+
+
+class TestStartupImports:
+    """A command loads only the modules it uses: numpy.random for simulate,
+    fractions for ``empirical_fractions``, dataclasses for none."""
+
+    PROBE = """
+import contextlib, io, json, sys
+import effnum.cli
+
+def run(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        code = effnum.cli.main(argv)
+    return [code, out.getvalue()]
+
+qnum = run(["qnum", "density_werner.json"])
+unused = sorted({"numpy.random", "fractions", "dataclasses"} & set(sys.modules))
+print(json.dumps([qnum[0], unused, run(json.loads(sys.argv[1])), "numpy.random" in sys.modules]))
+"""
+
+    def test_qnum_leaves_them_unloaded_and_simulate_loads_numpy_random(self):
+        golden = json.loads((FIXTURES / "golden.json").read_text())
+        case = next(g for g in golden if g["argv"][0] == "simulate" and "json" in g["argv"])
+        out = fresh_python(self.PROBE, json.dumps(case["argv"]), cwd=FIXTURES)
+        qnum_code, unused, simulated, loaded = json.loads(out)
+        assert (qnum_code, unused) == (0, [])
+        assert simulated == [case["exit"], case["stdout"]] and loaded
 
 
 class TestExactSumCalls:

@@ -137,6 +137,11 @@ class TestGrid:
         with pytest.raises(InvalidInput):
             Grid(shape=(2, 2, 2, 2), spacing=(1.0,) * 4)
 
+    @pytest.mark.parametrize("cells", [4.0, 2.5, "4", True])
+    def test_cell_counts_must_be_integers(self, cells):
+        with pytest.raises(InvalidInput, match="cell count must be an integer"):
+            Grid(shape=(4, cells), spacing=(1.0, 1.0))
+
     def test_positive_spacing_required(self):
         with pytest.raises(InvalidInput):
             Grid(shape=(4,), spacing=(0.0,))

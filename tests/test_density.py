@@ -262,6 +262,15 @@ class TestPartialTrace:
         with pytest.raises(InvalidInput):
             partial_trace(rho, BipartiteStructure(2, 2), "A")
 
+    @pytest.mark.parametrize("dims", [(2.7, 3), (2, 3.0), ("2", 3), (True, 2), (2, np.bool_(1))])
+    def test_non_integer_factor_dimensions_are_rejected(self, dims):
+        with pytest.raises(InvalidInput, match="factor dimension must be an integer"):
+            BipartiteStructure(*dims)
+
+    def test_numpy_integer_factor_dimensions_are_accepted(self):
+        bp = BipartiteStructure(np.int64(2), np.uint8(3))
+        assert (bp.dim_a, bp.dim_b, bp.dim) == (2, 3, 6) and type(bp.dim_a) is int
+
     def test_unknown_side_rejected(self):
         rho = DensityMatrix.maximally_mixed(4)
         with pytest.raises(InvalidInput):

@@ -148,7 +148,8 @@ class TestDegreesOfFreedom:
         with pytest.raises(InvalidInput):
             k_equivalent(probs(0.5, 0.5), DofModel(kappa=2, k_count=2), MINIMAL)
 
-    @pytest.mark.parametrize("kappa, k", [(1, 3), (2, 0)])
+    @pytest.mark.parametrize("kappa, k", [(1, 3), (2, 0), (2.5, 3), (2, 3.0), ("2", 3),
+                                          (True, 3), (2, True)])
     def test_model_validation(self, kappa, k):
         with pytest.raises(InvalidInput):
             DofModel(kappa=kappa, k_count=k)

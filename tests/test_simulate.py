@@ -79,6 +79,11 @@ class TestSampling:
         with pytest.raises(InvalidInput):
             OutcomeSequence(trials=np.array([0, 3]), seed=0, m_count=3)
 
+    @pytest.mark.parametrize("m_count", [3.0, 2.5, "3", True])
+    def test_block_count_must_be_an_integer(self, m_count):
+        with pytest.raises(InvalidInput, match="block count must be an integer"):
+            OutcomeSequence(trials=np.array([0, 0]), seed=0, m_count=m_count)
+
 
 class TestEmpiricalFrequencies:
     def test_constant_sequence(self):
@@ -288,7 +293,8 @@ class TestBootstrapMatchesTheReferenceLoop:
             def multinomial(self, n, pvals, size=None):
                 return super().multinomial(n - 1, pvals, size)
 
-        monkeypatch.setattr(simulate, "Generator", ShortGenerator)
+        # simulate imports its generator from numpy.random on each call
+        monkeypatch.setattr(np.random, "Generator", ShortGenerator)
         psi, dec = three_outcome_state()
         seq = sample_outcomes(psi, dec, None, 1000, seed=8)
         with pytest.raises(InvariantViolation):

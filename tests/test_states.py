@@ -237,6 +237,15 @@ class TestDecomposition:
         with pytest.raises(InvalidInput, match="block indices must be integers"):
             OrthogonalDecomposition(((0,), (index,)), 2)
 
+    @pytest.mark.parametrize("dim", ["x", "2", 2.0, True, np.float64(2.0)])
+    def test_non_integer_dimension_is_rejected(self, dim):
+        with pytest.raises(InvalidInput, match="decomposition dimension must be an integer"):
+            OrthogonalDecomposition(((0,), (1,)), dim)
+
+    def test_numpy_integer_dimension_is_accepted(self):
+        dec = OrthogonalDecomposition(((0,), (1,)), np.int64(2))
+        assert dec.dim == 2 and type(dec.dim) is int
+
     def test_index_beyond_the_integer_range_is_rejected(self):
         with pytest.raises(InvalidInput, match="partition"):
             OrthogonalDecomposition(((0,), (2**70,)), 2)
