@@ -14,6 +14,8 @@ import os
 import re
 import sys
 
+import numpy as np
+
 from . import continuum, density, entropy, simulate, states
 from .counting import CountingFunction, effnum, validate_counting_function, weights_from_probs
 from .errors import ConvergenceError, InvalidInput, InvariantViolation
@@ -313,7 +315,9 @@ _EXIT_CODES = {InvalidInput: 2, InvariantViolation: 3, ConvergenceError: 4}
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        _emit(args.handler(args).render(args.format), args.out)
+        # overflows give inf or NaN, which the checks reject without a warning
+        with np.errstate(all="ignore"):
+            _emit(args.handler(args).render(args.format), args.out)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -62,7 +62,7 @@ class Grid(Frozen):
         origin = (0.0,) * len(shape) if origin is None else tuple(float(x) for x in origin)
         if len(origin) != len(shape):
             raise InvalidInput("origin must have one coordinate per dimension")
-        vars(self).update(shape=shape, spacing=spacing, origin=origin)
+        self._store(shape=shape, spacing=spacing, origin=origin)
 
     @property
     def d(self) -> int:
@@ -105,7 +105,7 @@ class GridWaveFunction(Frozen):
     """
 
     def __init__(self, grid: Grid, values):
-        vals = np.asarray(values, dtype=complex)
+        vals = np.asarray(values, dtype=complex).ravel()
         if vals.size != grid.ncells:
             raise InvalidInput(
                 f"wave function has {vals.size} samples, grid has {grid.ncells} cells"
@@ -113,16 +113,13 @@ class GridWaveFunction(Frozen):
         volume = grid.total_volume
         if not math.isfinite(volume):
             raise InvalidInput(f"grid total volume must be finite; got {volume!r}")
-        vals = vals.ravel().copy()
         dens = np.abs(vals) ** 2
         norm = riemann_sum(dens, grid.cell_volume)
         if not abs(norm - 1.0) <= GRID_NORM_TOL:
             raise InvalidInput(
                 f"Riemann norm must equal 1 within {GRID_NORM_TOL:g}; got {norm!r}"
             )
-        vals.flags.writeable = False
-        dens.flags.writeable = False
-        vars(self).update(grid=grid, values=vals, density=dens)
+        self._store(grid=grid, values=vals, density=dens)
 
 
 def effective_volume(psi: GridWaveFunction, c: CountingFunction) -> float:
@@ -188,8 +185,8 @@ class SectorFamily(Frozen):
     """
 
     def __init__(self, ps: Sequence[np.ndarray], etas: Sequence[np.ndarray], grid: Grid):
-        ps = tuple(np.asarray(a, dtype=float).ravel().copy() for a in ps)
-        etas = tuple(np.asarray(a, dtype=float).ravel().copy() for a in etas)
+        ps = tuple(np.asarray(a, dtype=float).ravel() for a in ps)
+        etas = tuple(np.asarray(a, dtype=float).ravel() for a in etas)
         if len(ps) == 0 or len(ps) != len(etas):
             raise InvalidInput("need matching non-empty P and eta sector lists")
         for m, (p, eta) in enumerate(zip(ps, etas)):
@@ -208,9 +205,7 @@ class SectorFamily(Frozen):
                 raise InvalidInput(
                     f"sector {name} densities must integrate to 1 in total; got {total!r}"
                 )
-        for arr in (*ps, *etas):
-            arr.flags.writeable = False
-        vars(self).update(ps=ps, etas=etas, grid=grid)
+        self._store(ps=ps, etas=etas, grid=grid)
 
     @classmethod
     def from_grid(cls, grid: Grid, sectors) -> "SectorFamily":

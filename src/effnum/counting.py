@@ -22,6 +22,7 @@ pairwise ``sum`` instead (see :class:`ProbabilityVector`).
 from __future__ import annotations
 
 import math
+from functools import partial
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -38,9 +39,26 @@ EXACT_SUM_CUTOFF = 512
 
 class Frozen:
     """Base of the library's value classes.  ``__init__`` validates its
-    arguments and stores the attributes with ``vars(self).update``; after
-    that, assigning or deleting an attribute raises AttributeError.
-    Equality is identity."""
+    arguments and saves them with ``_store``, which keeps every array, alone
+    or in a tuple, as a read-only copy of its own; pickle and copy restore
+    through it too.  Assigning or deleting an attribute raises
+    AttributeError.  Equality is identity."""
+
+    def _store(self, **fields):
+        vars(self).update({name: Frozen._private(value) for name, value in fields.items()})
+
+    @staticmethod
+    def _private(value):
+        """A read-only C-order copy of an array, also inside a tuple."""
+        if isinstance(value, np.ndarray):
+            value = np.array(value, order="C")
+            value.flags.writeable = False
+        elif type(value) is tuple:
+            value = tuple(map(Frozen._private, value))
+        return value
+
+    def __setstate__(self, state):
+        self._store(**state)
 
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to {type(self).__name__}.{name}")
@@ -124,7 +142,7 @@ def exact_sums(x, seg=None, m: int = 1) -> np.ndarray:
     return sums
 
 
-def _readonly_float_array(values, name: str) -> np.ndarray:
+def _nonnegative_vector(values, name: str, entries: str) -> np.ndarray:
     arr = np.asarray(values, dtype=float)
     if arr.ndim != 1:
         raise InvalidInput(f"{name} must be one-dimensional, got shape {arr.shape}")
@@ -132,8 +150,8 @@ def _readonly_float_array(values, name: str) -> np.ndarray:
         raise InvalidInput(f"{name} must be non-empty")
     if not np.all(np.isfinite(arr)):
         raise InvalidInput(f"{name} contains non-finite entries")
-    arr = arr.copy()
-    arr.flags.writeable = False
+    if np.any(arr < 0.0):
+        raise InvalidInput(f"{entries} must be non-negative")
     return arr
 
 
@@ -147,15 +165,13 @@ class ProbabilityVector(Frozen):
     """
 
     def __init__(self, p):
-        arr = _readonly_float_array(p, "probability vector")
-        if np.any(arr < 0.0):
-            raise InvalidInput("probabilities must be non-negative")
+        arr = _nonnegative_vector(p, "probability vector", "probabilities")
         total = float(arr.sum())
         if abs(total - 1.0) > PROB_SUM_TOL:
             raise InvalidInput(
                 f"probabilities must sum to 1 within {PROB_SUM_TOL:g}; got {total!r}"
             )
-        vars(self).update(p=arr, n=int(arr.size))
+        self._store(p=arr, n=int(arr.size))
 
 
 class WeightVector(Frozen):
@@ -167,9 +183,7 @@ class WeightVector(Frozen):
     """
 
     def __init__(self, w):
-        arr = _readonly_float_array(w, "weight vector")
-        if np.any(arr < 0.0):
-            raise InvalidInput("counting weights must be non-negative")
+        arr = _nonnegative_vector(w, "weight vector", "counting weights")
         n = int(arr.size)
         total = float(arr.sum())
         if abs(total - n) > WEIGHT_SUM_TOL * n:
@@ -177,18 +191,15 @@ class WeightVector(Frozen):
                 f"counting weights must sum to n={n} within {WEIGHT_SUM_TOL * n:g}; "
                 f"got {total!r}"
             )
-        vars(self).update(w=arr, n=n)
+        self._store(w=arr, n=n)
 
 
 def _minimal_eval(w: np.ndarray) -> np.ndarray:
     return np.minimum(w, 1.0)
 
 
-def _canonical_eval(alpha: float) -> Callable[[np.ndarray], np.ndarray]:
-    def _eval(w: np.ndarray) -> np.ndarray:
-        return np.minimum(np.power(w, alpha), 1.0)
-
-    return _eval
+def _canonical_eval(w: np.ndarray, alpha: float) -> np.ndarray:
+    return np.minimum(np.power(w, alpha), 1.0)
 
 
 class CountingFunction(Frozen):
@@ -200,7 +211,7 @@ class CountingFunction(Frozen):
 
     def __init__(self, kind: str, func: Callable[[np.ndarray], np.ndarray],
                  alpha: float | None = None):
-        vars(self).update(kind=kind, func=func, alpha=alpha)
+        self._store(kind=kind, func=func, alpha=alpha)
 
     @classmethod
     def minimal(cls) -> "CountingFunction":
@@ -219,7 +230,7 @@ class CountingFunction(Frozen):
             raise InvalidInput(f"canonical exponent must lie in (0, 1], got {alpha}")
         if alpha == 1.0:
             return cls(kind="canonical", func=_minimal_eval, alpha=1.0)
-        return cls(kind="canonical", func=_canonical_eval(alpha), alpha=alpha)
+        return cls(kind="canonical", func=partial(_canonical_eval, alpha=alpha), alpha=alpha)
 
     @classmethod
     def from_callable(cls, func: Callable[[np.ndarray], np.ndarray]) -> "CountingFunction":

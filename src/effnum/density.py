@@ -55,12 +55,10 @@ class DensityMatrix(Frozen):
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise InvariantViolation(f"trace must equal 1 within {TRACE_TOL:g}; got {trace!r}")
-        mat = mat.copy()
-        mat.flags.writeable = False
         # eigh, not eigvalsh: the two LAPACK drivers differ in the last bit,
         # and hermitian_eigen's values must equal this spectrum exactly.
         vals = _eigh(mat)[0]
-        vars(self).update(mat=mat, dim=int(n), spectrum=_normalized_spectrum(vals[::-1]))
+        self._store(mat=mat, dim=int(n), spectrum=_normalized_spectrum(vals[::-1]))
 
     @classmethod
     def from_pure(cls, psi: PureState) -> "DensityMatrix":
@@ -81,31 +79,21 @@ class Eigensystem(Frozen):
     """
 
     def __init__(self, eigenvalues, eigenvectors):
-        vals = np.asarray(eigenvalues, dtype=float).copy()
-        vecs = np.asarray(eigenvectors, dtype=complex).copy()
-        vals.flags.writeable = False
-        vecs.flags.writeable = False
-        vars(self).update(eigenvalues=vals, eigenvectors=vecs)
+        self._store(eigenvalues=np.asarray(eigenvalues, dtype=float),
+                    eigenvectors=np.asarray(eigenvectors, dtype=complex))
 
     def reconstruct(self) -> np.ndarray:
         return (self.eigenvectors * self.eigenvalues) @ self.eigenvectors.conj().T
 
 
 def _fix_phases(vecs: np.ndarray) -> np.ndarray:
-    """Rotate each column so its first component above threshold is real > 0."""
-    out = vecs.copy()
-    n = vecs.shape[0]
+    """Rotate each column in place so its first component above threshold is real > 0."""
     for j in range(vecs.shape[1]):
-        col = out[:, j]
-        idx = 0
-        for i in range(n):
-            if abs(col[i]) > 1e-12:
-                idx = i
-                break
-        pivot = col[idx]
+        col = vecs[:, j]
+        pivot = col[next((i for i, x in enumerate(col) if abs(x) > 1e-12), 0)]
         if abs(pivot) > 0.0:
-            out[:, j] = col * (pivot.conjugate() / abs(pivot))
-    return out
+            col *= pivot.conjugate() / abs(pivot)
+    return vecs
 
 
 def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -128,9 +116,7 @@ def _normalized_spectrum(vals: np.ndarray) -> np.ndarray:
             f"matrix is not positive semidefinite: smallest eigenvalue {smallest:.3e}"
         )
     vals = np.where(vals < 0.0, 0.0, vals)
-    vals = vals / exact_sums(vals).item()
-    vals.flags.writeable = False
-    return vals
+    return vals / exact_sums(vals).item()
 
 
 def hermitian_eigen(rho: DensityMatrix) -> Eigensystem:
@@ -166,7 +152,7 @@ class BipartiteStructure(Frozen):
         dim_a, dim_b = as_dim(dim_a, "factor dimension"), as_dim(dim_b, "factor dimension")
         if dim_a < 1 or dim_b < 1:
             raise InvalidInput("factor dimensions must be positive")
-        vars(self).update(dim_a=dim_a, dim_b=dim_b)
+        self._store(dim_a=dim_a, dim_b=dim_b)
 
     @property
     def dim(self) -> int:

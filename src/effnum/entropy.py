@@ -36,7 +36,7 @@ class DofModel(Frozen):
             raise InvalidInput(f"per-degree dimension must be >= 2, got {kappa}")
         if k_count < 1:
             raise InvalidInput(f"degree count must be >= 1, got {k_count}")
-        vars(self).update(kappa=kappa, k_count=k_count)
+        self._store(kappa=kappa, k_count=k_count)
 
     @property
     def n(self) -> int:

@@ -56,7 +56,8 @@ class OutcomeSequence(Frozen):
     """
 
     def __init__(self, trials, seed: int, m_count: int, run: int = 0):
-        arr = np.asarray(trials, dtype=np.int64).copy()
+        seed = _as_seed(seed)
+        arr = np.asarray(trials, dtype=np.int64)
         if arr.ndim != 1 or arr.size == 0:
             raise InvalidInput("trials must be a non-empty index vector")
         m_count = as_dim(m_count, "block count")
@@ -64,8 +65,15 @@ class OutcomeSequence(Frozen):
             raise InvalidInput("block count must be positive")
         if arr.min() < 0 or arr.max() >= m_count:
             raise InvalidInput(f"trial indices must lie in [0, {m_count})")
-        arr.flags.writeable = False
-        vars(self).update(trials=arr, seed=seed, m_count=m_count, run=run, t_count=int(arr.size))
+        self._store(trials=arr, seed=seed, m_count=m_count, run=run, t_count=int(arr.size))
+
+
+def _as_seed(seed) -> int:
+    """``seed`` as an int if it is an integer in [0, 2**64), else InvalidInput."""
+    seed = as_dim(seed, "seed")
+    if not 0 <= seed < 2**64:
+        raise InvalidInput(f"seed must lie in [0, 2**64), got {seed}")
+    return seed
 
 
 def sample_outcomes(
@@ -94,8 +102,7 @@ def _sample(probs: ProbabilityVector, t: int, seed: int, run: int) -> OutcomeSeq
     """
     if not 1 <= t <= MAX_TRIALS:
         raise InvalidInput(f"trial count must lie in [1, {MAX_TRIALS}], got {t}")
-    if not 0 <= seed < 2**64:
-        raise InvalidInput(f"seed must lie in [0, 2**64), got {seed}")
+    seed = _as_seed(seed)
     from numpy.random import Generator, Philox
 
     rng = Generator(Philox(key=np.uint64(seed)).jumped(run))
@@ -103,7 +110,7 @@ def _sample(probs: ProbabilityVector, t: int, seed: int, run: int) -> OutcomeSeq
     cumulative = np.cumsum(probs.p)
     cumulative[-1] = max(cumulative[-1], 1.0)  # guard the last bin against rounding
     indices = _indexed_search(cumulative, uniforms)
-    return OutcomeSequence(trials=indices, seed=int(seed), m_count=probs.n, run=run)
+    return OutcomeSequence(trials=indices, seed=seed, m_count=probs.n, run=run)
 
 
 def _indexed_search(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:

@@ -44,9 +44,7 @@ class PureState(Frozen):
             raise InvalidInput(
                 f"state norm^2 must equal 1 within {STATE_NORM_TOL:g}; got {norm_sq!r}"
             )
-        arr = arr.copy()
-        arr.flags.writeable = False
-        vars(self).update(amps=arr, dim=int(arr.size))
+        self._store(amps=arr, dim=int(arr.size))
 
     @classmethod
     def basis_vector(cls, index: int, dim: int) -> "PureState":
@@ -68,9 +66,7 @@ class OrthonormalBasis(Frozen):
             raise InvalidInput(
                 f"basis columns are not orthonormal: max |U^H U - I| = {defect:.3e}"
             )
-        mat = mat.copy()
-        mat.flags.writeable = False
-        vars(self).update(vectors=mat, dim=int(mat.shape[0]))
+        self._store(vectors=mat, dim=int(mat.shape[0]))
 
     @classmethod
     def identity(cls, dim: int) -> "OrthonormalBasis":
@@ -106,9 +102,7 @@ class OrthogonalDecomposition(Frozen):
                 or not np.bincount(flat, minlength=dim).all()):
             raise InvalidInput(f"blocks must partition {{0,...,{dim - 1}}} into disjoint pieces")
         segment = np.repeat(np.arange(sizes.size), sizes)
-        flat.flags.writeable = False
-        segment.flags.writeable = False
-        vars(self).update(dim=dim, m_count=sizes.size, flat=flat, segment=segment)
+        self._store(dim=dim, m_count=sizes.size, flat=flat, segment=segment)
 
     @classmethod
     def singletons(cls, dim: int) -> "OrthogonalDecomposition":
@@ -143,9 +137,7 @@ class MeasurementSetup(Frozen):
         if starts.size:
             k = starts[np.argmin(order[starts])]
             raise InvalidInput(f"eigenvalue tuples {order[k]} and {order[k + 1]} coincide")
-        pts = pts.copy()
-        pts.flags.writeable = False
-        vars(self).update(decomposition=decomposition, eigtuples=pts, metric=metric)
+        self._store(decomposition=decomposition, eigtuples=pts, metric=metric)
 
 
 def _amps_in_basis(psi: PureState, basis: OrthonormalBasis | None) -> np.ndarray:

@@ -358,6 +358,32 @@ class TestExitCodes:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: 'rows' ")
 
+    @pytest.mark.parametrize("argv, docs, code", [
+        (["entangle", "{0}", "--dims", "1x2"], [{"dim": 2, "amps": [[1e200, 0], [0, 0]]}], 2),
+        (["qnum", "{0}"], [{"dim": 2, "rows": [[[0.5, 0], [1e308, 0]],
+                                               [[-1e308, 0], [0.5, 0]]]}], 3),
+        (["mu", "{0}", "{1}"], [{"dim": 2, "amps": [[1, 0], [0, 0]]},
+                                {"basis": {"rows": [[[1e200, 0], [0, 0]], [[0, 0], [1, 0]]]},
+                                 "groups": [[0], [1]]}], 2),
+        (["refine", "{0}"], [{"kind": "constant", "weights": [1e308, 1e308]}], 2),
+        (["dfd", "{0}"], [{"kind": "explicit", "members": [{"n": 2, "p": [1e308, 1e308]}]}], 2),
+        (["effvol", "{0}"], [{"d": 1, "shape": [1], "spacing": [1e-300],
+                              "values": [[1e160, 0]]}], 2),
+        (["refine", "{0}"], [{"kind": "gaussian-1d", "box": [0.0, 1.0], "center": 0.413,
+                              "sigma": 1e-200, "base_cells": 128}], 2),
+    ], ids=["state-norm", "density-hermiticity", "basis-gram", "constant-weights",
+            "family-p", "grid-norm", "gaussian-sigma"])
+    def test_overflow_is_one_error_line(self, capsys, tmp_path, argv, docs, code):
+        paths = []
+        for i, doc in enumerate(docs):
+            paths.append(tmp_path / f"doc{i}.json")
+            paths[-1].write_text(json.dumps(doc))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")  # a numpy warning fails the run
+            got, _, err = run(capsys, *(a.format(*paths) for a in argv))
+        assert got == code
+        assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
     @pytest.mark.parametrize("exponents", [[-1, 2, 3], [0, 1, 2], [4, 5, 70]],
                              ids=["negative", "zero", "beyond-int64"])
     def test_uniform_power_exponent_out_of_range_is_exit_two(self, capsys, tmp_path, exponents):

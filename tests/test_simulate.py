@@ -75,6 +75,21 @@ class TestSampling:
         with pytest.raises(InvalidInput):
             sample_outcomes(psi, dec, None, 10, seed=seed)
 
+    @pytest.mark.parametrize("seed, says", [(-3, "lie in"), (2**64, "lie in"),
+                                            (1.5, "be an integer"), ("7", "be an integer"),
+                                            (True, "be an integer")])
+    def test_sequence_seed_validated(self, seed, says):
+        with pytest.raises(InvalidInput, match=f"seed must {says}"):
+            plugin_mu_estimate(OutcomeSequence([0] * 100, seed=seed, m_count=1), MINIMAL)
+        psi, dec = three_outcome_state()
+        with pytest.raises(InvalidInput, match=f"seed must {says}"):
+            sample_outcomes(psi, dec, None, 10, seed=seed)
+
+    @pytest.mark.parametrize("seed", [0, np.uint64(2**64 - 1), np.int32(7)])
+    def test_sequence_seed_may_be_a_numpy_integer(self, seed):
+        seq = OutcomeSequence([0, 1], seed=seed, m_count=2)
+        assert type(seq.seed) is int and seq.seed == seed
+
     def test_sequence_indices_validated(self):
         with pytest.raises(InvalidInput):
             OutcomeSequence(trials=np.array([0, 3]), seed=0, m_count=3)

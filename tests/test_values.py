@@ -2,12 +2,14 @@
 
 Every value class that ``effnum`` exports is built once here.  Assigning or
 deleting an attribute after construction raises AttributeError, and a
-pickle or deepcopy round trip gives an equal, still immutable object.  The
-result records are NamedTuples whose ``_fields`` fix the order of their
-json keys and csv columns.
+pickle or deepcopy round trip gives an equal, still immutable object.  Every
+array a value object holds is a read-only copy of its own, also after a
+pickle, deepcopy or copy.  The result records are NamedTuples whose
+``_fields`` fix the order of their json keys and csv columns.
 """
 
 import copy
+import functools
 import pickle
 
 import numpy as np
@@ -68,6 +70,13 @@ RECORDS_BUILT = {
     effnum.RefinementProblem: lambda: effnum.RefinementProblem(np.ones, float),
 }
 FACTORIES = VALUES | RECORDS_BUILT
+# Round trips by test id: one object of each class, and a built-in kernel
+# that binds its exponent.
+ROUND_TRIPS = {cls.__name__: make for cls, make in FACTORIES.items()} | {
+    "canonical(0.5)": lambda: effnum.CountingFunction.canonical(0.5),
+}
+COPIES = {"constructed": lambda o: o, "pickle": lambda o: pickle.loads(pickle.dumps(o)),
+          "deepcopy": copy.deepcopy, "copy": copy.copy}
 
 
 def exported_classes() -> set[type]:
@@ -86,7 +95,23 @@ def same(a, b) -> bool:
                                                             vars(b).values()))
     if isinstance(a, tuple):
         return len(a) == len(b) and all(map(same, a, b))
+    if isinstance(a, functools.partial):
+        return a.func is b.func and same(a.args, b.args) and a.keywords == b.keywords
     return a == b
+
+
+def arrays(obj, nested=True):
+    """Every array an object holds, in tuples and, if ``nested``, in nested
+    value objects too."""
+    if isinstance(obj, np.ndarray):
+        yield obj
+    elif isinstance(obj, tuple):
+        for value in obj:
+            yield from arrays(value, nested)
+    elif isinstance(obj, Frozen):
+        for value in vars(obj).values():
+            if nested or not isinstance(value, Frozen):
+                yield from arrays(value, nested)
 
 
 def test_every_exported_class_is_covered():
@@ -106,16 +131,34 @@ def test_attributes_cannot_be_assigned_or_deleted(cls):
     assert getattr(obj, name) is before and not hasattr(obj, "added")
 
 
-@pytest.mark.parametrize("cls", list(FACTORIES), ids=lambda c: c.__name__)
-@pytest.mark.parametrize("round_trip", [lambda o: pickle.loads(pickle.dumps(o)), copy.deepcopy],
-                         ids=["pickle", "deepcopy"])
-def test_pickle_and_deepcopy_round_trip(cls, round_trip):
-    obj = FACTORIES[cls]()
-    back = round_trip(obj)
+@pytest.mark.parametrize("name", list(ROUND_TRIPS))
+@pytest.mark.parametrize("round_trip", ["pickle", "deepcopy"])
+def test_pickle_and_deepcopy_round_trip(name, round_trip):
+    obj = ROUND_TRIPS[name]()
+    back = COPIES[round_trip](obj)
     assert back is not obj and same(back, obj)
     if isinstance(back, Frozen):
         with pytest.raises(AttributeError):
             back.added = 0
+
+
+@pytest.mark.parametrize("cls", list(VALUES), ids=lambda c: c.__name__)
+@pytest.mark.parametrize("how", list(COPIES))
+def test_arrays_are_private_and_read_only(cls, how):
+    obj = VALUES[cls]()
+    back = COPIES[how](obj)
+    assert all(not a.flags.writeable and a.flags.c_contiguous for a in arrays(back))
+    if back is not obj:  # a copy shares none of its own arrays with the original
+        assert not any(np.shares_memory(a, b)
+                       for a in arrays(back, nested=False) for b in arrays(obj))
+
+
+def test_arrays_are_copied_from_the_caller():
+    p, eta = np.array([0.25, 0.75]), np.ones(4)
+    vector, family = effnum.ProbabilityVector(p), effnum.SectorFamily([eta], [eta], GRID)
+    p[:], eta[:] = 0.0, 0.0
+    assert list(vector.p) == [0.25, 0.75]
+    assert list(family.ps[0]) == list(family.etas[0]) == [1.0] * 4
 
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
