@@ -14,38 +14,24 @@ import os
 import re
 import sys
 
-import numpy as np
-
-from . import continuum, density, entropy, simulate, states
-from .counting import CountingFunction, effnum, validate_counting_function, weights_from_probs
+from . import continuum, counting, density, entropy, io, simulate, states
 from .errors import ConvergenceError, InvalidInput, InvariantViolation
-from .io import (
-    Result,
-    check_file,
-    load_decomposition,
-    load_density,
-    load_dfd_family,
-    load_grid_wavefunction,
-    load_refine_problem,
-    load_state,
-    parse_counting_selector,
-)
 
 
-def _cmd_mu(args) -> Result:
-    psi = load_state(args.state)
-    dec, basis = load_decomposition(args.decomposition, psi.dim)
-    c = parse_counting_selector(args.cf)
+def _cmd_mu(args) -> io.Result:
+    psi = io.load_state(args.state)
+    dec, basis = io.load_decomposition(args.decomposition, psi.dim)
+    c = io.parse_counting_selector(args.cf)
     probs = states.subspace_probs(psi, dec, basis)
-    weights = weights_from_probs(probs)
-    out = Result("mu", "measurement uncertainty (blocks 1-based)", ["block", "probability"])
+    weights = counting.weights_from_probs(probs)
+    out = io.Result("mu", "measurement uncertainty (blocks 1-based)", ["block", "probability"])
     out.put("n", psi.dim, "dimension N")
     out.put("m", dec.m_count, "blocks M")
     out.put("counting_function", c.label, "kernel")
     out.put("block_probs", probs.p, "p", csv=True)
-    out.put("mu_uncertainty", effnum(weights, c), "mu-uncertainty", csv=True)
-    out.put("mu_uncertainty_min", effnum(weights, CountingFunction.minimal()), "minimal (star)",
-            csv=True)
+    out.put("mu_uncertainty", counting.effnum(weights, c), "mu-uncertainty", csv=True)
+    out.put("mu_uncertainty_min", counting.effnum(weights, counting.CountingFunction.minimal()),
+            "minimal (star)", csv=True)
     return out
 
 
@@ -63,12 +49,12 @@ def _parse_log_base(text: str) -> tuple[str, float]:
     return text, math.log(base)
 
 
-def _cmd_qnum(args) -> Result:
-    rho = load_density(args.density)
-    c = parse_counting_selector(args.cf)
+def _cmd_qnum(args) -> io.Result:
+    rho = io.load_density(args.density)
+    c = io.parse_counting_selector(args.cf)
     base_label, divisor = _parse_log_base(args.log_base)
-    out = Result("qnum", "density-matrix state content (ranks 1-based)",
-                 ["eigenvalue_rank", "eigenvalue"])
+    out = io.Result("qnum", "density-matrix state content (ranks 1-based)",
+                    ["eigenvalue_rank", "eigenvalue"])
     out.put("n", rho.dim, "dimension N")
     out.put("counting_function", c.label, "kernel")
     out.payload["log_base"] = base_label
@@ -88,15 +74,16 @@ def _parse_dims(text: str) -> density.BipartiteStructure:
     return density.BipartiteStructure(int(match.group(1)), int(match.group(2)))
 
 
-def _cmd_entangle(args) -> Result:
-    psi = load_state(args.state)
+def _cmd_entangle(args) -> io.Result:
+    psi = io.load_state(args.state)
     bp = _parse_dims(args.dims)
-    c = parse_counting_selector(args.cf)
+    c = io.parse_counting_selector(args.cf)
     # Both reductions share the Schmidt weights, so both sides read one
     # count per kernel and agree exactly; one SVD serves the whole command.
     weights = density.entanglement_weights(psi, bp)
-    value, minimal = effnum(weights, c), effnum(weights, CountingFunction.minimal())
-    out = Result("entangle", "bipartite state sharing", ["quantity", "value"])
+    value = counting.effnum(weights, c)
+    minimal = counting.effnum(weights, counting.CountingFunction.minimal())
+    out = io.Result("entangle", "bipartite state sharing", ["quantity", "value"])
     out.payload["dims"] = [bp.dim_a, bp.dim_b]
     out.add(("partition", f"{bp.dim_a} x {bp.dim_b}"))
     out.put("counting_function", c.label, "kernel")
@@ -110,13 +97,13 @@ def _cmd_entangle(args) -> Result:
     return out
 
 
-def _cmd_effvol(args) -> Result:
-    psi = load_grid_wavefunction(args.wavefunction)
-    c = parse_counting_selector(args.cf)
+def _cmd_effvol(args) -> io.Result:
+    psi = io.load_grid_wavefunction(args.wavefunction)
+    c = io.parse_counting_selector(args.cf)
     value = continuum.effective_volume(psi, c)
-    minimal = continuum.effective_volume(psi, CountingFunction.minimal())
+    minimal = continuum.effective_volume(psi, counting.CountingFunction.minimal())
     total = psi.grid.total_volume
-    out = Result("effvol", "effective volume", ["quantity", "value"])
+    out = io.Result("effvol", "effective volume", ["quantity", "value"])
     out.put("d", psi.grid.d, "dimension D")
     out.put("cells", psi.grid.ncells, "cells")
     out.put("total_volume", total, csv=True)
@@ -128,12 +115,13 @@ def _cmd_effvol(args) -> Result:
     return out
 
 
-def _cmd_refine(args) -> Result:
-    problem, description = load_refine_problem(args.problem)
-    c = parse_counting_selector(args.cf)
-    fit = continuum.refine_sequence(problem, args.levels, c)
-    out = Result("refine", f"refinement of {description} ({c.label})",
-                 ["level", "m_count", "spacing", "ratio"])
+def _cmd_refine(args) -> io.Result:
+    problem, description = io.load_refine_problem(args.problem)
+    c = io.parse_counting_selector(args.cf)
+    # levels are built here, after the reader returns; their errors name the file too
+    fit = io._named(args.problem, continuum.refine_sequence, problem, args.levels, c)
+    out = io.Result("refine", f"refinement of {description} ({c.label})",
+                    ["level", "m_count", "spacing", "ratio"])
     out.payload.update(problem=description, counting_function=c.label,
                        levels=[r._asdict() for r in fit.rows], extrapolated=fit.extrapolated,
                        residual=fit.residual, fit_order=fit.fit_order, fit_window=fit.window)
@@ -146,10 +134,10 @@ def _cmd_refine(args) -> Result:
     return out
 
 
-def _cmd_simulate(args) -> Result:
-    psi = load_state(args.state)
-    dec, basis = load_decomposition(args.decomposition, psi.dim)
-    c = parse_counting_selector(args.cf)
+def _cmd_simulate(args) -> io.Result:
+    psi = io.load_state(args.state)
+    dec, basis = io.load_decomposition(args.decomposition, psi.dim)
+    c = io.parse_counting_selector(args.cf)
     try:
         trial_counts = [int(t) for t in str(args.trials).split(",") if t]
     except ValueError as exc:
@@ -157,9 +145,9 @@ def _cmd_simulate(args) -> Result:
     if not trial_counts:
         raise InvalidInput("--trials must name at least one trial count")
     probs = states.subspace_probs(psi, dec, basis)
-    exact = effnum(weights_from_probs(probs), c)
-    out = Result("simulate", f"measurement simulation (seed {args.seed}, {simulate.GENERATOR_ID})",
-                 ["trials", "estimate", "stderr", "exact", "abs_error"])
+    exact = counting.effnum(counting.weights_from_probs(probs), c)
+    title = f"measurement simulation (seed {args.seed}, {simulate.GENERATOR_ID})"
+    out = io.Result("simulate", title, ["trials", "estimate", "stderr", "exact", "abs_error"])
     out.payload.update(m=dec.m_count, seed=args.seed, generator=simulate.GENERATOR_ID,
                        counting_function=c.label, exact=exact, runs=[])
     for i, t in enumerate(trial_counts):
@@ -173,11 +161,11 @@ def _cmd_simulate(args) -> Result:
     return out
 
 
-def _cmd_dfd(args) -> Result:
-    family = load_dfd_family(args.family)
-    c = parse_counting_selector(args.cf)
+def _cmd_dfd(args) -> io.Result:
+    family = io.load_dfd_family(args.family)
+    c = io.parse_counting_selector(args.cf)
     fit = entropy.dfd_gamma_scan(family, c)
-    out = Result("dfd", f"degree-of-freedom density scan ({c.label})", ["n", "ratio", "k_eq"])
+    out = io.Result("dfd", f"degree-of-freedom density scan ({c.label})", ["n", "ratio", "k_eq"])
     out.payload.update(counting_function=c.label, steps=[s._asdict() for s in fit.steps],
                        gamma=fit.gamma, residual=fit.residual, fit_window=fit.window)
     for s in fit.steps:
@@ -187,10 +175,10 @@ def _cmd_dfd(args) -> Result:
     return out
 
 
-def _cmd_check(args) -> Result:
-    c = parse_counting_selector(args.cf)
-    report = validate_counting_function(c)
-    out = Result("check", f"kernel {c.label}:", ["target", "passed", "detail"])
+def _cmd_check(args) -> io.Result:
+    c = io.parse_counting_selector(args.cf)
+    report = counting.validate_counting_function(c)
+    out = io.Result("check", f"kernel {c.label}:", ["target", "passed", "detail"])
     out.payload.update(counting_function=c.label,
                        kernel_checks=[k._asdict() for k in report.checks],
                        kernel_passed=report.passed, files=[])
@@ -199,7 +187,7 @@ def _cmd_check(args) -> Result:
         out.add(csv=list(k))
     for path in args.files:
         try:
-            valid, detail = True, check_file(path)
+            valid, detail = True, io.check_file(path)
         except (InvalidInput, InvariantViolation) as exc:  # quoted without the row's path
             valid, detail = False, str(exc).removeprefix(f"{path}:").lstrip()
         out.payload["files"].append({"path": path, "valid": valid, "detail": detail})
@@ -314,6 +302,8 @@ _EXIT_CODES = {InvalidInput: 2, InvariantViolation: 3, ConvergenceError: 4}
 
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
+    import numpy as np  # after parsing: --help and usage errors load no numpy
+
     try:
         # overflows give inf or NaN, which the checks reject without a warning
         with np.errstate(all="ignore"):

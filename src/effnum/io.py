@@ -22,17 +22,8 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .continuum import (
-    Grid,
-    GridWaveFunction,
-    RefinementProblem,
-    constant_refinement_problem,
-    interval_refinement_problem,
-)
-from .counting import CountingFunction, ProbabilityVector
-from .density import DensityMatrix
+from . import continuum, counting, density, states
 from .errors import EffnumError, InvalidInput
-from .states import OrthogonalDecomposition, OrthonormalBasis, PureState
 
 # A uniform-power member holds 2**j floats: exponents lie in
 # [1, MAX_POWER_EXPONENT] and a family holds at most MAX_FAMILY_STATES.
@@ -40,17 +31,17 @@ MAX_POWER_EXPONENT = 24
 MAX_FAMILY_STATES = 2 ** (MAX_POWER_EXPONENT + 1)
 
 
-def parse_counting_selector(text: str) -> CountingFunction:
+def parse_counting_selector(text: str) -> counting.CountingFunction:
     """Parse the CLI kernel selector: ``star`` or ``alpha=<x>``."""
     text = text.strip()
     if text == "star":
-        return CountingFunction.minimal()
+        return counting.CountingFunction.minimal()
     if text.startswith("alpha="):
         try:
             alpha = float(text[len("alpha="):])
         except ValueError as exc:
             raise InvalidInput(f"cannot parse exponent in selector {text!r}") from exc
-        return CountingFunction.canonical(alpha)
+        return counting.CountingFunction.canonical(alpha)
     raise InvalidInput(f'counting-function selector must be "star" or "alpha=<x>", got {text!r}')
 
 
@@ -167,15 +158,15 @@ def _complex_array(value, key: str, ndim: int) -> np.ndarray:
     return arr.view(complex)[..., 0]
 
 
-def _state(doc: dict) -> PureState:
+def _state(doc: dict) -> states.PureState:
     dim = _int_field(doc, "dim")
     amps = _complex_array(_require(doc, "amps"), "amps", 1)
     if amps.size != dim:
         raise InvalidInput(f"expected {dim} amplitudes, got {amps.size}")
-    return PureState(amps)
+    return states.PureState(amps)
 
 
-def load_state(path: str | Path) -> PureState:
+def load_state(path: str | Path) -> states.PureState:
     """State file: {"dim": N, "amps": [[re, im], ...]}."""
     return _named(path, _state, _load_json(path))
 
@@ -190,9 +181,9 @@ def _density(doc: dict) -> np.ndarray:
     return mat
 
 
-def load_density(path: str | Path) -> DensityMatrix:
+def load_density(path: str | Path) -> density.DensityMatrix:
     """Density file: {"dim": N, "rows": [[[re, im], ...], ...]} row-major."""
-    return _named(path, DensityMatrix, _named(path, _density, _load_json(path)))
+    return _named(path, density.DensityMatrix, _named(path, _density, _load_json(path)))
 
 
 def _decomposition(doc: dict, dim: int | None = None):
@@ -201,7 +192,7 @@ def _decomposition(doc: dict, dim: int | None = None):
     groups = _index_groups(doc)
     if dim is None:
         dim = 1 + max(chain.from_iterable(groups), default=-1)
-    dec = OrthogonalDecomposition(groups, dim)
+    dec = states.OrthogonalDecomposition(groups, dim)
 
     basis_doc = doc.get("basis", "identity")
     if basis_doc == "identity":
@@ -210,7 +201,7 @@ def _decomposition(doc: dict, dim: int | None = None):
         mat = _complex_array(basis_doc["rows"], "rows", 2)
         if mat.shape != (dim, dim):
             raise InvalidInput(f"basis must be a {dim}x{dim} matrix")
-        basis = OrthonormalBasis(mat)
+        basis = states.OrthonormalBasis(mat)
     else:
         raise InvalidInput("'basis' must be \"identity\" or an object with 'rows'")
 
@@ -224,7 +215,7 @@ def _decomposition(doc: dict, dim: int | None = None):
 
 def load_decomposition(
     path: str | Path, dim: int
-) -> tuple[OrthogonalDecomposition, OrthonormalBasis | None]:
+) -> tuple[states.OrthogonalDecomposition, states.OrthonormalBasis | None]:
     """Decomposition file (0-based indices):
 
     {"basis": "identity" | {"rows": [[[re, im], ...], ...]},
@@ -234,7 +225,7 @@ def load_decomposition(
     return _named(path, _decomposition, _load_json(path), dim)
 
 
-def _grid_wavefunction(doc: dict) -> GridWaveFunction:
+def _grid_wavefunction(doc: dict) -> continuum.GridWaveFunction:
     d = _int_field(doc, "d")
     shape = tuple(_int_field(doc, "shape", listed=True))
     spacing = tuple(_float_field(doc, "spacing", listed=True).tolist())
@@ -243,12 +234,12 @@ def _grid_wavefunction(doc: dict) -> GridWaveFunction:
     origin = None
     if doc.get("origin") is not None:
         origin = tuple(_float_field(doc, "origin", listed=True).tolist())
-    grid = Grid(shape=shape, spacing=spacing, origin=origin)
+    grid = continuum.Grid(shape=shape, spacing=spacing, origin=origin)
     values = _complex_array(_require(doc, "values"), "values", 1)
-    return GridWaveFunction(grid=grid, values=values)
+    return continuum.GridWaveFunction(grid=grid, values=values)
 
 
-def load_grid_wavefunction(path: str | Path) -> GridWaveFunction:
+def load_grid_wavefunction(path: str | Path) -> continuum.GridWaveFunction:
     """Grid wave-function file:
 
     {"d": D, "shape": [...], "spacing": [...], "values": [[re, im], ...]}
@@ -268,7 +259,7 @@ def _interval(doc: dict) -> tuple[float, float]:
 def _constant_problem(doc: dict):
     weights = _float_field(doc, "weights", listed=True)
     spacing = _float_field(doc, "base_spacing") if "base_spacing" in doc else 1.0
-    return constant_refinement_problem(weights, spacing), "constant weights"
+    return continuum.constant_refinement_problem(weights, spacing), "constant weights"
 
 
 def _half_box_problem(doc: dict):
@@ -279,7 +270,8 @@ def _half_box_problem(doc: dict):
     def indicator(x: np.ndarray) -> np.ndarray:
         return (x < mid).astype(float)
 
-    return interval_refinement_problem(indicator, (lo, hi), cells), "half-box indicator"
+    problem = continuum.interval_refinement_problem(indicator, (lo, hi), cells)
+    return problem, "half-box indicator"
 
 
 def _gaussian_problem(doc: dict):
@@ -293,7 +285,8 @@ def _gaussian_problem(doc: dict):
     def gaussian(x: np.ndarray) -> np.ndarray:
         return np.exp(-((x - center) ** 2) / (2.0 * sigma * sigma))
 
-    return interval_refinement_problem(gaussian, (lo, hi), cells), "1-d Gaussian intensity"
+    problem = continuum.interval_refinement_problem(gaussian, (lo, hi), cells)
+    return problem, "1-d Gaussian intensity"
 
 
 def _uniform_power_family(doc: dict):
@@ -312,7 +305,7 @@ def _uniform_power_family(doc: dict):
         support = min(n, math.ceil(n ** (1.0 - gamma)))
         p = np.zeros(n)
         p[:support] = 1.0 / support
-        family.append((n, ProbabilityVector(p)))
+        family.append((n, counting.ProbabilityVector(p)))
     return family
 
 
@@ -324,7 +317,7 @@ def _explicit_family(doc: dict):
     for member in members:
         n = _int_field(member, "n")
         p = _float_field(member, "p", listed=True)
-        family.append((n, ProbabilityVector(p)))
+        family.append((n, counting.ProbabilityVector(p)))
     return family
 
 
@@ -352,7 +345,7 @@ _refine_problem = partial(_read_kind, kinds=PROBLEM_KINDS, what="problem")
 _dfd_family = partial(_read_kind, kinds=FAMILY_KINDS, what="family")
 
 
-def load_refine_problem(path: str | Path) -> tuple[RefinementProblem, str]:
+def load_refine_problem(path: str | Path) -> tuple[continuum.RefinementProblem, str]:
     """Refinement-problem file; returns (problem, description).
 
     The problem is a ``RefinementProblem``: ``weights(k)`` builds level
@@ -367,7 +360,7 @@ def load_refine_problem(path: str | Path) -> tuple[RefinementProblem, str]:
     return _named(path, _refine_problem, _load_json(path))
 
 
-def load_dfd_family(path: str | Path) -> list[tuple[int, ProbabilityVector]]:
+def load_dfd_family(path: str | Path) -> list[tuple[int, counting.ProbabilityVector]]:
     """Degree-of-freedom family file.
 
     {"kind": "uniform-power", "gamma": g, "exponents": [j, ...]} builds
@@ -404,7 +397,7 @@ def check_file(path: str | Path) -> str:
     invariants are checked as in load_density, after its document is freed."""
     name, obj = _named(path, _checked, _load_json(path))
     if name == "density":
-        _named(path, DensityMatrix, obj)
+        _named(path, density.DensityMatrix, obj)
     return name
 
 

@@ -5,9 +5,14 @@ than crash the traced benchmark run.
 """
 
 import importlib.util
+import json
 import pathlib
+import subprocess
+import sys
 
 import pytest
+
+from conftest import fresh_env
 
 TRACING = pathlib.Path(__file__).parents[1] / "bench" / "tracing.py"
 
@@ -31,3 +36,51 @@ def test_target_resolves(span):
         # capitalised targets are classes, wrapped at __init__; the rest are functions
         assert isinstance(target, type) == attr[0].isupper(), attr
         assert callable(target)
+
+
+# Run in a fresh interpreter that has only imported effnum.cli, so most
+# target modules are still lazy stand-ins when the recorder is installed.
+TRACER_PROBE = """
+import importlib.util, inspect, json, sys, types
+import effnum.cli
+
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+
+lazy = sorted(name for name, module in sys.modules.items()
+              if name.startswith("effnum.") and type(module) is not types.ModuleType)
+modules = [m for name, m in sys.modules.items() if name == "effnum" or name.startswith("effnum.")]
+
+def traced(value):
+    return getattr(value, "__qualname__", "").startswith("Recorder._wrap.")
+
+def bindings():
+    # every module attribute that holds a tracer wrapper, and every wrapped __init__
+    held = [(m.__name__, key) for m in modules for key, value in vars(m).items() if traced(value)]
+    inits = [m.__name__ + "." + key for m in modules for key, value in vars(m).items()
+             if inspect.isclass(value) and traced(value.__init__)]
+    return held, inits
+
+recorder = tracing.Recorder()
+recorder.install()
+unwrapped = []
+for span, (module, attrs) in tracing.TARGETS.items():
+    for attr in (attrs,) if isinstance(attrs, str) else attrs:
+        value = getattr(sys.modules["effnum." + module], attr)
+        if not traced(value.__init__ if isinstance(value, type) else value):
+            unwrapped.append(span + ":" + attr)
+installed = bindings()
+recorder.uninstall()
+print(json.dumps({"lazy": lazy, "unwrapped": unwrapped, "installed": bool(installed[0]),
+                  "left": bindings()}))
+"""
+
+
+def test_tracer_installs_over_lazily_loaded_modules():
+    out = subprocess.run([sys.executable, "-c", TRACER_PROBE, str(TRACING)], env=fresh_env(),
+                         capture_output=True, text=True, check=True).stdout
+    report = json.loads(out)
+    assert "effnum.continuum" in report["lazy"]  # install meets unloaded modules
+    assert report["unwrapped"] == [] and report["installed"]
+    assert report["left"] == [[], []]  # uninstall restored every binding

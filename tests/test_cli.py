@@ -1,11 +1,9 @@
 import gc
 import json
 import math
-import os
 import subprocess
 import sys
 import warnings
-from pathlib import Path
 
 import numpy as np
 import pytest
@@ -15,7 +13,7 @@ from effnum.cli import build_parser, main
 from effnum.errors import InvalidInput
 from effnum.io import format_float, json_text
 
-from conftest import FIXTURES
+from conftest import FIXTURES, fresh_env
 
 MANIFEST = json.loads((FIXTURES / "expected.json").read_text())
 
@@ -35,10 +33,7 @@ def run(capsys, *argv) -> tuple[int, str, str]:
 
 def fresh_python(probe: str, *args: str, cwd=None) -> str:
     """stdout of ``probe`` run by a new interpreter that imports effnum from this tree."""
-    src = str(Path(cli.__file__).resolve().parents[1])
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
-        filter(None, [src, os.environ.get("PYTHONPATH")])))
-    return subprocess.run([sys.executable, "-c", probe, *args], env=env, cwd=cwd,
+    return subprocess.run([sys.executable, "-c", probe, *args], env=fresh_env(), cwd=cwd,
                           capture_output=True, text=True, check=True).stdout
 
 
@@ -309,6 +304,14 @@ class TestExitCodes:
         assert code == 2
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {path}: ")
         assert err.count(str(path)) == 1
+
+    def test_refine_level_error_names_the_file(self, capsys, tmp_path):
+        # the reader accepts the problem; its levels are built after it returns
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"kind": "gaussian-1d", "box": [0.0, 1.0], "center": 0.5,
+                                    "sigma": 1e-200, "base_cells": 4}))
+        code, _, err = run(capsys, "refine", path)
+        assert (code, err) == (2, f"error: {path}: intensity vanishes on the whole box\n")
 
     @pytest.mark.parametrize("doc, says", [
         ({"groups": [[0], [1.7], [2]]}, "groups"),
@@ -628,7 +631,9 @@ class TestSharedParser:
 
 class TestStartupImports:
     """A command loads only the modules it uses: numpy.random for simulate,
-    fractions for ``empirical_fractions``, dataclasses for none."""
+    fractions for ``empirical_fractions``, dataclasses for none, and only the
+    effnum submodules it runs.  Importing ``effnum.cli``, ``--help`` and a
+    usage error load no numpy."""
 
     PROBE = """
 import contextlib, io, json, sys
@@ -652,6 +657,43 @@ print(json.dumps([qnum[0], unused, run(json.loads(sys.argv[1])), "numpy.random" 
         qnum_code, unused, simulated, loaded = json.loads(out)
         assert (qnum_code, unused) == (0, [])
         assert simulated == [case["exit"], case["stdout"]] and loaded
+
+    # the effnum submodules a probe has not loaded: each is registered lazily
+    # and stays a stand-in until one of its attributes is read
+    UNLOADED = """
+import contextlib, io, json, sys, types
+import effnum.cli
+
+argv = json.loads(sys.argv[1])
+with contextlib.redirect_stdout(io.StringIO()):
+    code = effnum.cli.main(argv) if argv else 0
+print(json.dumps([code, "numpy" in sys.modules,
+                  sorted(name for name, module in sys.modules.items()
+                         if name.startswith("effnum.") and type(module) is not types.ModuleType)]))
+"""
+
+    @pytest.mark.parametrize("argv, numpy, unloaded", [
+        ([], False, ["continuum", "counting", "density", "entropy", "io", "simulate", "states"]),
+        (["qnum", "density_werner.json"], True, ["continuum", "entropy", "simulate"]),
+        (["mu", "state_bell.json", "dec_pairs4.json"], True,
+         ["continuum", "density", "entropy", "simulate"]),
+    ], ids=["import", "qnum", "mu"])
+    def test_a_command_loads_only_the_modules_it_runs(self, argv, numpy, unloaded):
+        out = fresh_python(self.UNLOADED, json.dumps(argv), cwd=FIXTURES)
+        assert json.loads(out) == [0, numpy, [f"effnum.{name}" for name in unloaded]]
+
+    @pytest.mark.parametrize("argv, code", [(["--help"], 0), (["bogus"], 2)])
+    def test_help_and_usage_errors_load_no_numpy(self, argv, code):
+        # -X importtime lists every module imported on stderr; -W error turns
+        # runpy's warning about a module imported before it runs into a failure
+        done = subprocess.run([sys.executable, "-X", "importtime", "-W", "error",
+                               "-m", "effnum.cli", *argv],
+                              env=fresh_env(), capture_output=True, text=True)
+        imported = [line.rsplit("|", 1)[-1].strip() for line in done.stderr.splitlines()
+                    if line.startswith("import time:")]
+        assert done.returncode == code and "effnum" in imported
+        assert "usage: effnum" in done.stdout + done.stderr
+        assert not [name for name in imported if name.split(".")[0] == "numpy"]
 
 
 class TestExactSumCalls:

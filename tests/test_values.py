@@ -80,8 +80,8 @@ COPIES = {"constructed": lambda o: o, "pickle": lambda o: pickle.loads(pickle.du
 
 
 def exported_classes() -> set[type]:
-    return {v for v in vars(effnum).values()
-            if isinstance(v, type) and not issubclass(v, Exception)}
+    exported = (getattr(effnum, name) for name in effnum.__all__)
+    return {v for v in exported if isinstance(v, type) and not issubclass(v, Exception)}
 
 
 def same(a, b) -> bool:
