@@ -36,21 +36,14 @@ _EXPORTS = {
         "OrthogonalDecomposition",
         "OrthonormalBasis",
         "PureState",
-        "basis_change",
         "metric_uncertainty",
         "mu_uncertainty",
-        "mu_uncertainty_min",
         "subspace_probs",
     ),
     "entropy": (
-        "DofModel",
         "GammaScanResult",
-        "dfd",
         "dfd_gamma_scan",
-        "k_equivalent",
         "mu_entropy",
-        "mu_entropy_alpha",
-        "mu_entropy_min",
         "superadditivity_gap",
     ),
     "density": (
@@ -60,10 +53,8 @@ _EXPORTS = {
         "entanglement_weights",
         "hermitian_eigen",
         "mu_entanglement",
-        "mu_entanglement_min",
         "partial_trace",
         "quantum_effnum",
-        "quantum_effnum_min",
         "schmidt_weights",
     ),
     "continuum": (
@@ -76,10 +67,8 @@ _EXPORTS = {
         "SectorFamily",
         "SpectralDensityPair",
         "constant_refinement_problem",
-        "effective_jordan_content",
         "effective_volume",
         "interval_refinement_problem",
-        "mixed_relative_mu",
         "partition_additivity_check",
         "refine_sequence",
         "relative_mu_continuum",

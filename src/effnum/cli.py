@@ -59,7 +59,8 @@ def _cmd_qnum(args) -> io.Result:
     out.put("counting_function", c.label, "kernel")
     out.payload["log_base"] = base_label
     out.put("spectrum", rho.spectrum, "rho", csv=True)
-    value, minimal = density.quantum_effnum(rho, c), density.quantum_effnum_min(rho)
+    value = density.quantum_effnum(rho, c)
+    minimal = density.quantum_effnum(rho, counting.CountingFunction.minimal())
     out.put("qnum", value, "state components", csv=True)
     out.put("qnum_min", minimal, "minimal (star)", csv=True)
     out.put("entropy", math.log(value) / divisor, "entropy")

@@ -3,18 +3,17 @@ refinement/extrapolation drivers.
 
 Every integral over cells here is one call of ``riemann_sum``, the
 midpoint rule on hypercubic grids: a cell contributes its midpoint sample
-times its volume.  That single convention keeps the additivity identity
-for partitions of the support exact at finite resolution and makes
-matched-sampling consistency relations hold bit-for-bit.
+times the grid's cell volume.  That single convention keeps the additivity
+identity for partitions of the support exact at finite resolution and
+makes matched-sampling consistency relations hold bit-for-bit.
 
 The central quantity is the relative uncertainty fraction
 
     F[P, eta] = sum_cells  eta * c(P / eta) * cellvol      in (0, 1]
 
-for a probability density P and a spectral density eta sharing a support.
-Uniform eta = 1/V turns V * F into an effective volume, which is also
-available directly for wave functions on grids and for plain regions
-carrying a probability density (effective Jordan content).
+for a probability density P and a spectral density eta sharing a support,
+summed over the sectors of a mixed spectrum.  Uniform eta = 1/V turns
+V * F into the effective volume of a grid wave function.
 """
 
 from __future__ import annotations
@@ -51,10 +50,7 @@ class Grid(Frozen):
         shape = tuple(as_dim(s, "cell count") for s in shape)
         spacing = tuple(float(s) for s in spacing)
         if not 1 <= len(shape) <= MAX_GRID_DIM:
-            raise InvalidInput(
-                f"grids support 1..{MAX_GRID_DIM} dimensions, got {len(shape)}; "
-                "supply explicit cell volumes for higher dimensions"
-            )
+            raise InvalidInput(f"grids support 1..{MAX_GRID_DIM} dimensions, got {len(shape)}")
         if len(spacing) != len(shape):
             raise InvalidInput("shape and spacing must have the same length")
         if any(s < 1 for s in shape) or any(h <= 0.0 for h in spacing):
@@ -90,10 +86,9 @@ class Grid(Frozen):
         return np.stack([m.ravel() for m in mesh], axis=-1)
 
 
-def riemann_sum(field: np.ndarray, vol: float | np.ndarray) -> float:
+def riemann_sum(field: np.ndarray, vol: float) -> float:
     """Midpoint-rule integral of per-cell samples: the sum of each sample
-    times its cell's volume, ``vol`` being a grid's one cell volume or an
-    explicit region's array of them."""
+    times ``vol``, the grid's one cell volume."""
     return float(np.sum(field * vol))
 
 
@@ -129,40 +124,6 @@ def effective_volume(psi: GridWaveFunction, c: CountingFunction) -> float:
     kernel costs one kernel pass and one sum.
     """
     return riemann_sum(c(psi.grid.total_volume * psi.density), psi.grid.cell_volume)
-
-
-def effective_jordan_content(
-    region: "Grid | np.ndarray | Sequence[float]",
-    p: np.ndarray,
-    c: CountingFunction,
-) -> float:
-    """Effective volume of a region weighted by a probability density.
-
-    ``region`` is a grid or an explicit array of cell volumes; ``p`` holds
-    midpoint samples of a density with unit Riemann integral.  Returns the
-    integral of c(V * p) where V is the region's total volume; uniform p
-    gives V back for every kernel.  V must be finite.
-    """
-    if isinstance(region, Grid):
-        vol, ncells, v = region.cell_volume, region.ncells, region.total_volume
-    else:
-        vol = np.asarray(region, dtype=float).ravel()
-        if vol.size == 0 or not np.all(vol > 0.0):
-            raise InvalidInput("cell volumes must be positive and non-empty")
-        ncells = vol.size
-        with np.errstate(over="ignore"):  # an overflowing total is rejected below
-            v = riemann_sum(1.0, vol)
-    if not math.isfinite(v):
-        raise InvalidInput(f"region total volume must be finite; got {v!r}")
-    p = np.asarray(p, dtype=float).ravel()
-    if p.size != ncells:
-        raise InvalidInput(f"density has {p.size} cells, region has {ncells}")
-    if np.any(p < 0.0):
-        raise InvalidInput("density samples must be non-negative")
-    total = riemann_sum(p, vol)
-    if not abs(total - 1.0) <= GRID_NORM_TOL:
-        raise InvalidInput(f"density must integrate to 1 within {GRID_NORM_TOL:g}; got {total!r}")
-    return riemann_sum(c(v * p), vol)
 
 
 def _support_mask(eta: np.ndarray) -> np.ndarray:
@@ -234,16 +195,13 @@ class SpectralDensityPair(SectorFamily):
         return self.etas[0]
 
 
-def mixed_relative_mu(sf: SectorFamily, c: CountingFunction) -> float:
-    """Uncertainty fraction summed over discrete sectors."""
+def relative_mu_continuum(sf: SectorFamily, c: CountingFunction) -> float:
+    """Relative uncertainty fraction summed over the family's sectors; in
+    (0, 1], 1 iff P_m = eta_m in every sector.  A :class:`SpectralDensityPair`
+    is a one-sector family."""
     return math.fsum(
         _relative_mu(p, eta, sf.grid.cell_volume, c) for p, eta in zip(sf.ps, sf.etas)
     )
-
-
-def relative_mu_continuum(sd: SpectralDensityPair, c: CountingFunction) -> float:
-    """Relative uncertainty fraction of the pair; in (0, 1], 1 iff P = eta."""
-    return mixed_relative_mu(sd, c)
 
 
 class PartitionAdditivityResult(NamedTuple):

@@ -140,11 +140,6 @@ def quantum_effnum(rho: DensityMatrix, c: CountingFunction) -> float:
     return effnum(WeightVector(rho.dim * rho.spectrum), c)
 
 
-def quantum_effnum_min(rho: DensityMatrix) -> float:
-    """Smallest consistent state-component count: sum_i min{N rho_i, 1}."""
-    return quantum_effnum(rho, CountingFunction.minimal())
-
-
 class BipartiteStructure(Frozen):
     """Factorization N = dim_a * dim_b with row-major index a * dim_b + b."""
 
@@ -217,7 +212,3 @@ def entanglement_weights(psi: PureState, bp: BipartiteStructure) -> WeightVector
     kernels."""
     weights = schmidt_weights(psi, bp)
     return WeightVector(weights.size * weights)
-
-
-def mu_entanglement_min(psi: PureState, bp: BipartiteStructure) -> float:
-    return mu_entanglement(psi, bp, CountingFunction.minimal())

@@ -2,9 +2,10 @@
 
 The entropy of a probability vector here is the natural log of its
 effective count, in the spirit of Boltzmann's log of accessible states.
-For a system of K degrees of freedom with per-degree dimension kappa the
-same quantity converts to an equivalent degree-of-freedom count
-K_eq = S / log(kappa) and a degree-of-freedom density k_eq = K_eq / K.
+For a system of K degrees of freedom with per-degree dimension kappa,
+n = kappa**K, the same quantity converts to an equivalent degree-of-freedom
+count K_eq = S / log(kappa) and a degree-of-freedom density
+k_eq = K_eq / K = S / log(n), which :func:`dfd_gamma_scan` tabulates.
 """
 
 from __future__ import annotations
@@ -16,9 +17,7 @@ import numpy as np
 
 from .counting import (
     CountingFunction,
-    Frozen,
     ProbabilityVector,
-    as_dim,
     effnum,
     product,
     tail_fit,
@@ -27,38 +26,9 @@ from .counting import (
 from .errors import InvalidInput
 
 
-class DofModel(Frozen):
-    """K degrees of freedom, each with a kappa-dimensional state space."""
-
-    def __init__(self, kappa: int, k_count: int):
-        kappa, k_count = as_dim(kappa, "per-degree dimension"), as_dim(k_count, "degree count")
-        if kappa < 2:
-            raise InvalidInput(f"per-degree dimension must be >= 2, got {kappa}")
-        if k_count < 1:
-            raise InvalidInput(f"degree count must be >= 1, got {k_count}")
-        self._store(kappa=kappa, k_count=k_count)
-
-    @property
-    def n(self) -> int:
-        return self.kappa**self.k_count  # exact integer arithmetic
-
-
 def mu_entropy(p: ProbabilityVector, c: CountingFunction) -> float:
     """log of the effective count of p; in [0, log n]."""
     return math.log(effnum(weights_from_probs(p), c))
-
-
-def mu_entropy_min(p: ProbabilityVector) -> float:
-    """Smallest consistent entropy: log sum_i min{n p_i, 1}."""
-    return mu_entropy(p, CountingFunction.minimal())
-
-
-def mu_entropy_alpha(p: ProbabilityVector, alpha: float) -> float:
-    """Canonical-family entropy log sum_i min{(n p_i)^alpha, 1}, 0 < alpha <= 1.
-
-    alpha = 1 reproduces :func:`mu_entropy_min` exactly.
-    """
-    return mu_entropy(p, CountingFunction.canonical(alpha))
 
 
 def superadditivity_gap(p: ProbabilityVector, q: ProbabilityVector, alpha: float) -> float:
@@ -67,22 +37,8 @@ def superadditivity_gap(p: ProbabilityVector, q: ProbabilityVector, alpha: float
     Non-negative for every (p, q, alpha); returned as computed so callers
     can assert the >= -1e-12 contract.
     """
-    joint = mu_entropy_alpha(product(p, q), alpha)
-    return joint - mu_entropy_alpha(p, alpha) - mu_entropy_alpha(q, alpha)
-
-
-def k_equivalent(p: ProbabilityVector, model: DofModel, c: CountingFunction) -> float:
-    """Equivalent degree-of-freedom count: entropy in base-kappa units."""
-    if p.n != model.n:
-        raise InvalidInput(
-            f"distribution length {p.n} != model state-space size {model.n}"
-        )
-    return mu_entropy(p, c) / math.log(model.kappa)
-
-
-def dfd(p: ProbabilityVector, model: DofModel, c: CountingFunction) -> float:
-    """Degree-of-freedom density K_eq / K; in [0, 1], 1 iff p is uniform."""
-    return k_equivalent(p, model, c) / model.k_count
+    c = CountingFunction.canonical(alpha)
+    return mu_entropy(product(p, q), c) - mu_entropy(p, c) - mu_entropy(q, c)
 
 
 class ScanStep(NamedTuple):

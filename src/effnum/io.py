@@ -279,11 +279,12 @@ def _gaussian_problem(doc: dict):
     center = _float_field(doc, "center")
     sigma = _float_field(doc, "sigma")
     cells = _int_field(doc, "base_cells")
-    if sigma <= 0.0:
-        raise InvalidInput("sigma must be positive")
+    two_var = 2.0 * sigma * sigma
+    if not (sigma > 0.0 and two_var > 0.0):  # a tiny sigma's 2*sigma**2 underflows to 0
+        raise InvalidInput(f"sigma must be positive with 2*sigma**2 > 0, got {sigma!r}")
 
     def gaussian(x: np.ndarray) -> np.ndarray:
-        return np.exp(-((x - center) ** 2) / (2.0 * sigma * sigma))
+        return np.exp(-((x - center) ** 2) / two_var)
 
     problem = continuum.interval_refinement_problem(gaussian, (lo, hi), cells)
     return problem, "1-d Gaussian intensity"

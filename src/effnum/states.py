@@ -148,11 +148,6 @@ def _amps_in_basis(psi: PureState, basis: OrthonormalBasis | None) -> np.ndarray
     return basis.vectors.conj().T @ psi.amps
 
 
-def basis_change(psi: PureState, basis: OrthonormalBasis) -> PureState:
-    """Coordinates of psi in the given basis: amplitude i is <i|psi>."""
-    return PureState(_amps_in_basis(psi, basis))
-
-
 def subspace_probs(
     psi: PureState,
     dec: OrthogonalDecomposition,
@@ -175,15 +170,6 @@ def mu_uncertainty(
     """Effective number of distinct outcomes for the decomposition; in [1, M]."""
     probs = subspace_probs(psi, dec, basis)
     return effnum(weights_from_probs(probs), c)
-
-
-def mu_uncertainty_min(
-    psi: PureState,
-    dec: OrthogonalDecomposition,
-    basis: OrthonormalBasis | None = None,
-) -> float:
-    """Smallest consistent outcome abundance; lower-bounds every kernel."""
-    return mu_uncertainty(psi, dec, basis, CountingFunction.minimal())
 
 
 def metric_uncertainty(

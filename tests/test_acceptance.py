@@ -42,12 +42,11 @@ from effnum import (
     empirical_probs,
     hermitian_eigen,
     interval_refinement_problem,
-    mu_entanglement_min,
+    mu_entanglement,
     partial_trace,
     partition_additivity_check,
     plugin_mu_estimate,
     quantum_effnum,
-    quantum_effnum_min,
     refine_sequence,
     reparametrization_check,
     sample_outcomes,
@@ -75,7 +74,7 @@ def test_01_minimality_of_the_star_kernel():
     for _ in range(1_000):
         n = int(rng.integers(2, 17))
         rho = DensityMatrix(random_density(rng, n))
-        floor = quantum_effnum_min(rho)
+        floor = quantum_effnum(rho, MINIMAL)
         for c in ALPHAS:
             assert floor <= quantum_effnum(rho, c) + 1e-12
     elapsed = time.monotonic() - start
@@ -148,7 +147,7 @@ def test_04_schmidt_symmetry_of_entanglement():
             for keep in "AB"
         )
         assert abs(a_side - b_side) <= 1e-9
-        shared = mu_entanglement_min(psi, bp)
+        shared = mu_entanglement(psi, bp, MINIMAL)
         assert abs(a_side - shared) <= 1e-9
         assert abs(b_side - shared) <= 1e-9
     report(4, "Schmidt symmetry")
@@ -170,22 +169,22 @@ def test_05_basis_independence_of_state_content():
 def test_06_analytic_golden_values():
     root_half = math.sqrt(0.5)
     bell = PureState(np.array([root_half, 0, 0, root_half], dtype=complex))
-    assert mu_entanglement_min(bell, BipartiteStructure(2, 2)) == pytest.approx(
+    assert mu_entanglement(bell, BipartiteStructure(2, 2), MINIMAL) == pytest.approx(
         2.0, abs=1e-10
     )
 
     for n in (2, 3, 7, 16):
         rho = DensityMatrix.maximally_mixed(n)
-        assert quantum_effnum_min(rho) == pytest.approx(float(n), abs=1e-10)
+        assert quantum_effnum(rho, MINIMAL) == pytest.approx(float(n), abs=1e-10)
 
     tilted = PureState(np.array([math.sqrt(0.8), 0, 0, math.sqrt(0.2)], dtype=complex))
-    assert mu_entanglement_min(tilted, BipartiteStructure(2, 2)) == pytest.approx(
+    assert mu_entanglement(tilted, BipartiteStructure(2, 2), MINIMAL) == pytest.approx(
         1.4, abs=1e-10
     )
 
     phi = np.outer(bell.amps, bell.amps.conj())
     werner = DensityMatrix(0.5 * phi + 0.5 * np.eye(4) / 4.0)
-    assert quantum_effnum_min(werner) == pytest.approx(2.5, abs=1e-10)
+    assert quantum_effnum(werner, MINIMAL) == pytest.approx(2.5, abs=1e-10)
 
     grid = Grid(shape=(8,), spacing=(0.25,))
     values = np.zeros(8, dtype=complex)

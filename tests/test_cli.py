@@ -309,9 +309,19 @@ class TestExitCodes:
         # the reader accepts the problem; its levels are built after it returns
         path = tmp_path / "problem.json"
         path.write_text(json.dumps({"kind": "gaussian-1d", "box": [0.0, 1.0], "center": 0.5,
-                                    "sigma": 1e-200, "base_cells": 4}))
+                                    "sigma": 1e-160, "base_cells": 4}))
         code, _, err = run(capsys, "refine", path)
         assert (code, err) == (2, f"error: {path}: intensity vanishes on the whole box\n")
+
+    @pytest.mark.parametrize("center", [0.125, 0.5])
+    def test_a_sigma_whose_square_underflows_is_rejected_by_name(self, capsys, tmp_path, center):
+        # 2 * sigma * sigma is 0, so a sample on the center would be 0/0
+        path = tmp_path / "problem.json"
+        path.write_text(json.dumps({"kind": "gaussian-1d", "box": [0.0, 1.0], "center": center,
+                                    "sigma": 1e-200, "base_cells": 4}))
+        code, _, err = run(capsys, "refine", path)
+        assert code == 2
+        assert err == f"error: {path}: sigma must be positive with 2*sigma**2 > 0, got 1e-200\n"
 
     @pytest.mark.parametrize("doc, says", [
         ({"groups": [[0], [1.7], [2]]}, "groups"),
@@ -374,8 +384,10 @@ class TestExitCodes:
                               "values": [[1e160, 0]]}], 2),
         (["refine", "{0}"], [{"kind": "gaussian-1d", "box": [0.0, 1.0], "center": 0.413,
                               "sigma": 1e-200, "base_cells": 128}], 2),
+        (["refine", "{0}"], [{"kind": "gaussian-1d", "box": [0.0, 1.0], "center": 0.413,
+                              "sigma": 1e-160, "base_cells": 128}], 2),
     ], ids=["state-norm", "density-hermiticity", "basis-gram", "constant-weights",
-            "family-p", "grid-norm", "gaussian-sigma"])
+            "family-p", "grid-norm", "gaussian-sigma", "gaussian-sigma-subnormal-variance"])
     def test_overflow_is_one_error_line(self, capsys, tmp_path, argv, docs, code):
         paths = []
         for i, doc in enumerate(docs):

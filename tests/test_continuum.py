@@ -17,10 +17,8 @@ from effnum import (
     SectorFamily,
     SpectralDensityPair,
     constant_refinement_problem,
-    effective_jordan_content,
     effective_volume,
     interval_refinement_problem,
-    mixed_relative_mu,
     partition_additivity_check,
     refine_sequence,
     relative_mu_continuum,
@@ -101,24 +99,26 @@ class TestEffectiveVolume:
             psi.density[0] = 0.0
 
     def test_volume_equals_the_jordan_content_of_the_density(self):
-        # the state's own density gives the bits of the general region path
+        # V times the fraction against the uniform eta = 1/V, from the state's own density
         grid = Grid(shape=(4, 8, 2), spacing=(0.5, 0.25, 0.75), origin=(1.0, 0.0, -2.0))
         values = np.random.default_rng(3).normal(size=64) * (1 + 0.5j)
         psi = GridWaveFunction(grid, values / math.sqrt(np.sum(np.abs(values) ** 2)
                                                        * grid.cell_volume))
-        for c in (MINIMAL, HALF, CountingFunction.from_callable(lambda w: np.tanh(w))):
-            expected = effective_jordan_content(grid, np.abs(psi.values) ** 2, c)
-            assert effective_volume(psi, c) == expected
+        volume = grid.total_volume
+        sd = SpectralDensityPair.from_grid(grid, psi.density, np.full(64, 1.0 / volume))
+        for c in (MINIMAL, HALF):
+            assert relative_mu_continuum(sd, c) * volume == effective_volume(psi, c)
+        tanh = CountingFunction.from_callable(lambda w: np.tanh(w))
+        assert relative_mu_continuum(sd, tanh) * volume == pytest.approx(
+            effective_volume(psi, tanh), rel=1e-15)
 
 
 @pytest.mark.parametrize("build", [
     lambda: GridWaveFunction(Grid(shape=(2,), spacing=(1.0,)), np.array([math.nan, 1.0])),
     lambda: SectorFamily.from_grid(Grid(shape=(2,), spacing=(0.5,)),
                                    [(np.array([math.nan, 1.0]), np.ones(2))]),
-    lambda: effective_jordan_content(Grid(shape=(2,), spacing=(0.5,)),
-                                     np.array([math.nan, 1.0]), MINIMAL),
     lambda: OrthonormalBasis(np.full((2, 2), math.nan)),
-], ids=["grid-norm", "sector-totals", "jordan-content-total", "basis-orthonormality"])
+], ids=["grid-norm", "sector-totals", "basis-orthonormality"])
 def test_tolerance_checks_reject_nan(build):
     with pytest.raises(InvalidInput):
         build()
@@ -160,16 +160,15 @@ class TestRelativeMu:
         assert relative_mu_continuum(matched, MINIMAL) == pytest.approx(1.0, abs=1e-12)
 
     def test_uniform_eta_matches_jordan_content_exactly(self):
-        # box volume 2 keeps every rescaling a power of two, hence exact
+        # V times the fraction against eta = 1/V is the state's effective volume
         grid = Grid(shape=(64,), spacing=(2.0 / 64,))
         x = grid.centers()[:, 0]
         dens = 1.0 + 0.5 * np.sin(3.0 * x)
-        p = dens / (dens.sum() * grid.cell_volume)
-        eta = np.full(64, 0.5)
-        sd = SpectralDensityPair.from_grid(grid, p, eta)
+        psi = GridWaveFunction(grid, np.sqrt(dens / (dens.sum() * grid.cell_volume)))
+        volume = grid.total_volume
+        sd = SpectralDensityPair.from_grid(grid, psi.density, np.full(64, 1.0 / volume))
         for c in (MINIMAL, HALF):
-            fraction = relative_mu_continuum(sd, c)
-            assert fraction * grid.total_volume == effective_jordan_content(grid, p, c)
+            assert relative_mu_continuum(sd, c) * volume == effective_volume(psi, c)
 
     def test_triangular_profile_against_finer_oracle(self):
         def value_at(cells: int) -> float:
@@ -221,28 +220,25 @@ class TestRelativeMu:
 
 
 class TestJordanContent:
+    # the effective Jordan content of a grid region weighted by a density is
+    # the effective volume of a wave function with that density
+
     def test_uniform_density_returns_the_volume(self):
-        grid = Grid(shape=(32,), spacing=(0.125,))
-        p = np.full(32, 1.0 / grid.total_volume)
+        psi = uniform_state(32, 0.125)
         for c in (MINIMAL, HALF):
-            assert effective_jordan_content(grid, p, c) == grid.total_volume
+            assert effective_volume(psi, c) == psi.grid.total_volume
 
     def test_half_support_indicator(self):
-        grid = Grid(shape=(32,), spacing=(1.0 / 32,))
-        p = np.zeros(32)
-        p[:16] = 2.0
-        assert effective_jordan_content(grid, p, MINIMAL) == 0.5
+        psi = half_box_state(32, 1.0 / 32)
+        assert effective_volume(psi, MINIMAL) == 0.5
 
     def test_triangular_orders_and_matches_oracle(self):
         def values(cells):
             grid = Grid(shape=(cells,), spacing=(1.0 / cells,))
             x = grid.centers()[:, 0]
             p = 2.0 * x
-            p = p / (p.sum() * grid.cell_volume)
-            return (
-                effective_jordan_content(grid, p, MINIMAL),
-                effective_jordan_content(grid, p, HALF),
-            )
+            psi = GridWaveFunction(grid, np.sqrt(p / (p.sum() * grid.cell_volume)))
+            return effective_volume(psi, MINIMAL), effective_volume(psi, HALF)
 
         v_min, v_half = values(2048)
         assert v_half >= v_min
@@ -252,24 +248,12 @@ class TestJordanContent:
         # O(h^1.5) (derivative singularity), hence the looser bound
         assert abs(v_half - fine_half) / fine_half < 1e-4
 
-    def test_explicit_cell_volumes_accepted(self):
-        vols = np.array([0.5, 0.25, 0.25])
-        p = np.full(3, 1.0)
-        assert effective_jordan_content(vols, p, MINIMAL) == 1.0
-
-    @pytest.mark.filterwarnings("error")
-    def test_explicit_volumes_with_an_overflowing_total_are_rejected(self):
-        # each cell's mass p * vol is 0.5, so the density integrates to 1
-        with pytest.raises(InvalidInput, match="total volume must be finite"):
-            effective_jordan_content(np.array([1e308, 1e308]), np.array([0.5e-308, 0.5e-308]),
-                                     MINIMAL)
-
     @pytest.mark.filterwarnings("error")
     def test_grid_with_an_overflowing_cell_volume_is_rejected_without_a_warning(self):
         grid = Grid(shape=(2, 2), spacing=(1e200, 1e200))
         assert grid.cell_volume == math.inf
         with pytest.raises(InvalidInput, match="total volume must be finite"):
-            effective_jordan_content(grid, np.full(4, 0.25), MINIMAL)
+            GridWaveFunction(grid, np.full(4, 0.5, dtype=complex))
 
 
 class TestPartitionAdditivity:
@@ -319,14 +303,14 @@ class TestMixedSpectra:
     def test_single_sector_reduces_exactly(self):
         sd = gaussian_pair(128)
         family = SectorFamily.from_grid(sd.grid, [(sd.p, sd.eta)])
-        assert mixed_relative_mu(family, MINIMAL) == relative_mu_continuum(sd, MINIMAL)
+        assert relative_mu_continuum(family, MINIMAL) == relative_mu_continuum(sd, MINIMAL)
 
     def test_two_identical_halves_match_single_sector(self):
         sd = gaussian_pair(128)
         family = SectorFamily.from_grid(
             sd.grid, [(sd.p / 2.0, sd.eta / 2.0), (sd.p / 2.0, sd.eta / 2.0)]
         )
-        assert mixed_relative_mu(family, MINIMAL) == relative_mu_continuum(sd, MINIMAL)
+        assert relative_mu_continuum(family, MINIMAL) == relative_mu_continuum(sd, MINIMAL)
 
     def test_spin_half_profile_against_finer_oracle(self):
         def value_at(cells: int, library: bool) -> float:
@@ -343,7 +327,7 @@ class TestMixedSpectra:
                 family = SectorFamily.from_grid(
                     grid, [(p_up, eta_up), (p_down, eta_down)]
                 )
-                return mixed_relative_mu(family, MINIMAL)
+                return relative_mu_continuum(family, MINIMAL)
             total = 0.0
             for p, eta in ((p_up, eta_up), (p_down, eta_down)):
                 total += float(np.sum(np.minimum(p, eta)) * h)

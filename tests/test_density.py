@@ -23,10 +23,8 @@ from effnum import (
     effnum,
     hermitian_eigen,
     mu_entanglement,
-    mu_entanglement_min,
     partial_trace,
     quantum_effnum,
-    quantum_effnum_min,
     schmidt_weights,
 )
 from effnum.cli import main
@@ -169,7 +167,7 @@ class TestQuantumEffnum:
         rng = np.random.default_rng(31)
         for n in (2, 5, 9):
             rho = DensityMatrix.from_pure(PureState(random_pure(rng, n)))
-            assert quantum_effnum_min(rho) == pytest.approx(1.0, abs=1e-12)
+            assert quantum_effnum(rho, MINIMAL) == pytest.approx(1.0, abs=1e-12)
 
     @pytest.mark.parametrize("n", [2, 3, 7, 16])
     def test_maximally_mixed_counts_everything(self, n):
@@ -181,14 +179,14 @@ class TestQuantumEffnum:
         rho = werner_half()
         spectrum = hermitian_eigen(rho).eigenvalues
         assert spectrum == pytest.approx([0.625, 0.125, 0.125, 0.125], abs=1e-12)
-        assert quantum_effnum_min(rho) == pytest.approx(2.5, abs=1e-10)
+        assert quantum_effnum(rho, MINIMAL) == pytest.approx(2.5, abs=1e-10)
 
     def test_minimal_lower_bounds_canonical(self):
         rng = np.random.default_rng(37)
         alphas = np.arange(1, 11) / 10.0
         for _ in range(20):
             rho = DensityMatrix(random_density(rng, int(rng.integers(2, 13))))
-            floor = quantum_effnum_min(rho)
+            floor = quantum_effnum(rho, MINIMAL)
             for a in alphas:
                 assert floor <= quantum_effnum(rho, CountingFunction.canonical(a)) + 1e-12
 
@@ -280,18 +278,18 @@ class TestPartialTrace:
 class TestEntanglement:
     def test_product_state_shares_nothing(self):
         psi = PureState.basis_vector(0, 4)
-        assert mu_entanglement_min(psi, BipartiteStructure(2, 2)) == pytest.approx(
+        assert mu_entanglement(psi, BipartiteStructure(2, 2), MINIMAL) == pytest.approx(
             1.0, abs=1e-12
         )
 
     def test_bell_state_shares_two(self):
-        assert mu_entanglement_min(bell_state(), BipartiteStructure(2, 2)) == pytest.approx(
+        assert mu_entanglement(bell_state(), BipartiteStructure(2, 2), MINIMAL) == pytest.approx(
             2.0, abs=1e-10
         )
 
     def test_tilted_state_example(self):
         psi = PureState(np.array([math.sqrt(0.8), 0.0, 0.0, math.sqrt(0.2)], complex))
-        assert mu_entanglement_min(psi, BipartiteStructure(2, 2)) == pytest.approx(
+        assert mu_entanglement(psi, BipartiteStructure(2, 2), MINIMAL) == pytest.approx(
             1.4, abs=1e-10
         )
 
@@ -302,7 +300,7 @@ class TestEntanglement:
             psi = PureState(random_pure(rng, bp.dim))
             a, b = reduced_counts(psi, bp, MINIMAL)
             assert abs(a - b) < 1e-9
-            assert abs(mu_entanglement_min(psi, bp) - a) < 1e-9
+            assert abs(mu_entanglement(psi, bp, MINIMAL) - a) < 1e-9
             assert 1.0 - 1e-12 <= a <= min(dim_a, dim_b) + 1e-12
 
     def test_sides_agree_for_canonical_kernels_loosely(self):
@@ -323,13 +321,13 @@ class TestEntanglement:
         amps[4] = math.sqrt(0.2)   # |1>|1>
         psi = PureState(amps)
         bp = BipartiteStructure(2, 3)
-        assert mu_entanglement_min(psi, bp) == pytest.approx(1.4, abs=1e-10)
+        assert mu_entanglement(psi, bp, MINIMAL) == pytest.approx(1.4, abs=1e-10)
         for count in reduced_counts(psi, bp, MINIMAL):
             assert count == pytest.approx(1.4, abs=1e-10)
 
     def test_dimension_mismatch_rejected(self):
         with pytest.raises(InvalidInput):
-            mu_entanglement_min(bell_state(), BipartiteStructure(2, 3))
+            mu_entanglement(bell_state(), BipartiteStructure(2, 3), MINIMAL)
 
     @pytest.mark.parametrize("dim_a, dim_b", [(2, 3), (3, 5), (8, 32), (16, 16)])
     def test_schmidt_weights_match_partial_trace_oracle(self, dim_a, dim_b):
@@ -345,13 +343,13 @@ class TestEntanglement:
                 oracle = hermitian_eigen(partial_trace(joint, bp, keep)).eigenvalues[:k]
                 assert np.max(np.abs(weights - oracle)) < 1e-12
             for count in reduced_counts(psi, bp, MINIMAL):
-                assert abs(mu_entanglement_min(psi, bp) - count) < 1e-12
+                assert abs(mu_entanglement(psi, bp, MINIMAL) - count) < 1e-12
 
     def test_beyond_the_density_dimension_cap(self, tmp_path, capsys):
         rng = np.random.default_rng(79)
         bp = BipartiteStructure(64, 128)  # N = 8192 > DEFAULT_DIM_CAP
         amps = random_pure(rng, bp.dim)
-        value = mu_entanglement_min(PureState(amps), bp)
+        value = mu_entanglement(PureState(amps), bp, MINIMAL)
         assert 1.0 <= value <= 64.0
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"dim": bp.dim, "amps": [[z.real, z.imag] for z in amps]}))

@@ -8,15 +8,10 @@ from oracles import random_probs
 
 from effnum import (
     CountingFunction,
-    DofModel,
     InvalidInput,
     ProbabilityVector,
-    dfd,
     dfd_gamma_scan,
-    k_equivalent,
     mu_entropy,
-    mu_entropy_alpha,
-    mu_entropy_min,
     superadditivity_gap,
 )
 
@@ -38,16 +33,15 @@ class TestMuEntropy:
 
     def test_dyadic_example(self):
         assert mu_entropy(probs(0.5, 0.25, 0.25), MINIMAL) == math.log(2.5)
-        assert mu_entropy_min(probs(0.5, 0.25, 0.25)) == math.log(2.5)
 
     def test_alpha_one_matches_minimal_bitwise(self):
         rng = np.random.default_rng(3)
         for _ in range(20):
             p = ProbabilityVector(random_probs(rng, int(rng.integers(2, 33))))
-            assert mu_entropy_alpha(p, 1.0) == mu_entropy_min(p)
+            assert mu_entropy(p, CountingFunction.canonical(1.0)) == mu_entropy(p, MINIMAL)
 
     def test_alpha_half_example(self):
-        value = mu_entropy_alpha(probs(0.5, 0.25, 0.25), 0.5)
+        value = mu_entropy(probs(0.5, 0.25, 0.25), CountingFunction.canonical(0.5))
         expected = math.log(math.fsum(min(x**0.5, 1.0) for x in (1.5, 0.75, 0.75)))
         assert value == expected
         assert value == pytest.approx(1.0050525387423810, abs=1e-12)
@@ -55,14 +49,14 @@ class TestMuEntropy:
     @pytest.mark.parametrize("alpha", [0.0, 1.0001, -1.0])
     def test_alpha_validated(self, alpha):
         with pytest.raises(InvalidInput):
-            mu_entropy_alpha(probs(0.5, 0.5), alpha)
+            superadditivity_gap(probs(0.5, 0.5), probs(0.5, 0.5), alpha)
 
     def test_bounds_and_uniform_maximality(self):
         rng = np.random.default_rng(29)
         for _ in range(60):
             n = int(rng.integers(2, 65))
             p = ProbabilityVector(random_probs(rng, n))
-            s = mu_entropy_min(p)
+            s = mu_entropy(p, MINIMAL)
             assert -1e-12 <= s <= math.log(n) + 1e-12
 
     def test_alpha_monotonicity(self):
@@ -70,7 +64,7 @@ class TestMuEntropy:
         alphas = np.arange(1, 11) / 10.0
         for _ in range(40):
             p = ProbabilityVector(random_probs(rng, int(rng.integers(2, 33))))
-            values = [mu_entropy_alpha(p, a) for a in alphas]
+            values = [mu_entropy(p, CountingFunction.canonical(a)) for a in alphas]
             for smaller, larger in zip(values[1:], values[:-1]):
                 assert smaller <= larger + 1e-12
 
@@ -78,11 +72,9 @@ class TestMuEntropy:
         rng = np.random.default_rng(41)
         p = random_probs(rng, 12)
         shuffled = rng.permutation(p)
-        model = DofModel(kappa=2, k_count=1)  # unused here; direct entropies
-        assert mu_entropy_min(ProbabilityVector(p)) == mu_entropy_min(
-            ProbabilityVector(shuffled)
+        assert mu_entropy(ProbabilityVector(p), MINIMAL) == mu_entropy(
+            ProbabilityVector(shuffled), MINIMAL
         )
-        del model
 
 
 class TestSuperadditivity:
@@ -114,45 +106,41 @@ class TestSuperadditivity:
 
 
 class TestDegreesOfFreedom:
+    # dfd_gamma_scan's k_eq is the degree-of-freedom density S / log n; for
+    # K degrees of dimension kappa, n = kappa**K and K_eq = k_eq * K
+
     def test_uniform_uses_every_degree(self):
-        model = DofModel(kappa=2, k_count=4)
-        uniform = ProbabilityVector(np.full(16, 1.0 / 16.0))
-        assert k_equivalent(uniform, model, MINIMAL) == pytest.approx(4.0, abs=1e-12)
-        assert dfd(uniform, model, MINIMAL) == pytest.approx(1.0, abs=1e-12)
+        family = [(3**k, ProbabilityVector(np.full(3**k, 3.0**-k))) for k in (1, 2, 3, 4)]
+        for k, step in zip((1, 2, 3, 4), dfd_gamma_scan(family, MINIMAL).steps):
+            assert step.k_eq * k == pytest.approx(k, abs=1e-12)
 
     def test_certain_state_freezes_everything(self):
-        model = DofModel(kappa=3, k_count=2)
-        certain = ProbabilityVector(np.r_[1.0, np.zeros(8)])
-        assert k_equivalent(certain, model, MINIMAL) == 0.0
-        assert dfd(certain, model, MINIMAL) == 0.0
+        family = [(3**k, ProbabilityVector(np.r_[1.0, np.zeros(3**k - 1)])) for k in (1, 2, 3)]
+        # 1 + log2(1/n) / log2(n) rounds to within an ulp of 0
+        for step in dfd_gamma_scan(family, MINIMAL).steps:
+            assert step.k_eq == pytest.approx(0.0, abs=1e-15)
 
     def test_partial_support_example(self):
-        model = DofModel(kappa=2, k_count=4)
-        p = np.zeros(16)
-        p[:4] = 0.25
-        pv = ProbabilityVector(p)
-        assert k_equivalent(pv, model, MINIMAL) == pytest.approx(2.0, abs=1e-12)
-        assert dfd(pv, model, MINIMAL) == pytest.approx(0.5, abs=1e-12)
+        # uniform on sqrt(n) of n states: half the degrees of freedom
+        family = []
+        for n in (16, 64, 256):
+            p = np.zeros(n)
+            p[:math.isqrt(n)] = 1.0 / math.isqrt(n)
+            family.append((n, ProbabilityVector(p)))
+        for step in dfd_gamma_scan(family, MINIMAL).steps:
+            assert step.k_eq == pytest.approx(0.5, abs=1e-12)
 
     def test_consistency_with_entropy(self):
         rng = np.random.default_rng(47)
-        model = DofModel(kappa=2, k_count=5)
-        p = ProbabilityVector(random_probs(rng, 32))
-        left = k_equivalent(p, model, MINIMAL) * math.log(2)
-        assert math.isclose(left, mu_entropy(p, MINIMAL), rel_tol=1e-15, abs_tol=1e-15)
-
-    def test_big_models_use_exact_integers(self):
-        assert DofModel(kappa=3, k_count=40).n == 3**40
+        family = [(n, ProbabilityVector(random_probs(rng, n))) for n in (8, 16, 32)]
+        for (n, p), step in zip(family, dfd_gamma_scan(family, MINIMAL).steps):
+            left = step.k_eq * math.log(n)
+            assert math.isclose(left, mu_entropy(p, MINIMAL), rel_tol=1e-15, abs_tol=1e-15)
 
     def test_dimension_mismatch_rejected(self):
-        with pytest.raises(InvalidInput):
-            k_equivalent(probs(0.5, 0.5), DofModel(kappa=2, k_count=2), MINIMAL)
-
-    @pytest.mark.parametrize("kappa, k", [(1, 3), (2, 0), (2.5, 3), (2, 3.0), ("2", 3),
-                                          (True, 3), (2, True)])
-    def test_model_validation(self, kappa, k):
-        with pytest.raises(InvalidInput):
-            DofModel(kappa=kappa, k_count=k)
+        family = [(2, probs(0.5, 0.5)), (4, probs(0.5, 0.5)), (8, np.full(8, 0.125))]
+        with pytest.raises(InvalidInput, match="claims n=4 but has 2 entries"):
+            dfd_gamma_scan(family, MINIMAL)
 
 
 def uniform_power_family(gamma: float, exponents) -> list:

@@ -11,10 +11,8 @@ from effnum import (
     OrthogonalDecomposition,
     OrthonormalBasis,
     PureState,
-    basis_change,
     metric_uncertainty,
     mu_uncertainty,
-    mu_uncertainty_min,
     subspace_probs,
 )
 
@@ -81,15 +79,15 @@ class TestMuUncertainty:
 
     def test_minimal_examples(self):
         psi = PureState.basis_vector(1, 3)
-        assert mu_uncertainty_min(psi, OrthogonalDecomposition.singletons(3)) == 1.0
+        assert mu_uncertainty(psi, OrthogonalDecomposition.singletons(3), None, MINIMAL) == 1.0
 
         root_half = math.sqrt(0.5)
         hadamard = OrthonormalBasis(np.array([[root_half, root_half], [root_half, -root_half]]))
         psi2 = PureState.basis_vector(0, 2)
-        assert mu_uncertainty_min(psi2, OrthogonalDecomposition.singletons(2), hadamard) == 2.0
+        assert mu_uncertainty(psi2, OrthogonalDecomposition.singletons(2), hadamard, MINIMAL) == 2.0
 
         psi3 = state(math.sqrt(0.7), math.sqrt(0.2), math.sqrt(0.1))
-        value = mu_uncertainty_min(psi3, OrthogonalDecomposition.singletons(3))
+        value = mu_uncertainty(psi3, OrthogonalDecomposition.singletons(3), None, MINIMAL)
         assert value == pytest.approx(1.9, abs=1e-12)
 
     def test_bounds_and_uniform_saturation(self):
@@ -108,7 +106,7 @@ class TestMuUncertainty:
             n = int(rng.integers(2, 17))
             psi = PureState(random_pure(rng, n))
             dec = OrthogonalDecomposition.singletons(n)
-            floor = mu_uncertainty_min(psi, dec)
+            floor = mu_uncertainty(psi, dec, None, MINIMAL)
             for a in alphas:
                 c = CountingFunction.canonical(a)
                 assert floor <= mu_uncertainty(psi, dec, None, c) + 1e-12
@@ -116,12 +114,12 @@ class TestMuUncertainty:
     def test_global_phase_invariance(self):
         psi = state(math.sqrt(0.7), math.sqrt(0.2), math.sqrt(0.1))
         dec = OrthogonalDecomposition.singletons(3)
-        base = mu_uncertainty_min(psi, dec)
+        base = mu_uncertainty(psi, dec, None, MINIMAL)
         for scalar in (-1.0, 1j, -1j):
             rotated = PureState(scalar * psi.amps)
-            assert mu_uncertainty_min(rotated, dec) == base  # exact scalars
+            assert mu_uncertainty(rotated, dec, None, MINIMAL) == base  # exact scalars
         wobbled = PureState(np.exp(0.73j) * psi.amps)
-        assert mu_uncertainty_min(wobbled, dec) == pytest.approx(base, abs=1e-12)
+        assert mu_uncertainty(wobbled, dec, None, MINIMAL) == pytest.approx(base, abs=1e-12)
 
 
 class TestMetricUncertainty:
@@ -149,7 +147,8 @@ class TestMetricUncertainty:
         setup_a = MeasurementSetup(dec, labels)
         setup_b = MeasurementSetup(dec, 2.0 * labels)
         # the measure uncertainty never reads the labels
-        assert mu_uncertainty_min(psi, dec) == mu_uncertainty_min(psi, setup_b.decomposition)
+        assert mu_uncertainty(psi, dec, None, MINIMAL) == mu_uncertainty(
+            psi, setup_b.decomposition, None, MINIMAL)
         spread_a = metric_uncertainty(psi, setup_a)
         spread_b = metric_uncertainty(psi, setup_b)
         assert spread_b != spread_a
@@ -196,23 +195,27 @@ class TestMetricUncertainty:
 
 
 class TestBasisChange:
+    # subspace_probs reads the amplitudes <i|psi> in the given basis
+
     def test_identity_basis_is_a_no_op(self):
         psi = state(math.sqrt(0.5), 0.5, 0.5)
-        moved = basis_change(psi, OrthonormalBasis.identity(3))
-        assert np.array_equal(moved.amps, psi.amps)
+        dec = OrthogonalDecomposition.singletons(3)
+        moved = subspace_probs(psi, dec, OrthonormalBasis.identity(3))
+        assert np.array_equal(moved.p, subspace_probs(psi, dec).p)
 
     def test_quarter_turn(self):
         rotation = OrthonormalBasis(np.array([[0.0, -1.0], [1.0, 0.0]]))
-        moved = basis_change(PureState.basis_vector(0, 2), rotation)
-        assert moved.amps == pytest.approx([0.0, -1.0])
+        moved = subspace_probs(PureState.basis_vector(0, 2), OrthogonalDecomposition.singletons(2),
+                               rotation)
+        assert moved.p.tolist() == [0.0, 1.0]
 
     def test_round_trip_through_random_unitary(self):
         rng = np.random.default_rng(31)
         u = random_unitary(rng, 4)
         psi = PureState(random_pure(rng, 4))
-        moved = basis_change(psi, OrthonormalBasis(u))
-        back = u @ moved.amps
-        assert np.max(np.abs(back - psi.amps)) < 1e-10
+        rotated = PureState(u @ psi.amps)  # coordinates psi.amps in the basis u
+        moved = subspace_probs(rotated, OrthogonalDecomposition.singletons(4), OrthonormalBasis(u))
+        assert np.max(np.abs(moved.p - np.abs(psi.amps) ** 2)) < 1e-10
 
     def test_non_unitary_rejected(self):
         with pytest.raises(InvalidInput):

@@ -31,7 +31,6 @@ VALUES = {
     effnum.OrthonormalBasis: lambda: effnum.OrthonormalBasis.identity(3),
     effnum.OrthogonalDecomposition: lambda: DEC,
     effnum.MeasurementSetup: lambda: effnum.MeasurementSetup(DEC, [[0.0], [1.0]]),
-    effnum.DofModel: lambda: effnum.DofModel(kappa=2, k_count=3),
     effnum.DensityMatrix: lambda: effnum.DensityMatrix.maximally_mixed(3),
     effnum.Eigensystem: lambda: effnum.hermitian_eigen(effnum.DensityMatrix.maximally_mixed(2)),
     effnum.BipartiteStructure: lambda: effnum.BipartiteStructure(2, 3),
