@@ -254,7 +254,18 @@ def weights_from_probs(p: ProbabilityVector) -> WeightVector:
 
 def effnum(w: WeightVector, c: CountingFunction) -> float:
     """Effective count sum_i c(w_i); lies in [1, n] for valid kernels."""
-    return exact_sums(c(w.w)).item()
+    return kernel_sum(c, w.w)
+
+
+def kernel_sum(c: CountingFunction, w: np.ndarray) -> float:
+    """sum_i c(w_i), exactly summed.  Kernel values that overflow, or whose
+    exact summation overflows (``math.fsum`` can, even where the exact sum is
+    finite), raise InvalidInput."""
+    try:
+        # no name holds c(w): exact_sums frees it once it has its own copy
+        return exact_sums(c(w)).item()
+    except OverflowError as exc:
+        raise InvalidInput(f"kernel values overflow: {exc}") from exc
 
 
 def effnum_min(w: WeightVector) -> float:

@@ -2,8 +2,11 @@
 
 All input files are JSON documents with complex numbers written as
 ``[re, im]`` pairs and 0-based indices.  ``_load_json`` alone decodes
-files.  Each input kind has one reader of the decoded document alone, which
-``load_<kind>`` and, through ``SCHEMAS``, ``check_file`` call through ``_named``:
+files.  It decodes a density's top-level "rows" one row at a time into one
+float array, so the matrix never exists as a tree of Python lists; any
+document it cannot read that way goes to ``json.loads``.  Each input kind
+has one reader of the decoded document alone, which ``load_<kind>`` and,
+through ``SCHEMAS``, ``check_file`` call through ``_named``:
 the one place an error raised while reading a file gets the file's name.
 A command's output is one ``Result``, rendered as json, csv or a table.
 Floating-point output in the json/csv renderers carries 17 significant
@@ -49,7 +52,9 @@ def _load_json(path: str | Path) -> Any:
     """The document in the file at ``path``, decoded with the cyclic garbage
     collector paused: a decoded document holds no reference cycles, so a
     collection triggered by its many new objects would free nothing; it
-    would only walk them, and the heap."""
+    would only walk them, and the heap.  ``_walk`` decodes it if it can,
+    ``json.loads`` if not, so a valid file is decoded once and every other
+    file gets ``json.loads``'s verdict."""
     try:
         text = Path(path).read_text()
     except (OSError, UnicodeDecodeError) as exc:  # a UnicodeDecodeError has no strerror
@@ -58,7 +63,8 @@ def _load_json(path: str | Path) -> Any:
     enabled = gc.isenabled()
     gc.disable()
     try:
-        return json.loads(text)
+        doc = _walk(text)
+        return json.loads(text) if doc is None else doc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     except RecursionError as exc:
@@ -66,6 +72,64 @@ def _load_json(path: str | Path) -> Any:
     finally:
         if enabled:
             gc.enable()
+
+
+_decode = json.JSONDecoder().raw_decode
+_space = json.decoder.WHITESPACE.match
+
+
+def _walk(text: str) -> dict | None:
+    """The JSON object ``text`` holds, decoded member by member, with a
+    top-level "rows" member decoded one row at a time by ``_rows``, so the
+    lists of a whole matrix never exist at once.  None for any other text or
+    on any doubt: not a non-empty object, invalid JSON, trailing data, or a
+    "rows" member ``_rows`` refuses.  Only "rows" is streamed, because no
+    reader quotes a "rows" value in an error message."""
+    try:
+        doc, i = {}, _space(text).end()
+        if not text.startswith("{", i):
+            return None
+        while True:  # text[i] is the "{" or "," before a member
+            i = _space(text, i + 1).end()
+            if not text.startswith('"', i):
+                return None
+            key, i = json.decoder.scanstring(text, i + 1)
+            i = _space(text, i).end()
+            if not text.startswith(":", i):
+                return None
+            value, i = (_rows if key == "rows" else _decode)(text, _space(text, i + 1).end())
+            doc[key] = value  # a repeated key keeps its first place and last value
+            i = _space(text, i).end()
+            if not text.startswith(",", i):
+                break
+        if text.startswith("}", i) and _space(text, i + 1).end() == len(text):
+            return doc
+    # ValueError: a JSONDecodeError, an integer too long to convert, or rows
+    # _rows refuses; IndexError: rows with as many dimensions as numpy allows
+    except (ValueError, IndexError, RecursionError):
+        pass
+    return None
+
+
+def _rows(text: str, i: int) -> tuple[np.ndarray, int]:
+    """(the list at ``text[i]`` as a float array, the index after it): each
+    row is decoded and read by ``_number_array`` alone, and the rows are
+    stacked.  ValueError unless it is a non-empty list of rows
+    ``_number_array`` accepts, all of one shape."""
+    if not text.startswith("[", i):
+        raise ValueError("not a list")
+    rows = []
+    while True:  # text[i] is the "[" or "," before a row
+        row, i = _decode(text, _space(text, i + 1).end())
+        rows.append(_number_array(row))
+        if rows[-1] is None:
+            raise ValueError("not a row of finite numbers")
+        i = _space(text, i).end()
+        if not text.startswith(",", i):
+            break
+    if not text.startswith("]", i):
+        raise ValueError("not a list")
+    return np.stack(rows), i + 1
 
 
 def _named(path, read: Callable, *args) -> Any:
@@ -106,6 +170,8 @@ def _number_array(value) -> np.ndarray | None:
     boolean, null, a ragged list, an integer beyond float range, NaN or
     Infinity (which Python's decoder accepts but JSON does not) gives None.
     """
+    if isinstance(value, np.ndarray):  # rows that _walk has read
+        return value
     level, shape = [value], []
     while (kinds := set(map(type, level))) == {list}:
         lengths = set(map(len, level))
@@ -116,10 +182,10 @@ def _number_array(value) -> np.ndarray | None:
     if not kinds <= {int, float}:  # bool is neither
         return None
     try:
-        arr = np.fromiter(level, float, len(level))
-    except OverflowError:
+        arr = np.fromiter(level, float, len(level)).reshape(shape)
+    except (OverflowError, ValueError):  # beyond float range; more dimensions than numpy allows
         return None
-    return arr.reshape(shape) if np.isfinite(arr).all() else None
+    return arr if np.isfinite(arr).all() else None
 
 
 def _float_array(value, key: str) -> np.ndarray:
@@ -172,8 +238,9 @@ def load_state(path: str | Path) -> states.PureState:
 
 
 def _density(doc: dict) -> np.ndarray:
-    """The document's matrix, checked for shape.  Build the DensityMatrix after
-    this returns, so the parsed lists (several times its size) are gone by ``eigh``."""
+    """The document's matrix, checked for shape: a complex view of the float
+    array ``_load_json`` stacked the rows into.  Build the DensityMatrix after
+    this returns, so that the document is gone by ``eigh``."""
     dim = _int_field(doc, "dim")
     mat = _complex_array(_require(doc, "rows"), "rows", 2)
     if mat.shape != (dim, dim):

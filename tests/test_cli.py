@@ -356,6 +356,25 @@ class TestExitCodes:
         name = key.split()[-1]
         assert len(err.splitlines()) == 1 and err.startswith(f"error: {doc_path}: '{name}' ")
 
+    @pytest.mark.parametrize("depth", [33, 64, 65, 70, 900])
+    @pytest.mark.parametrize("command, doc", [
+        (["entangle", "--dims", "1x2"], '{"dim": 2, "amps": %s}'),
+        (["qnum"], '{"dim": 2, "rows": %s}'),
+        (["refine"], '{"kind": "constant", "weights": %s}'),
+        (["check"], '{"dim": 2, "amps": %s}'),
+        (["check"], '{"dim": 2, "rows": %s}'),
+        (["check"], '{"kind": "constant", "weights": %s}'),
+    ], ids=["entangle-amps", "qnum-rows", "refine-weights", "check-amps", "check-rows",
+            "check-weights"])
+    def test_array_nested_beyond_numpy_dimensions_is_exit_two(self, capsys, tmp_path,
+                                                              command, doc, depth):
+        # numpy allows 64 dimensions (32 before numpy 2)
+        path = tmp_path / "deep.json"
+        path.write_text(doc % ("[" * depth + "1.0" + "]" * depth))
+        code, _, err = run(capsys, command[0], path, *command[1:])
+        assert code == 2
+        assert err.startswith("error: ") and err.count("error:") == 1
+
     def test_dfd_members_not_a_list_is_exit_two(self, capsys, tmp_path):
         path = tmp_path / "family.json"
         path.write_text(json.dumps({"kind": "explicit", "members": True}))
@@ -849,14 +868,14 @@ class TestColumns:
 
 @pytest.fixture
 def seen(monkeypatch):
-    """gc.isenabled() as json.loads saw it, call by call."""
-    states, original = [], io.json.loads
+    """(decoder, gc.isenabled()) for each call of io._walk and io.json.loads."""
+    states = []
+    for owner, name in ((io, "_walk"), (io.json, "loads")):
+        def spy(text, *args, _name=name, _original=getattr(owner, name), **kwargs):
+            states.append((_name, gc.isenabled()))
+            return _original(text, *args, **kwargs)
 
-    def spy(text, *args, **kwargs):
-        states.append(gc.isenabled())
-        return original(text, *args, **kwargs)
-
-    monkeypatch.setattr(io.json, "loads", spy)
+        monkeypatch.setattr(owner, name, spy)
     return states
 
 
@@ -872,14 +891,22 @@ class TestOneDecodePerFile:
         (["refine", "problem_constant.json"], 1),
         (["dfd", "family_explicit.json"], 1),
     ], ids=lambda v: v[0] if isinstance(v, list) else None)
-    def test_each_file_is_decoded_once(self, capsys, seen, argv, decodes):
+    def test_each_file_is_decoded_once(self, capsys, monkeypatch, seen, argv, decodes):
+        paths, load_json = [], io._load_json
+
+        def spy(path):
+            paths.append(path)
+            return load_json(path)
+
+        monkeypatch.setattr(io, "_load_json", spy)
         assert run(capsys, *fixture_args(argv))[0] == 0
-        assert len(seen) == decodes
+        assert len(paths) == len(set(paths)) == decodes
+        assert seen == [("_walk", False)] * decodes  # json.loads never runs on a valid file
 
     @pytest.mark.parametrize("command", ["qnum", "check"])
     def test_density_document_is_freed_before_eigh(self, capsys, monkeypatch, command):
         freed, freed_at_eigh = [], []
-        loads, eigh = io.json.loads, density._eigh
+        walk, eigh = io._walk, density._eigh
 
         class Document(dict):
             def __del__(self):
@@ -889,7 +916,7 @@ class TestOneDecodePerFile:
             freed_at_eigh.append(bool(freed))
             return eigh(mat)
 
-        monkeypatch.setattr(io.json, "loads", lambda text: Document(loads(text)))
+        monkeypatch.setattr(io, "_walk", lambda text: Document(walk(text)))
         monkeypatch.setattr(density, "_eigh", spy_eigh)
         assert run(capsys, command, FIXTURES / "density_werner.json")[0] == 0
         assert freed_at_eigh == [True]
@@ -901,14 +928,14 @@ class TestLoadJsonPausesTheCollector:
         path.write_text("[1, 2]")
         assert gc.isenabled()
         assert io._load_json(path) == [1, 2]
-        assert seen == [False] and gc.isenabled()
+        assert seen == [("_walk", False), ("loads", False)] and gc.isenabled()
 
     def test_restores_after_a_json_error(self, tmp_path, seen):
         path = tmp_path / "doc.json"
         path.write_text("[1, 2")
         with pytest.raises(InvalidInput, match="invalid JSON"):
             io._load_json(path)
-        assert seen == [False] and gc.isenabled()
+        assert seen == [("_walk", False), ("loads", False)] and gc.isenabled()
 
     def test_leaves_a_paused_collector_paused(self, tmp_path, seen):
         path = tmp_path / "doc.json"
@@ -919,4 +946,4 @@ class TestLoadJsonPausesTheCollector:
             assert not gc.isenabled()
         finally:
             gc.enable()
-        assert seen == [False]
+        assert seen == [("_walk", False), ("loads", False)]

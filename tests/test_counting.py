@@ -84,6 +84,14 @@ class TestEffnum:
         assert effnum_min(w) == nonzero_only
         assert effnum(w, HALF) == math.fsum(min(x**0.5, 1.0) for x in w.w if x > 0.0)
 
+    @pytest.mark.parametrize("values", [[1e308, 1e308], [1e308, 1e308, -1e308]],
+                             ids=["sum-beyond-range", "finite-sum"])
+    def test_kernel_values_that_overflow_fsum_are_invalid_input(self, values):
+        # math.fsum overflows on both, although the second's exact sum is finite
+        c = CountingFunction.from_callable(lambda w: np.array(values))
+        with pytest.raises(InvalidInput, match="overflow"):
+            effnum(WeightVector(np.ones(len(values))), c)
+
     def test_weight_sum_validated(self):
         with pytest.raises(InvalidInput):
             WeightVector(np.array([1.0, 0.5]))

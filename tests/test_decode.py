@@ -1,0 +1,192 @@
+"""The streamed decode of a density's "rows" against ``json.loads``.
+
+``io._load_json`` reads a top-level "rows" member one row at a time
+(``io._walk``) and leaves every other document to ``json.loads``.  The
+differential test writes density documents in many textual forms, valid and
+corrupt, and reads each twice: as ``_load_json`` does, and with the walk
+switched off, so that ``json.loads`` decodes the whole document as before.
+"""
+
+from __future__ import annotations
+
+import gc
+import json
+import tempfile
+import tracemalloc
+from pathlib import Path
+from unittest import mock
+
+import numpy as np
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
+
+from effnum import io
+from effnum.errors import InvalidInput
+
+SPACE = st.sampled_from(["", " ", "\n", "\t", "\r\n  ", "\n    "])
+
+# Texts of one JSON number: integer and float forms, -0 and exponents.
+NUMBERS = st.one_of(
+    st.sampled_from(["0", "-0", "-0.0", "1", "0.5", "5e-1", "5E-1", "0.50", "1e0", "1E+0",
+                     "2.5e-324", "1.7976931348623157e308", "1e-400"]),
+    st.integers(-(2**70), 2**70).map(str),
+    st.floats(allow_nan=False, allow_infinity=False).map(repr),
+    st.floats(allow_nan=False, allow_infinity=False).map("{:.17e}".format),
+)
+
+# What the CLI fuzz puts in place of a number, and texts JSON forbids.
+CORRUPT_NUMBERS = st.sampled_from(['"0.6"', "true", "null", "NaN", "Infinity", "-Infinity",
+                                   "1" + "0" * 400, "1e400", "[]", "{}", "01", "1.", "+1"])
+
+
+@st.composite
+def _text(draw, node) -> str:
+    """``node`` as JSON text with drawn whitespace: a list is an array, a
+    tuple of (key text, node) pairs an object, a str is already JSON text."""
+    if isinstance(node, str):
+        return node
+    if isinstance(node, tuple):
+        items = [f"{key}{draw(SPACE)}:{draw(SPACE)}{draw(_text(v))}" for key, v in node]
+        opening, closing = "{", "}"
+    else:
+        items, opening, closing = [draw(_text(v)) for v in node], "[", "]"
+    if not items:
+        return opening + draw(SPACE) + closing
+    body = items[0] + "".join(draw(SPACE) + "," + draw(SPACE) + item for item in items[1:])
+    return opening + draw(SPACE) + body + draw(SPACE) + closing
+
+
+@st.composite
+def matrices(draw):
+    """Nested lists of number texts: an n x n matrix of [re, im] pairs,
+    sometimes corrupted the way the CLI fuzz corrupts one."""
+    n = draw(st.integers(1, 3))
+    rows = [[[draw(NUMBERS), draw(NUMBERS)] for _ in range(n)] for _ in range(n)]
+    i, j = draw(st.integers(0, n - 1)), draw(st.integers(0, n - 1))
+    corruption = draw(st.sampled_from(
+        [None] * 6 + ["number", "ragged", "triple", "extra-nesting", "short-row", "long-row",
+                      "uneven-rows", "empty-row", "number-row", "no-rows", "one-level", "deep",
+                      "unclosed"]))
+    if corruption == "number":
+        rows[i][j][draw(st.integers(0, 1))] = draw(CORRUPT_NUMBERS)
+    elif corruption == "ragged":
+        rows[i][j] = rows[i][j][:1]
+    elif corruption == "triple":
+        rows[i][j].append("0.0")
+    elif corruption == "extra-nesting":
+        rows[i][j] = [rows[i][j], rows[i][j]]
+    elif corruption == "short-row":
+        rows[i].pop()
+    elif corruption == "long-row":
+        rows[i].append(["0", "0"])
+    elif corruption == "uneven-rows":  # as many pairs in all, unequally shared
+        rows[0].pop()
+        rows[-1].append(["0", "0"])
+    elif corruption == "empty-row":
+        rows[i] = []
+    elif corruption == "number-row":
+        rows[i] = draw(NUMBERS)
+    elif corruption == "no-rows":
+        rows = []
+    elif corruption == "one-level":
+        rows = rows[i]
+    elif corruption == "deep":  # numpy allows 64 dimensions
+        for _ in range(draw(st.sampled_from([31, 62, 63, 70]))):
+            rows = [rows]
+    elif corruption == "unclosed":  # the matrix's closing bracket, dropped or replaced
+        return draw(_text(rows))[:-1] + draw(st.sampled_from(["", "}", ",", "]]"]))
+    return rows
+
+
+@st.composite
+def documents(draw) -> str:
+    """The text of a density document: its members in any order, some
+    repeated or extra, sometimes not an object, truncated or with data
+    after it."""
+    members = [('"dim"', draw(st.sampled_from(["2", "2.0", "-0", "3", '"2"']))),
+               ('"rows"', draw(matrices()))]
+    extras = [('"rows"', draw(matrices())), ('"\\u0072ows"', draw(matrices())),
+              ('"rows"', '"x"'), ('"rows"', "{}"), ('"dim"', "1"), ('"note"', '"rows"'),
+              ('"amps"', [["1", "0"]]), ('"basis"', (('"rows"', draw(matrices())),)),
+              ('""', "null")]
+    members += draw(st.lists(st.sampled_from(extras), max_size=3))
+    text = draw(SPACE) + draw(_text(tuple(draw(st.permutations(members)))))
+    form = draw(st.sampled_from([None] * 8 + ["array", "trailing", "truncated", "bom"]))
+    if form == "array":
+        text = f"[{text}]"
+    elif form == "trailing":
+        text += draw(st.sampled_from([" x", "{}", ",", "]", "}", " 1", "\n\n", " // c"]))
+    elif form == "truncated":
+        text = text[:draw(st.integers(0, len(text)))]
+    elif form == "bom":
+        text = "\ufeff" + text
+    return text + draw(SPACE)
+
+
+def _outcome(path):
+    """What the readers see of the file: each member, "rows" read by
+    ``_number_array``, and ``_density``'s matrix; or the InvalidInput text."""
+    try:
+        doc = io._load_json(path)
+    except InvalidInput as exc:
+        return str(exc)
+    if not isinstance(doc, dict):
+        return repr(doc)
+    members = [(k, _bits(io._number_array(v)) if k == "rows" else repr(v))
+               for k, v in doc.items()]
+    try:
+        matrix = _bits(io._density(doc))
+    except InvalidInput as exc:
+        matrix = str(exc)
+    return members, matrix
+
+
+def _bits(arr):
+    return None if arr is None else (arr.dtype.str, arr.shape, arr.tobytes())
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(documents())
+@example('{"dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]}}')  # "rows" closed by "}"
+@example('{"rows": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]}, "dim": 2}')
+def test_the_walk_reads_what_json_loads_reads(text):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text)
+        streamed = _outcome(path)
+        with mock.patch.object(io, "_walk", lambda text: None):
+            whole = _outcome(path)
+    assert streamed == whole
+
+
+def test_valid_rows_are_streamed():
+    text = '{"dim": 2, "rows": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, -0]]], "dim": 2}'
+    doc = io._walk(text)
+    assert list(doc) == ["dim", "rows"] and isinstance(doc["rows"], np.ndarray)
+    assert io._number_array(doc["rows"]) is doc["rows"]
+    assert doc["rows"].tobytes() == io._number_array(json.loads(text)["rows"]).tobytes()
+
+
+def _density_text(n: int, seed: int) -> str:
+    rng = np.random.default_rng(seed)
+    a = rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))
+    rho = a @ a.conj().T
+    rho /= np.trace(rho).real
+    pairs = np.stack([rho.real, rho.imag], axis=-1)
+    return json.dumps({"dim": n, "rows": pairs.tolist()})
+
+
+def test_reading_a_density_peaks_at_about_twice_its_text(tmp_path):
+    # decoding the whole document with json.loads peaked at 3.9 times the text
+    path = tmp_path / "rho.json"
+    text = _density_text(256, 5)
+    path.write_text(text)
+    io.load_density(path)  # warm-up: first-use imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        io.load_density(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.5 * len(text), peak / len(text)
