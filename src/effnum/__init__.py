@@ -56,6 +56,7 @@ _EXPORTS = {
         "partial_trace",
         "quantum_effnum",
         "schmidt_weights",
+        "spectral_weights",
     ),
     "continuum": (
         "Grid",

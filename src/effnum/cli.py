@@ -59,8 +59,9 @@ def _cmd_qnum(args) -> io.Result:
     out.put("counting_function", c.label, "kernel")
     out.payload["log_base"] = base_label
     out.put("spectrum", rho.spectrum, "rho", csv=True)
-    value = density.quantum_effnum(rho, c)
-    minimal = density.quantum_effnum(rho, counting.CountingFunction.minimal())
+    weights = density.spectral_weights(rho)
+    value = counting.effnum(weights, c)
+    minimal = counting.effnum(weights, counting.CountingFunction.minimal())
     out.put("qnum", value, "state components", csv=True)
     out.put("qnum_min", minimal, "minimal (star)", csv=True)
     out.put("entropy", math.log(value) / divisor, "entropy")

@@ -2,10 +2,12 @@
 refinement/extrapolation drivers.
 
 Every integral over cells here is one call of ``riemann_sum``, the
-midpoint rule on hypercubic grids: a cell contributes its midpoint sample
-times the grid's cell volume.  That single convention keeps the additivity
-identity for partitions of the support exact at finite resolution and
-makes matched-sampling consistency relations hold bit-for-bit.
+midpoint rule on hypercubic grids: the grid's cell volume times the exact
+sum of the midpoint samples, as the discrete counts are summed.  That single
+convention keeps the additivity identity for partitions of the support
+exact at finite resolution, makes matched-sampling consistency relations
+hold bit-for-bit, and leaves every integral unchanged, bit-for-bit, by a
+permutation of the cells.
 
 The central quantity is the relative uncertainty fraction
 
@@ -24,7 +26,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import CountingFunction, Frozen, WeightVector, as_dim, effnum, tail_fit
+from .counting import CountingFunction, Frozen, WeightVector, as_dim, effnum, exact_total, tail_fit
 from .errors import InvalidInput
 
 GRID_NORM_TOL = 1e-8
@@ -87,9 +89,9 @@ class Grid(Frozen):
 
 
 def riemann_sum(field: np.ndarray, vol: float) -> float:
-    """Midpoint-rule integral of per-cell samples: the sum of each sample
-    times ``vol``, the grid's one cell volume."""
-    return float(np.sum(field * vol))
+    """Midpoint-rule integral of per-cell samples: ``vol``, the grid's one
+    cell volume, times the samples' exact sum (:func:`~effnum.counting.exact_total`)."""
+    return vol * exact_total(np.ravel, field)
 
 
 class GridWaveFunction(Frozen):

@@ -12,11 +12,12 @@ c(1) = 1.  Two kernel families are built in:
 User-supplied kernels are accepted and can be screened against the
 necessary conditions with :func:`validate_counting_function`.
 
-Every effective count is reduced with :func:`exact_sums`, which returns
-the correctly rounded sum -- the same bits as ``math.fsum`` -- at numpy
-speed, so effective numbers are invariant under permutation of the
-weights bit-for-bit.  Checks of a sum against a tolerance use numpy's
-pairwise ``sum`` instead (see :class:`ProbabilityVector`).
+Every reported number is exactly summed: each effective count here, and
+each Riemann sum of :mod:`effnum.continuum`, is one :func:`exact_total`,
+the correctly rounded sum of :func:`exact_sums` -- the same bits as
+``math.fsum`` -- at numpy speed, so it is invariant under permutation of
+the weights or cells bit-for-bit.  Checks of a sum against a tolerance use
+numpy's pairwise ``sum`` instead (see :class:`ProbabilityVector`).
 """
 
 from __future__ import annotations
@@ -254,18 +255,19 @@ def weights_from_probs(p: ProbabilityVector) -> WeightVector:
 
 def effnum(w: WeightVector, c: CountingFunction) -> float:
     """Effective count sum_i c(w_i); lies in [1, n] for valid kernels."""
-    return kernel_sum(c, w.w)
+    return exact_total(c, w.w)
 
 
-def kernel_sum(c: CountingFunction, w: np.ndarray) -> float:
-    """sum_i c(w_i), exactly summed.  Kernel values that overflow, or whose
-    exact summation overflows (``math.fsum`` can, even where the exact sum is
-    finite), raise InvalidInput."""
+def exact_total(f: Callable[[np.ndarray], np.ndarray], x) -> float:
+    """The correctly rounded sum of ``f(x)`` (:func:`exact_sums`) as a float:
+    the one reduction of every effective count and every Riemann sum.  A sum
+    that overflows, as ``math.fsum`` can even where the exact sum is finite,
+    raises InvalidInput."""
     try:
-        # no name holds c(w): exact_sums frees it once it has its own copy
-        return exact_sums(c(w)).item()
+        # no name holds f(x): exact_sums frees it once it has its own copy
+        return exact_sums(f(x)).item()
     except OverflowError as exc:
-        raise InvalidInput(f"kernel values overflow: {exc}") from exc
+        raise InvalidInput(f"sum overflows: {exc}") from exc
 
 
 def effnum_min(w: WeightVector) -> float:

@@ -1,14 +1,15 @@
 """Density matrices, their spectra, and the state content they carry.
 
 The effective number of state components of an N x N density matrix is
-the effective count of its spectrum with weights N * rho_i, a
+the effective count of its spectral weights N * rho_i
+(:func:`spectral_weights`, built once for any number of kernels), a
 basis-independent quantity.  The spectrum is computed once, when the
 matrix is validated, and every count and entropy reads that one array.
 
 For a bipartite pure state the same count applied to a reduced density
 matrix measures entanglement.  Both reductions share their non-zero
-spectrum, the Schmidt weights, which :func:`mu_entanglement` takes from
-one SVD of the amplitudes without forming an N x N matrix.
+spectrum, the Schmidt weights, which :func:`entanglement_weights` takes
+from one SVD of the amplitudes without forming an N x N matrix.
 :func:`partial_trace` and :meth:`DensityMatrix.from_pure` remain as API
 and as the reference path the tests compare against.
 """
@@ -137,7 +138,13 @@ def hermitian_eigen(rho: DensityMatrix) -> Eigensystem:
 
 def quantum_effnum(rho: DensityMatrix, c: CountingFunction) -> float:
     """Effective number of state components: sum_i c(N * rho_i)."""
-    return effnum(WeightVector(rho.dim * rho.spectrum), c)
+    return effnum(spectral_weights(rho), c)
+
+
+def spectral_weights(rho: DensityMatrix) -> WeightVector:
+    """Counting weights of :func:`quantum_effnum`: the spectrum times the
+    dimension, N * rho_i.  Compute them once to apply several kernels."""
+    return WeightVector(rho.dim * rho.spectrum)
 
 
 class BipartiteStructure(Frozen):

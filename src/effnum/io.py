@@ -67,6 +67,8 @@ def _load_json(path: str | Path) -> Any:
         return json.loads(text) if doc is None else doc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
+    except ValueError as exc:  # an integer of more digits than Python converts
+        raise InvalidInput(f"{path}: cannot decode JSON: {exc}") from exc
     except RecursionError as exc:
         raise InvalidInput(f"{path}: invalid JSON: nested too deeply") from exc
     finally:

@@ -36,7 +36,7 @@ from .counting import (
     ProbabilityVector,
     as_dim,
     effnum,
-    kernel_sum,
+    exact_total,
     weights_from_probs,
 )
 from .errors import InvalidInput, InvariantViolation
@@ -188,6 +188,6 @@ def plugin_mu_estimate(seq: OutcomeSequence, c: CountingFunction | None = None) 
         counts = Generator(Philox(seed=sub)).multinomial(t, pvals)
         if counts.min() < 0 or counts.sum() != t:
             raise InvariantViolation(f"bootstrap replica {r} does not hold {t} trials")
-        replicas[r] = kernel_sum(c, m * (counts / t))
+        replicas[r] = exact_total(c, m * (counts / t))
     stderr = float(np.std(replicas, ddof=1))
     return PluginEstimate(estimate=estimate, stderr=stderr, n_bootstrap=DEFAULT_BOOTSTRAP)

@@ -32,6 +32,7 @@ from effnum import (
     OrthogonalDecomposition,
     ProbabilityVector,
     PureState,
+    SectorFamily,
     SpectralDensityPair,
     WeightVector,
     concat,
@@ -48,6 +49,7 @@ from effnum import (
     plugin_mu_estimate,
     quantum_effnum,
     refine_sequence,
+    relative_mu_continuum,
     reparametrization_check,
     sample_outcomes,
     superadditivity_gap,
@@ -291,3 +293,43 @@ def test_11_eigensolver_contract():
         oracle_vals, _ = jacobi_hermitian(rho.mat)
         assert np.max(np.abs(es.eigenvalues - oracle_vals)) <= 1e-9
     report(11, "eigensolver contract")
+
+
+def test_12_permutation_invariance_of_the_continuum():
+    # every integral is the cell volume times an exact sum, so relabelling
+    # the cells changes no bit of an effective volume or a fraction
+    rng = np.random.default_rng(1212)
+    kernels = (MINIMAL, CountingFunction.canonical(0.5))
+    for _ in range(50):
+        cells = int(rng.integers(600, 5_001))
+        grid = Grid(shape=(cells,), spacing=(1.0 / cells,))
+        order = rng.permutation(cells)
+
+        dens = rng.gamma(0.5, size=cells)
+        amps = np.sqrt(dens / (dens.sum() * grid.cell_volume)).astype(complex)
+        psi, moved = GridWaveFunction(grid, amps), GridWaveFunction(grid, amps[order])
+        for c in kernels:
+            assert effective_volume(moved, c) == effective_volume(psi, c)
+
+        # three sectors, each eta vanishing on a random set of cells and P with it
+        sectors = []
+        for mass in rng.dirichlet(np.ones(3)):
+            eta = rng.uniform(0.2, 2.0, size=cells) * (rng.random(cells) < 0.8)
+            p = rng.gamma(0.5, size=cells) * (eta > 0.0)
+            sectors.append((mass * p / (p.sum() * grid.cell_volume),
+                            mass * eta / (eta.sum() * grid.cell_volume)))
+        family = SectorFamily.from_grid(grid, sectors)
+        permuted = SectorFamily.from_grid(grid, [(p[order], eta[order]) for p, eta in sectors])
+        for c in kernels:
+            assert relative_mu_continuum(permuted, c) == relative_mu_continuum(family, c)
+
+        p, eta = sectors[0]
+        p, eta = p / p.sum() / grid.cell_volume, eta / eta.sum() / grid.cell_volume
+        cut = rng.random(cells) < 0.5
+        result = partition_additivity_check(SpectralDensityPair.from_grid(grid, p, eta), cut,
+                                            MINIMAL)
+        moved_result = partition_additivity_check(
+            SpectralDensityPair.from_grid(grid, p[order], eta[order]), cut[order], MINIMAL)
+        assert moved_result.value == result.value
+        assert moved_result.fractions == result.fractions
+    report(12, "permutation invariance of the continuum")

@@ -23,6 +23,8 @@ OVERFLOW_GRIDS = [
     {"d": 2, "shape": [2, 2], "spacing": [1e200, 1e200], "values": [[0, 0]] * 4},
     {"d": 1, "shape": [4], "spacing": [1e308], "values": [[5e-155, 0]] * 4},
 ]
+# A grid whose cell densities, 1e308 each, overflow their exact sum.
+OVERFLOW_SUM_GRID = {"d": 1, "shape": [2], "spacing": [1.0], "values": [[1e154, 0], [1e154, 0]]}
 
 
 def run(capsys, *argv) -> tuple[int, str, str]:
@@ -253,6 +255,16 @@ class TestExitCodes:
         assert code == 2
         assert f"cannot read file: {reason}" in err and err.count(str(path)) == 1
 
+    @pytest.mark.parametrize("command", ["check", "qnum"])
+    def test_integer_beyond_the_conversion_limit_is_exit_two(self, capsys, tmp_path, command):
+        # Python converts integer literals of at most 4,300 digits
+        path = tmp_path / "big.json"
+        path.write_text('{"dim": 1' + "0" * 5000 + ', "amps": [[1, 0]]}')
+        code, _, err = run(capsys, command, path)
+        assert code == 2
+        assert err.startswith("error: ") and err.count("error:") == 1
+        assert err.count(str(path)) == 1
+
     def test_bad_alpha_is_exit_two(self, capsys):
         code, _, err = run(
             capsys, "qnum", FIXTURES / "density_werner.json", "--cf", "alpha=1.5"
@@ -401,12 +413,14 @@ class TestExitCodes:
         (["dfd", "{0}"], [{"kind": "explicit", "members": [{"n": 2, "p": [1e308, 1e308]}]}], 2),
         (["effvol", "{0}"], [{"d": 1, "shape": [1], "spacing": [1e-300],
                               "values": [[1e160, 0]]}], 2),
+        (["effvol", "{0}"], [OVERFLOW_SUM_GRID], 2),
         (["refine", "{0}"], [{"kind": "gaussian-1d", "box": [0.0, 1.0], "center": 0.413,
                               "sigma": 1e-200, "base_cells": 128}], 2),
         (["refine", "{0}"], [{"kind": "gaussian-1d", "box": [0.0, 1.0], "center": 0.413,
                               "sigma": 1e-160, "base_cells": 128}], 2),
     ], ids=["state-norm", "density-hermiticity", "basis-gram", "constant-weights",
-            "family-p", "grid-norm", "gaussian-sigma", "gaussian-sigma-subnormal-variance"])
+            "family-p", "grid-norm", "grid-norm-sum", "gaussian-sigma",
+            "gaussian-sigma-subnormal-variance"])
     def test_overflow_is_one_error_line(self, capsys, tmp_path, argv, docs, code):
         paths = []
         for i, doc in enumerate(docs):
@@ -547,8 +561,9 @@ class TestCheck:
         {"groups": []},
         {"dim": 2, "rows": [[[0.5, 0.0], [0.1, 0.0]], [[0.0, 0.0], [0.5, 0.0]]]},
         *OVERFLOW_GRIDS,
+        OVERFLOW_SUM_GRID,
     ], ids=["array", "no-groups", "non-hermitian-density", "grid-cell-volume-overflows",
-            "grid-total-volume-overflows"])
+            "grid-total-volume-overflows", "grid-norm-sum-overflows"])
     def test_unloadable_document_fails_the_check(self, capsys, tmp_path, doc):
         path = tmp_path / "doc.json"
         path.write_text(json.dumps(doc))

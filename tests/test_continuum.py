@@ -23,6 +23,7 @@ from effnum import (
     refine_sequence,
     relative_mu_continuum,
     reparametrization_check,
+    riemann_sum,
 )
 
 MINIMAL = CountingFunction.minimal()
@@ -254,6 +255,12 @@ class TestJordanContent:
         assert grid.cell_volume == math.inf
         with pytest.raises(InvalidInput, match="total volume must be finite"):
             GridWaveFunction(grid, np.full(4, 0.5, dtype=complex))
+
+
+def test_riemann_sum_that_overflows_is_invalid_input():
+    # math.fsum raises OverflowError on it; the exact reduction reports it
+    with pytest.raises(InvalidInput, match="overflow"):
+        riemann_sum(np.array([1e308, 1e308]), 1.0)
 
 
 class TestPartitionAdditivity:

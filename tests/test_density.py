@@ -26,7 +26,9 @@ from effnum import (
     partial_trace,
     quantum_effnum,
     schmidt_weights,
+    spectral_weights,
 )
+from effnum import density
 from effnum.cli import main
 
 MINIMAL = CountingFunction.minimal()
@@ -180,6 +182,13 @@ class TestQuantumEffnum:
         spectrum = hermitian_eigen(rho).eigenvalues
         assert spectrum == pytest.approx([0.625, 0.125, 0.125, 0.125], abs=1e-12)
         assert quantum_effnum(rho, MINIMAL) == pytest.approx(2.5, abs=1e-10)
+
+    def test_counts_the_spectral_weights(self):
+        rho = werner_half()
+        weights = spectral_weights(rho)
+        assert np.array_equal(weights.w, rho.dim * rho.spectrum)
+        for c in (MINIMAL, CountingFunction.canonical(0.5)):
+            assert quantum_effnum(rho, c) == effnum(weights, c)
 
     def test_minimal_lower_bounds_canonical(self):
         rng = np.random.default_rng(37)
@@ -372,6 +381,21 @@ def linalg_calls(monkeypatch):
 
 
 class TestDecompositionsPerCommand:
+    @pytest.mark.parametrize("argv", [
+        ["qnum", str(FIXTURES / "density_werner.json"), "--cf", "alpha=0.5"],
+        ["entangle", str(FIXTURES / "state_tilted.json"), "--dims", "2x2", "--cf", "alpha=0.5"],
+    ], ids=["qnum", "entangle"])
+    def test_one_weight_vector_serves_both_kernels(self, monkeypatch, capsys, argv):
+        built = []
+
+        def counted(w, _original=density.WeightVector):
+            built.append(_original(w))
+            return built[-1]
+
+        monkeypatch.setattr(density, "WeightVector", counted)
+        assert main(argv) == 0
+        assert len(built) == 1
+
     def test_qnum_decomposes_once(self, linalg_calls, capsys):
         assert main(["qnum", str(FIXTURES / "density_werner.json")]) == 0
         assert linalg_calls == ["eigh"]

@@ -20,7 +20,7 @@ EXPORTED = {
               "metric_uncertainty mu_uncertainty subspace_probs",
     "entropy": "GammaScanResult dfd_gamma_scan mu_entropy superadditivity_gap",
     "density": "BipartiteStructure DensityMatrix Eigensystem entanglement_weights hermitian_eigen "
-               "mu_entanglement partial_trace quantum_effnum schmidt_weights",
+               "mu_entanglement partial_trace quantum_effnum schmidt_weights spectral_weights",
     "continuum": "Grid GridWaveFunction PartitionAdditivityResult RefinementProblem "
                  "RefinementResult ReparamCheckResult SectorFamily SpectralDensityPair "
                  "constant_refinement_problem effective_volume interval_refinement_problem "
@@ -33,7 +33,7 @@ NAMES = [(module, name) for module, names in EXPORTED.items() for name in names.
 
 
 def test_the_export_list_is_complete():
-    assert len(NAMES) == 57
+    assert len(NAMES) == 58
     assert sorted(effnum.__all__) == sorted(name for _, name in NAMES)
 
 
