@@ -262,12 +262,14 @@ def exact_total(f: Callable[[np.ndarray], np.ndarray], x) -> float:
     """The correctly rounded sum of ``f(x)`` (:func:`exact_sums`) as a float:
     the one reduction of every effective count and every Riemann sum.  A sum
     that overflows, as ``math.fsum`` can even where the exact sum is finite,
-    raises InvalidInput."""
+    and a sum of both infinities raise InvalidInput."""
     try:
         # no name holds f(x): exact_sums frees it once it has its own copy
         return exact_sums(f(x)).item()
     except OverflowError as exc:
         raise InvalidInput(f"sum overflows: {exc}") from exc
+    except ValueError as exc:  # math.fsum's "-inf + inf"
+        raise InvalidInput(f"sum is undefined: {exc}") from exc
 
 
 def effnum_min(w: WeightVector) -> float:

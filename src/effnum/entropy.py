@@ -57,9 +57,11 @@ class GammaScanResult(NamedTuple):
 def dfd_gamma_scan(family, c: CountingFunction) -> GammaScanResult:
     """Fit the decay exponent of the effective-count fraction over a family.
 
-    ``family`` is a sequence of (n_k, p_k) with strictly increasing n_k;
-    p_k may be a :class:`ProbabilityVector` or a raw array.  For each step
-    the fraction F_k = effective count / n_k and the density
+    ``family`` is any iterable of (n_k, p_k) with strictly increasing n_k,
+    read once; p_k may be a :class:`ProbabilityVector` or a raw array.  Each
+    member is checked and counted before the next is read, and only its
+    step is kept, so a streamed family is held one member at a time.  For
+    each step the fraction F_k = effective count / n_k and the density
     k_eq = 1 + log F_k / log n_k are tabulated; gamma is minus the
     least-squares slope of log2 F_k against log2 n_k.
 
@@ -68,26 +70,22 @@ def dfd_gamma_scan(family, c: CountingFunction) -> GammaScanResult:
     Behaviors slower than a power are not classified; judge the reported
     residual (max |fit - data| over the window).
     """
-    members = []
+    steps: list[ScanStep] = []
     for n_k, p_k in family:
         pv = p_k if isinstance(p_k, ProbabilityVector) else ProbabilityVector(np.asarray(p_k))
         if pv.n != int(n_k):
             raise InvalidInput(f"family member claims n={n_k} but has {pv.n} entries")
         if pv.n < 2:  # k_eq divides by log2(n)
             raise InvalidInput(f"family members need n >= 2, got n={n_k}")
-        members.append(pv)
-    sizes = [pv.n for pv in members]
-    if len(sizes) < 3:
+        if steps and pv.n <= steps[-1].n:
+            raise InvalidInput("family sizes n_k must be strictly increasing")
+        w = weights_from_probs(pv)
+        del p_k, pv  # a streamed member's probabilities go before the kernel sum
+        ratio = effnum(w, c) / w.n
+        steps.append(ScanStep(n=w.n, ratio=ratio, k_eq=1.0 + math.log2(ratio) / math.log2(w.n)))
+        del w  # and its weights before the next member is built
+    if len(steps) < 3:
         raise InvalidInput("need at least 3 family members to fit a slope")
-    if any(b <= a for a, b in zip(sizes, sizes[1:])):
-        raise InvalidInput("family sizes n_k must be strictly increasing")
-
-    steps = []
-    for pv in members:
-        value = effnum(weights_from_probs(pv), c)
-        ratio = value / pv.n
-        k_eq = 1.0 + math.log2(ratio) / math.log2(pv.n)
-        steps.append(ScanStep(n=pv.n, ratio=ratio, k_eq=k_eq))
 
     _, slope, residual, window = tail_fit(
         [math.log2(s.n) for s in steps], [math.log2(s.ratio) for s in steps]

@@ -21,7 +21,7 @@ import math
 from functools import partial
 from itertools import chain
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable
 
 import numpy as np
 
@@ -369,14 +369,16 @@ def _uniform_power_family(doc: dict):
             raise InvalidInput(f"exponents must lie in [1, {MAX_POWER_EXPONENT}], got {j}")
     if sum(2**j for j in exponents) > MAX_FAMILY_STATES:
         raise InvalidInput(f"the family would hold more than {MAX_FAMILY_STATES} states")
-    family = []
-    for j in exponents:
-        n = 2**j
-        support = min(n, math.ceil(n ** (1.0 - gamma)))
-        p = np.zeros(n)
-        p[:support] = 1.0 / support
-        family.append((n, counting.ProbabilityVector(p)))
-    return family
+    # a scan builds each member when it reaches it, so it holds one at a time
+    return ((2**j, _uniform_on_support(2**j, gamma)) for j in exponents)
+
+
+def _uniform_on_support(n: int, gamma: float) -> counting.ProbabilityVector:
+    """Uniform on the first ceil(n**(1-gamma)) of n states."""
+    support = min(n, math.ceil(n ** (1.0 - gamma)))
+    p = np.zeros(n)
+    p[:support] = 1.0 / support
+    return counting.ProbabilityVector(p)
 
 
 def _explicit_family(doc: dict):
@@ -430,14 +432,15 @@ def load_refine_problem(path: str | Path) -> tuple[continuum.RefinementProblem, 
     return _named(path, _refine_problem, _load_json(path))
 
 
-def load_dfd_family(path: str | Path) -> list[tuple[int, counting.ProbabilityVector]]:
-    """Degree-of-freedom family file.
+def load_dfd_family(path: str | Path) -> Iterable[tuple[int, counting.ProbabilityVector]]:
+    """Degree-of-freedom family file, as (n_k, p_k) pairs to be read once.
 
-    {"kind": "uniform-power", "gamma": g, "exponents": [j, ...]} builds
+    {"kind": "uniform-power", "gamma": g, "exponents": [j, ...]} gives
     distributions uniform on ceil(n**(1-g)) of n = 2**j states, with
-    1 <= j <= MAX_POWER_EXPONENT and at most MAX_FAMILY_STATES in all;
-    {"kind": "explicit", "members": [{"n": n, "p": [...]}, ...]} lists the
-    distributions directly.
+    1 <= j <= MAX_POWER_EXPONENT and at most MAX_FAMILY_STATES in all.  Its
+    parameters are checked here, and each member is built only when a scan
+    reaches it; {"kind": "explicit", "members": [{"n": n, "p": [...]}, ...]}
+    lists the distributions directly.
     """
     return _named(path, _dfd_family, _load_json(path))
 

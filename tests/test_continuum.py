@@ -263,6 +263,12 @@ def test_riemann_sum_that_overflows_is_invalid_input():
         riemann_sum(np.array([1e308, 1e308]), 1.0)
 
 
+def test_riemann_sum_of_both_infinities_is_invalid_input():
+    # math.fsum raises ValueError on -inf + inf
+    with pytest.raises(InvalidInput, match="undefined"):
+        riemann_sum(np.array([np.inf, -np.inf]), 1.0)
+
+
 class TestPartitionAdditivity:
     def test_symmetric_cut_splits_evenly(self):
         grid = Grid(shape=(64,), spacing=(1.0 / 64,))

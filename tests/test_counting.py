@@ -92,6 +92,12 @@ class TestEffnum:
         with pytest.raises(InvalidInput, match="overflow"):
             effnum(WeightVector(np.ones(len(values))), c)
 
+    def test_kernel_values_of_both_infinities_are_invalid_input(self):
+        # math.fsum raises ValueError on -inf + inf
+        c = CountingFunction.from_callable(lambda w: np.array([np.inf, -np.inf]))
+        with pytest.raises(InvalidInput, match="undefined"):
+            effnum(WeightVector(np.array([1.0, 1.0])), c)
+
     def test_weight_sum_validated(self):
         with pytest.raises(InvalidInput):
             WeightVector(np.array([1.0, 0.5]))

@@ -1,4 +1,7 @@
+import gc
+import json
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +14,7 @@ from effnum import (
     InvalidInput,
     ProbabilityVector,
     dfd_gamma_scan,
+    io,
     mu_entropy,
     superadditivity_gap,
 )
@@ -211,3 +215,52 @@ class TestGammaScan:
         # the floor covers slopes near zero, where two correct fits differ
         # by ~1e-16 but by more than 1e-12 relative
         assert -result.gamma == pytest.approx(slope, rel=1e-12, abs=1e-14)
+
+
+def _family_file(tmp_path, exponents, gamma=0.375):
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"kind": "uniform-power", "gamma": gamma,
+                                "exponents": list(exponents)}))
+    return path
+
+
+def _traced_peak(call):
+    """Bytes ``call()`` allocates at its peak, its result dropped."""
+    gc.collect()
+    tracemalloc.start()
+    try:
+        call()
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+BOTH_KERNELS = pytest.mark.parametrize("c", [MINIMAL, CountingFunction.canonical(0.5)],
+                                       ids=["minimal", "canonical"])
+
+
+class TestStreamedFamily:
+    # a uniform-power family is built member by member as the scan reaches it
+
+    @BOTH_KERNELS
+    def test_scan_holds_one_member_at_a_time(self, tmp_path, c):
+        # holding every member until the scan counted them peaked at 5.1x
+        path = _family_file(tmp_path, range(10, 19))
+        dfd_gamma_scan(io.load_dfd_family(path), c)  # warm-up: first-use imports and caches
+        peak = _traced_peak(lambda: dfd_gamma_scan(io.load_dfd_family(path), c))
+        largest = 2**18 * np.dtype(float).itemsize
+        assert peak < 4 * largest, peak / largest
+
+    @BOTH_KERNELS
+    def test_one_shot_family_gives_the_steps_of_a_list(self, tmp_path, c):
+        family = uniform_power_family(0.375, range(4, 12))
+        listed = dfd_gamma_scan(family, c)
+        assert dfd_gamma_scan((member for member in family), c) == listed
+        assert dfd_gamma_scan(io.load_dfd_family(_family_file(tmp_path, range(4, 12))), c) == listed
+
+    def test_check_builds_no_member(self, tmp_path):
+        # building every member (2**23 floats in all) peaked at 100 MB
+        path = _family_file(tmp_path, range(2, 23))
+        io.check_file(path)  # warm-up: first-use imports and caches
+        assert io.check_file(path) == "family"
+        assert _traced_peak(lambda: io.check_file(path)) < 2**20
