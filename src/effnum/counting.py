@@ -23,6 +23,7 @@ numpy's pairwise ``sum`` instead (see :class:`ProbabilityVector`).
 from __future__ import annotations
 
 import math
+import weakref
 from functools import partial
 from typing import Callable, NamedTuple
 
@@ -36,23 +37,31 @@ WEIGHT_SUM_TOL = 1e-12  # scaled by n at the point of use
 # segment it is faster than exact_sums' numpy passes up to about 700
 # entries (about 25 us either way there).
 EXACT_SUM_CUTOFF = 512
+# Entries handled at once by exact_total's reduction and the sampler of
+# effnum.simulate, so that their memory follows one block, not n or the
+# trial count: 2**16 doubles are 512 kB, which stays in a core's L2 cache,
+# while each block's few numpy calls are amortized over 65,536 entries.
+BLOCK = 2**16
 
 
 class Frozen:
     """Base of the library's value classes.  ``__init__`` validates its
     arguments and saves them with ``_store``, which keeps every array, alone
     or in a tuple, as a read-only copy of its own; pickle and copy restore
-    through it too.  Assigning or deleting an attribute raises
-    AttributeError.  Equality is identity."""
+    through it too.  An array that a library builder made for the object
+    (``_fresh``) is kept itself instead of a copy.  Assigning or deleting an
+    attribute raises AttributeError.  Equality is identity."""
 
     def _store(self, **fields):
         vars(self).update({name: Frozen._private(value) for name, value in fields.items()})
 
     @staticmethod
     def _private(value):
-        """A read-only C-order copy of an array, also inside a tuple."""
+        """A read-only C-order copy of an array, also inside a tuple; a
+        ``_fresh`` array is made read-only in place, once."""
         if isinstance(value, np.ndarray):
-            value = np.array(value, order="C")
+            if _FRESH.pop(id(value), None) is not value:
+                value = np.array(value, order="C")
             value.flags.writeable = False
         elif type(value) is tuple:
             value = tuple(map(Frozen._private, value))
@@ -70,6 +79,22 @@ class Frozen:
     def __repr__(self) -> str:
         fields = ", ".join(f"{k}={v!r}" for k, v in vars(self).items())
         return f"{type(self).__name__}({fields})"
+
+
+# Arrays handed to ``_store`` by ``_fresh``, by id.  Weak, so that an entry
+# goes with its array and a later array at the same address is never taken
+# for it.
+_FRESH = weakref.WeakValueDictionary()
+
+
+def _fresh(arr: np.ndarray) -> np.ndarray:
+    """Hand ``arr``, a C-order array that the caller has just built and keeps
+    no other reference to, to the value object constructed from it next:
+    that object's ``_store`` keeps ``arr`` itself, after every check of its
+    constructor, instead of a copy.  Only the library's own builders call
+    this; any other array is still copied."""
+    _FRESH[id(arr)] = arr
+    return arr
 
 
 def as_dim(value, name: str) -> int:
@@ -109,14 +134,33 @@ def exact_sums(x, seg=None, m: int = 1) -> np.ndarray:
     x = np.asarray(x, dtype=float).ravel()
     if seg is not None:
         seg = np.asarray(seg, dtype=np.intp)
-    if x.size <= EXACT_SUM_CUTOFF:
+    totals = _pass_totals(x, seg, m)
+    if totals is None:
         return _fsums(x, seg, m)
+    if seg is None:
+        return np.array([math.fsum(totals)])
+    totals = np.stack(totals)
+    # Adding one or two doubles rounds once, as fsum does; three or more
+    # non-zero totals need fsum's exact accumulation.
+    sums = totals.sum(axis=0)
+    for j in np.flatnonzero(np.count_nonzero(totals, axis=0) > 2):
+        sums[j] = math.fsum(totals[:, j].tolist())
+    return sums
+
+
+def _pass_totals(x: np.ndarray, seg: np.ndarray | None, m: int) -> list | None:
+    """The exact totals of :func:`exact_sums`' error-free passes over the
+    float vector x: one float per pass, or with ``seg`` one array of m
+    segment totals per pass.  None where ``math.fsum`` must take x itself:
+    short or non-finite x, or one whose sigma would overflow."""
+    if x.size <= EXACT_SUM_CUTOFF:
+        return None
     hi, lo = float(x.max()), float(x.min())
     if not (math.isfinite(hi) and math.isfinite(lo)):
-        return _fsums(x, seg, m)
+        return None
     top = math.frexp(max(hi, -lo))[1]
     if (x.size + 1).bit_length() + top > 1023:  # sigma would overflow
-        return _fsums(x, seg, m)
+        return None
     x = x.copy()  # the passes below work in place
     totals = []
     while True:
@@ -128,19 +172,10 @@ def exact_sums(x, seg=None, m: int = 1) -> np.ndarray:
         keep = x != 0.0
         x = x[keep]
         if not x.size:
-            break
+            return totals
         if seg is not None:
             seg = seg[keep]
         top = math.frexp(max(float(x.max()), -float(x.min())))[1]
-    if seg is None:
-        return np.array([math.fsum(totals)])
-    totals = np.stack(totals)
-    # Adding one or two doubles rounds once, as fsum does; three or more
-    # non-zero totals need fsum's exact accumulation.
-    sums = totals.sum(axis=0)
-    for j in np.flatnonzero(np.count_nonzero(totals, axis=0) > 2):
-        sums[j] = math.fsum(totals[:, j].tolist())
-    return sums
 
 
 def _nonnegative_vector(values, name: str, entries: str) -> np.ndarray:
@@ -235,7 +270,11 @@ class CountingFunction(Frozen):
 
     @classmethod
     def from_callable(cls, func: Callable[[np.ndarray], np.ndarray]) -> "CountingFunction":
-        """Wrap a user-supplied vectorized kernel; see validate_counting_function."""
+        """Wrap a user-supplied vectorized kernel; see validate_counting_function.
+
+        The kernel must be elementwise: an effective count applies it to
+        blocks of at most ``BLOCK`` (2**16) weights at a time, never to all
+        n at once."""
         return cls(kind="user", func=func)
 
     def __call__(self, w) -> np.ndarray:
@@ -250,7 +289,7 @@ class CountingFunction(Frozen):
 
 def weights_from_probs(p: ProbabilityVector) -> WeightVector:
     """Rescale probabilities to counting weights w_i = n * p_i."""
-    return WeightVector(p.n * p.p)
+    return WeightVector(_fresh(p.n * p.p))
 
 
 def effnum(w: WeightVector, c: CountingFunction) -> float:
@@ -260,12 +299,25 @@ def effnum(w: WeightVector, c: CountingFunction) -> float:
 
 def exact_total(f: Callable[[np.ndarray], np.ndarray], x) -> float:
     """The correctly rounded sum of ``f(x)`` (:func:`exact_sums`) as a float:
-    the one reduction of every effective count and every Riemann sum.  A sum
-    that overflows, as ``math.fsum`` can even where the exact sum is finite,
-    and a sum of both infinities raise InvalidInput."""
+    the one reduction of every effective count and every Riemann sum.
+
+    ``f`` is elementwise.  It is applied to ``BLOCK`` entries of x at a
+    time, and each block leaves only the exact totals of its passes (its
+    values, if ``math.fsum`` must take them), so memory follows a block, not
+    x.  One :func:`exact_sums` over all of them rounds once; a correctly
+    rounded sum is unique, so the blocks change no bit.  A sum that
+    overflows, as ``math.fsum`` can even where the exact sum is finite, and
+    a sum of both infinities raise InvalidInput."""
+    x = np.asarray(x)
     try:
-        # no name holds f(x): exact_sums frees it once it has its own copy
-        return exact_sums(f(x)).item()
+        if x.size <= BLOCK:  # one block: exact_sums takes its values as they are
+            return exact_sums(f(x)).item()
+        x, parts = x.reshape(-1), []
+        for start in range(0, x.size, BLOCK):
+            values = np.asarray(f(x[start:start + BLOCK]), dtype=float).ravel()
+            passes = _pass_totals(values, None, 1)
+            parts.append(values if passes is None else np.array(passes))
+        return exact_sums(np.concatenate(parts)).item()
     except OverflowError as exc:
         raise InvalidInput(f"sum overflows: {exc}") from exc
     except ValueError as exc:  # math.fsum's "-inf + inf"

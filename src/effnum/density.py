@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .counting import CountingFunction, Frozen, WeightVector, as_dim, effnum, exact_sums
+from .counting import CountingFunction, Frozen, WeightVector, _fresh, as_dim, effnum, exact_sums
 from .errors import ConvergenceError, InvalidInput, InvariantViolation
 from .states import PureState
 
@@ -144,7 +144,7 @@ def quantum_effnum(rho: DensityMatrix, c: CountingFunction) -> float:
 def spectral_weights(rho: DensityMatrix) -> WeightVector:
     """Counting weights of :func:`quantum_effnum`: the spectrum times the
     dimension, N * rho_i.  Compute them once to apply several kernels."""
-    return WeightVector(rho.dim * rho.spectrum)
+    return WeightVector(_fresh(rho.dim * rho.spectrum))
 
 
 class BipartiteStructure(Frozen):
@@ -218,4 +218,4 @@ def entanglement_weights(psi: PureState, bp: BipartiteStructure) -> WeightVector
     their number, min(dim_a, dim_b).  Compute them once to apply several
     kernels."""
     weights = schmidt_weights(psi, bp)
-    return WeightVector(weights.size * weights)
+    return WeightVector(_fresh(weights.size * weights))

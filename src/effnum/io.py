@@ -378,7 +378,7 @@ def _uniform_on_support(n: int, gamma: float) -> counting.ProbabilityVector:
     support = min(n, math.ceil(n ** (1.0 - gamma)))
     p = np.zeros(n)
     p[:support] = 1.0 / support
-    return counting.ProbabilityVector(p)
+    return counting.ProbabilityVector(counting._fresh(p))
 
 
 def _explicit_family(doc: dict):

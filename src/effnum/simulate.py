@@ -26,14 +26,16 @@ bias/noise tradeoff is visible, and no debiasing is attempted.
 
 from __future__ import annotations
 
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
 from .counting import (
+    BLOCK,
     CountingFunction,
     Frozen,
     ProbabilityVector,
+    _fresh,
     as_dim,
     effnum,
     exact_total,
@@ -44,15 +46,15 @@ from .states import OrthogonalDecomposition, OrthonormalBasis, PureState, subspa
 
 GENERATOR_ID = "philox4x32-10/inverse-cdf"
 MIN_TRIALS_FOR_ESTIMATE = 100
-MAX_TRIALS = 2**24  # a run's arrays take a few dozen bytes per trial
+MAX_TRIALS = 2**24  # sample_outcomes holds 8 bytes per trial (16 while it joins the blocks)
 DEFAULT_BOOTSTRAP = 200
 
 
 class OutcomeSequence(Frozen):
     """Recorded outcomes of repeated measurements of one prepared state.
 
-    ``run`` is the run of its seed's table (see ``_sample``), which keys
-    its bootstrap.
+    ``run`` is the run of its seed's table (see ``_index_chunks``), which
+    keys its bootstrap.
     """
 
     def __init__(self, trials, seed: int, m_count: int, run: int = 0):
@@ -90,30 +92,53 @@ def sample_outcomes(
     probabilities.  A t beyond ``MAX_TRIALS`` raises InvalidInput before
     anything of size t is allocated.
     """
-    return _sample(subspace_probs(psi, dec, basis), t, seed, 0)
+    probs = subspace_probs(psi, dec, basis)
+    trials = np.concatenate(list(_index_chunks(probs, t, seed, 0)))
+    return OutcomeSequence(trials=_fresh(trials), seed=seed, m_count=probs.n)
 
 
-def _sample(probs: ProbabilityVector, t: int, seed: int, run: int) -> OutcomeSequence:
-    """``sample_outcomes`` from the collapse probabilities themselves.
+def _index_chunks(probs: ProbabilityVector, t: int, seed: int, run: int) -> Iterator[np.ndarray]:
+    """The outcome indices of t trials drawn from the collapse probabilities,
+    ``BLOCK`` trials at a time; t and the seed are checked before any draw.
 
     The uniforms come from Philox keyed by ``seed`` and jumped ``run``
     times, as if 2**128 draws were made per jump, so the runs of one seed
     share no draw; run 0 is the unjumped stream of ``sample_outcomes``.
+    Drawing the uniforms a block at a time gives the same doubles as
+    drawing all t at once.
     """
     if not 1 <= t <= MAX_TRIALS:
         raise InvalidInput(f"trial count must lie in [1, {MAX_TRIALS}], got {t}")
-    seed = _as_seed(seed)
+    t, seed = int(t), _as_seed(seed)
     from numpy.random import Generator, Philox
 
     rng = Generator(Philox(key=np.uint64(seed)).jumped(run))
-    uniforms = rng.random(int(t))
     cumulative = np.cumsum(probs.p)
     cumulative[-1] = max(cumulative[-1], 1.0)  # guard the last bin against rounding
-    indices = _indexed_search(cumulative, uniforms)
-    return OutcomeSequence(trials=indices, seed=seed, m_count=probs.n, run=run)
+    guide = _guide_table(cumulative)
+    return (_indexed_search(cumulative, rng.random(min(BLOCK, t - start)), guide)
+            for start in range(0, t, BLOCK))
 
 
-def _indexed_search(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
+def _outcome_counts(probs: ProbabilityVector, t: int, seed: int, run: int) -> np.ndarray:
+    """How often each outcome occurs in run ``run`` of t trials
+    (``_index_chunks``), binned a block at a time: the trials themselves are
+    never held."""
+    counts = np.zeros(probs.n, dtype=np.intp)
+    for chunk in _index_chunks(probs, t, seed, run):
+        counts += np.bincount(chunk, minlength=probs.n)
+    return counts
+
+
+def _guide_table(cumulative: np.ndarray) -> np.ndarray:
+    """The guide table of :func:`_indexed_search`: over K buckets, K the
+    least power of two >= 2M, the count of entries <= b/K for each bucket b."""
+    k = 1 << (2 * cumulative.size - 1).bit_length()
+    return np.searchsorted(cumulative, np.arange(k) / k, side="right")
+
+
+def _indexed_search(cumulative: np.ndarray, uniforms: np.ndarray,
+                    guide: np.ndarray | None = None) -> np.ndarray:
     """``np.searchsorted(cumulative, uniforms, side="right")``, by indexed search.
 
     ``cumulative`` is non-decreasing with a last entry of at least 1, and
@@ -122,11 +147,11 @@ def _indexed_search(cumulative: np.ndarray, uniforms: np.ndarray) -> np.ndarray:
     the bucket, so it never starts past the answer; that needs b/K and
     u*K exact, hence K a power of two.  Each index then steps forward
     while ``cumulative[index] <= u``; with K >= 2M a bucket holds at most
-    half an entry on average, so most uniforms take no step.
+    half an entry on average, so most uniforms take no step.  ``guide``,
+    the :func:`_guide_table` of ``cumulative``, is built here if not given.
     """
-    k = 1 << (2 * cumulative.size - 1).bit_length()  # the least power of two >= 2M
-    guide = np.searchsorted(cumulative, np.arange(k) / k, side="right")
-    index = guide[(uniforms * k).astype(np.intp)]
+    guide = _guide_table(cumulative) if guide is None else guide
+    index = guide[(uniforms * guide.size).astype(np.intp)]
     active = np.flatnonzero(cumulative[index] <= uniforms)
     while active.size:
         index[active] += 1
@@ -170,24 +195,29 @@ def plugin_mu_estimate(seq: OutcomeSequence, c: CountingFunction | None = None) 
     them; counts that are non-negative and sum to t already make valid
     probabilities and weights, so only those two facts are checked.
     """
-    if seq.t_count < MIN_TRIALS_FOR_ESTIMATE:
-        raise InvalidInput(
-            f"need at least {MIN_TRIALS_FOR_ESTIMATE} trials, got {seq.t_count}"
-        )
+    counts = np.bincount(seq.trials, minlength=seq.m_count)
+    return _estimate(counts, seq.seed, seq.run, c)
+
+
+def _estimate(counts: np.ndarray, seed: int, run: int, c: CountingFunction | None) -> PluginEstimate:
+    """``plugin_mu_estimate`` from the outcome counts of a run's trials."""
+    t = int(counts.sum())
+    if t < MIN_TRIALS_FOR_ESTIMATE:
+        raise InvalidInput(f"need at least {MIN_TRIALS_FOR_ESTIMATE} trials, got {t}")
     from numpy.random import Generator, Philox, SeedSequence
 
     c = CountingFunction.minimal() if c is None else c
-    freqs = empirical_probs(seq)
+    freqs = ProbabilityVector(_fresh(counts / t))
     estimate = effnum(weights_from_probs(freqs), c)
 
-    t, m = seq.t_count, freqs.n
+    m = freqs.n
     pvals = freqs.p / float(np.sum(freqs.p))
     replicas = np.empty(DEFAULT_BOOTSTRAP)
     for r in range(DEFAULT_BOOTSTRAP):
-        sub = SeedSequence(seq.seed, spawn_key=(1 + seq.run, r))
-        counts = Generator(Philox(seed=sub)).multinomial(t, pvals)
-        if counts.min() < 0 or counts.sum() != t:
+        sub = SeedSequence(seed, spawn_key=(1 + run, r))
+        drawn = Generator(Philox(seed=sub)).multinomial(t, pvals)
+        if drawn.min() < 0 or drawn.sum() != t:
             raise InvariantViolation(f"bootstrap replica {r} does not hold {t} trials")
-        replicas[r] = exact_total(c, m * (counts / t))
+        replicas[r] = exact_total(c, m * (drawn / t))
     stderr = float(np.std(replicas, ddof=1))
     return PluginEstimate(estimate=estimate, stderr=stderr, n_bootstrap=DEFAULT_BOOTSTRAP)

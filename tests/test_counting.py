@@ -20,7 +20,7 @@ from effnum import (
     validate_counting_function,
     weights_from_probs,
 )
-from effnum.counting import EXACT_SUM_CUTOFF, tail_fit
+from effnum.counting import BLOCK, EXACT_SUM_CUTOFF, exact_total, tail_fit
 
 MINIMAL = CountingFunction.minimal()
 HALF = CountingFunction.canonical(0.5)
@@ -395,3 +395,51 @@ class TestExactSums:
         shuffled = WeightVector(rng.permutation(w.w))
         for c in (MINIMAL, HALF):
             assert effnum(w, c) == effnum(shuffled, c) == math.fsum(c(w.w).tolist())
+
+
+def _weights(n):
+    return n * random_probs(np.random.default_rng(n), n)
+
+
+def _wide(n):
+    """Signed values over 40 decades, a quarter cancelling exactly: many passes."""
+    rng = np.random.default_rng(n)
+    x = rng.standard_normal(n) * 10.0 ** rng.integers(-20, 20, size=n)
+    x[: n // 4] = -x[n // 4 : 2 * (n // 4)]
+    return x
+
+
+class TestBlockedReduction:
+    """exact_total applies its function a block at a time and rounds once."""
+
+    @pytest.mark.parametrize("n", [BLOCK + 7, 2**20])
+    @pytest.mark.parametrize("f, values", [(MINIMAL, _weights), (HALF, _weights), (np.ravel, _wide)],
+                             ids=["minimal", "canonical", "wide"])
+    def test_equals_fsum_bit_for_bit(self, n, f, values):
+        x = values(n)
+        expected = math.fsum(np.ravel(f(x)).tolist())
+        shuffled = np.random.default_rng(0).permutation(x)
+        assert _bits([exact_total(f, x), exact_total(f, shuffled)]) == _bits([expected] * 2)
+
+    def test_infinities_in_different_blocks_are_undefined(self):
+        x = np.ones(2 * BLOCK)
+        x[0], x[BLOCK] = np.inf, -np.inf
+        with pytest.raises(InvalidInput, match="undefined"):
+            exact_total(np.ravel, x)
+
+    def test_sum_that_overflows_across_blocks(self):
+        x = np.full(8 * BLOCK, 1.5 * 2.0**1005)
+        assert exact_total(np.ravel, x[:BLOCK]) == 1.5 * 2.0**1021  # each block is finite
+        with pytest.raises(InvalidInput, match="overflows"):
+            exact_total(np.ravel, x)
+
+    def test_a_user_kernel_sees_at_most_a_block(self):
+        sizes = []
+
+        def kernel(w):
+            sizes.append(w.size)
+            return np.minimum(w, 1.0)
+
+        n = 3 * BLOCK + 5
+        assert effnum(WeightVector(np.ones(n)), CountingFunction.from_callable(kernel)) == n
+        assert sizes == [BLOCK, BLOCK, BLOCK, 5]

@@ -244,12 +244,14 @@ class TestStreamedFamily:
 
     @BOTH_KERNELS
     def test_scan_holds_one_member_at_a_time(self, tmp_path, c):
-        # holding every member until the scan counted them peaked at 5.1x
+        # holding every member until the scan counted them peaked at 5.1x, and
+        # copying each fresh array into its value object and reducing all n
+        # weights at once at 3.1x
         path = _family_file(tmp_path, range(10, 19))
         dfd_gamma_scan(io.load_dfd_family(path), c)  # warm-up: first-use imports and caches
         peak = _traced_peak(lambda: dfd_gamma_scan(io.load_dfd_family(path), c))
         largest = 2**18 * np.dtype(float).itemsize
-        assert peak < 4 * largest, peak / largest
+        assert peak < 2.5 * largest, peak / largest
 
     @BOTH_KERNELS
     def test_one_shot_family_gives_the_steps_of_a_list(self, tmp_path, c):

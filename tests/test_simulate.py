@@ -1,4 +1,6 @@
+import gc
 import math
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -23,6 +25,7 @@ from effnum import (
     weights_from_probs,
 )
 from effnum import cli, io, simulate, states
+from effnum.counting import BLOCK
 from effnum.simulate import DEFAULT_BOOTSTRAP, PluginEstimate, _indexed_search
 
 from conftest import FIXTURES
@@ -339,18 +342,57 @@ def test_simulate_computes_the_collapse_probabilities_once(monkeypatch, capsys):
 
 
 def test_runs_of_a_trial_table_are_independent_streams(monkeypatch, capsys):
-    runs, sample = [], simulate._sample
+    runs, index_chunks = [], simulate._index_chunks
 
     def recorded(*args):
-        runs.append(sample(*args))
-        return runs[-1]
+        runs.append([])
+        for chunk in index_chunks(*args):
+            runs[-1].append(chunk)
+            yield chunk
 
-    monkeypatch.setattr(simulate, "_sample", recorded)
+    monkeypatch.setattr(simulate, "_index_chunks", recorded)
     state, dec = FIXTURES / "state_uniform4.json", FIXTURES / "dec_singletons4.json"
     code = cli.main(["simulate", str(state), str(dec), "--trials", "1000,100000", "--seed", "7"])
-    assert code == 0 and [seq.t_count for seq in runs] == [1000, 100000]
+    trials = [np.concatenate(chunks) for chunks in runs]
+    assert code == 0 and [run.size for run in trials] == [1000, 100000]
     # runs keyed by the seed alone would make the shorter one a prefix of the longer
-    assert not np.array_equal(runs[0].trials, runs[1].trials[:1000])
+    assert not np.array_equal(trials[0], trials[1][:1000])
     psi = io.load_state(state)
     alone = sample_outcomes(psi, *io.load_decomposition(dec, psi.dim), 1000, seed=7)
-    assert np.array_equal(runs[0].trials, alone.trials)
+    assert np.array_equal(trials[0], alone.trials)
+
+
+class TestStreamedSampler:
+    """The trials are drawn and binned ``BLOCK`` at a time."""
+
+    @pytest.mark.parametrize("run", [0, 1])
+    @pytest.mark.parametrize("t", [1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
+    def test_chunks_equal_one_draw(self, t, run):
+        p = np.random.default_rng(t).gamma(0.5, size=1000)
+        probs = ProbabilityVector(p / p.sum())
+        uniforms = Generator(Philox(key=np.uint64(7)).jumped(run)).random(t)
+        chunks = list(simulate._index_chunks(probs, t, 7, run))
+        assert max(chunk.size for chunk in chunks) <= BLOCK
+        assert np.array_equal(np.concatenate(chunks),
+                              _indexed_search(guarded_cdf(probs.p), uniforms))
+
+    def test_counts_bin_the_trials_of_sample_outcomes(self):
+        psi, dec = three_outcome_state()
+        t = 3 * BLOCK + 5
+        seq = sample_outcomes(psi, dec, None, t, seed=12)
+        counts = simulate._outcome_counts(states.subspace_probs(psi, dec), t, 12, 0)
+        assert np.array_equal(counts, np.bincount(seq.trials, minlength=3))
+
+    def test_simulate_holds_one_block_of_trials(self, capsys):
+        # drawing all 10**6 trials at once peaked at 24 MiB
+        argv = ["simulate", str(FIXTURES / "state_uniform4.json"),
+                str(FIXTURES / "dec_singletons4.json"), "--trials", "1000000", "--seed", "7"]
+        assert cli.main(argv) == 0  # warm-up: first-use imports and caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            code = cli.main(argv)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert code == 0 and peak < 4 * 2**20, peak

@@ -10,13 +10,15 @@ pickle, deepcopy or copy.  The result records are NamedTuples whose
 
 import copy
 import functools
+import gc
 import pickle
+import tracemalloc
 
 import numpy as np
 import pytest
 
 import effnum
-from effnum import continuum, counting, entropy, simulate
+from effnum import continuum, counting, entropy, io, simulate
 from effnum.counting import Frozen
 
 GRID = effnum.Grid(shape=(4,), spacing=(0.25,))
@@ -150,6 +152,94 @@ def test_arrays_are_private_and_read_only(cls, how):
     if back is not obj:  # a copy shares none of its own arrays with the original
         assert not any(np.shares_memory(a, b)
                        for a in arrays(back, nested=False) for b in arrays(obj))
+
+
+def _from(build, *given):
+    return build(*given), given
+
+
+# Each value class that takes arrays, built from arrays its caller keeps:
+# (object, the caller's arrays).
+FROM_CALLER = {
+    effnum.ProbabilityVector: lambda: _from(effnum.ProbabilityVector, np.array([0.25, 0.75])),
+    effnum.WeightVector: lambda: _from(effnum.WeightVector, np.array([0.5, 1.5])),
+    effnum.PureState: lambda: _from(effnum.PureState, np.array([0.0, 1.0, 0.0], dtype=complex)),
+    effnum.OrthonormalBasis: lambda: _from(effnum.OrthonormalBasis, np.eye(3, dtype=complex)),
+    effnum.OrthogonalDecomposition: lambda: _from(
+        lambda a, b: effnum.OrthogonalDecomposition([a, b], 3), np.array([0, 1]), np.array([2])),
+    effnum.MeasurementSetup: lambda: _from(functools.partial(effnum.MeasurementSetup, DEC),
+                                           np.array([[0.0], [1.0]])),
+    effnum.DensityMatrix: lambda: _from(effnum.DensityMatrix, np.eye(3, dtype=complex) / 3),
+    effnum.Eigensystem: lambda: _from(effnum.Eigensystem, np.array([0.5, 0.5]),
+                                      np.eye(2, dtype=complex)),
+    effnum.Grid: lambda: _from(effnum.Grid, np.array([4]), np.array([0.25]), np.array([1.0])),
+    effnum.GridWaveFunction: lambda: _from(functools.partial(effnum.GridWaveFunction, GRID),
+                                           UNIFORM.astype(complex)),
+    effnum.SectorFamily: lambda: _from(lambda p, eta: effnum.SectorFamily([p], [eta], GRID),
+                                       UNIFORM.copy(), UNIFORM.copy()),
+    effnum.SpectralDensityPair: lambda: _from(
+        functools.partial(effnum.SpectralDensityPair.from_grid, GRID), UNIFORM.copy(),
+        UNIFORM.copy()),
+    effnum.OutcomeSequence: lambda: _from(
+        lambda trials: effnum.OutcomeSequence(trials, seed=5, m_count=3), np.array([0, 2, 1])),
+}
+
+
+def test_every_value_class_that_takes_arrays_is_covered():
+    no_arrays = {effnum.CountingFunction, effnum.BipartiteStructure}
+    assert set(FROM_CALLER) == set(VALUES) - no_arrays
+
+
+@pytest.mark.parametrize("cls", list(FROM_CALLER), ids=lambda c: c.__name__)
+def test_the_caller_keeps_its_arrays(cls):
+    obj, given = FROM_CALLER[cls]()
+    held = [a.copy() for a in arrays(obj)]
+    assert not any(np.shares_memory(a, b) for a in given for b in arrays(obj))
+    assert all(a.flags.writeable for a in given)  # never frozen on the caller's side
+    for a in given:
+        a[...] = 7
+    assert all(np.array_equal(a, b) for a, b in zip(arrays(obj), held, strict=True))
+
+
+# Library builders that hand their freshly built array to the value object.
+HANDED_OVER = {
+    "weights_from_probs": lambda: effnum.weights_from_probs(effnum.ProbabilityVector([0.25, 0.75])),
+    "spectral_weights": lambda: effnum.spectral_weights(effnum.DensityMatrix.maximally_mixed(3)),
+    "entanglement_weights": lambda: effnum.entanglement_weights(
+        effnum.PureState(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)),
+        effnum.BipartiteStructure(2, 2)),
+    "uniform_on_support": lambda: io._uniform_on_support(8, 0.5),
+    "sample_outcomes": lambda: effnum.sample_outcomes(effnum.PureState.basis_vector(1, 3), DEC,
+                                                      None, 10, seed=1),
+}
+
+
+@pytest.mark.parametrize("name", list(HANDED_OVER))
+@pytest.mark.parametrize("how", list(COPIES))
+def test_handed_over_arrays_are_read_only_and_copies_own_theirs(name, how):
+    obj = HANDED_OVER[name]()
+    back = COPIES[how](obj)
+    assert all(not a.flags.writeable and a.flags.c_contiguous for a in arrays(back))
+    if back is not obj:
+        assert not any(np.shares_memory(a, b) for a in arrays(back) for b in arrays(obj))
+
+
+@pytest.mark.parametrize("build, given", [
+    (effnum.weights_from_probs, lambda: effnum.ProbabilityVector(np.full(2**20, 2.0**-20))),
+    (functools.partial(io._uniform_on_support, gamma=0.5), lambda: 2**20),
+], ids=["weights_from_probs", "uniform_on_support"])
+def test_a_builder_stores_its_array_once(build, given):
+    # a copy into the value object peaked at 2.1x the array
+    given = given()
+    build(given)  # warm-up: first-use imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        build(given)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.5 * 2**20 * np.dtype(float).itemsize, peak / 2**23
 
 
 def test_arrays_are_copied_from_the_caller():
