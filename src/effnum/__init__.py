@@ -44,7 +44,6 @@ _EXPORTS = {
         "GammaScanResult",
         "dfd_gamma_scan",
         "mu_entropy",
-        "superadditivity_gap",
     ),
     "density": (
         "BipartiteStructure",
@@ -61,19 +60,15 @@ _EXPORTS = {
     "continuum": (
         "Grid",
         "GridWaveFunction",
-        "PartitionAdditivityResult",
         "RefinementProblem",
         "RefinementResult",
-        "ReparamCheckResult",
         "SectorFamily",
         "SpectralDensityPair",
         "constant_refinement_problem",
         "effective_volume",
         "interval_refinement_problem",
-        "partition_additivity_check",
         "refine_sequence",
         "relative_mu_continuum",
-        "reparametrization_check",
         "riemann_sum",
     ),
     "simulate": (

@@ -1,13 +1,15 @@
 """Continuum limits: effective volumes, spectral-density fractions, and
 refinement/extrapolation drivers.
 
-Every integral over cells here is one call of ``riemann_sum``, the
-midpoint rule on hypercubic grids: the grid's cell volume times the exact
-sum of the midpoint samples, as the discrete counts are summed.  That single
-convention keeps the additivity identity for partitions of the support
-exact at finite resolution, makes matched-sampling consistency relations
-hold bit-for-bit, and leaves every integral unchanged, bit-for-bit, by a
-permutation of the cells.
+Every integral over cells here is the midpoint rule on hypercubic grids:
+the grid's cell volume times the exact sum of the midpoint samples
+(:func:`~effnum.counting.exact_total`), as the discrete counts are summed.
+A kernel integral applies its kernel inside that sum, one block of cells
+at a time; ``riemann_sum`` integrates plain samples, a norm or a total.
+That single convention keeps the additivity identity for partitions of
+the support exact at finite resolution, makes matched-sampling consistency
+relations hold bit-for-bit, and leaves every integral unchanged,
+bit-for-bit, by a permutation of the cells.
 
 The central quantity is the relative uncertainty fraction
 
@@ -26,7 +28,8 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import CountingFunction, Frozen, WeightVector, as_dim, effnum, exact_total, tail_fit
+from .counting import (CountingFunction, Frozen, WeightVector, _fresh, as_dim, effnum,
+                       exact_total, tail_fit)
 from .errors import InvalidInput
 
 GRID_NORM_TOL = 1e-8
@@ -78,15 +81,6 @@ class Grid(Frozen):
     def total_volume(self) -> float:
         return math.prod(n * h for n, h in zip(self.shape, self.spacing))
 
-    def centers(self) -> np.ndarray:
-        """Cell midpoints as an (ncells, d) array, row-major."""
-        axes = [
-            self.origin[k] + (np.arange(self.shape[k]) + 0.5) * self.spacing[k]
-            for k in range(self.d)
-        ]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        return np.stack([m.ravel() for m in mesh], axis=-1)
-
 
 def riemann_sum(field: np.ndarray, vol: float) -> float:
     """Midpoint-rule integral of per-cell samples: ``vol``, the grid's one
@@ -110,7 +104,7 @@ class GridWaveFunction(Frozen):
         volume = grid.total_volume
         if not math.isfinite(volume):
             raise InvalidInput(f"grid total volume must be finite; got {volume!r}")
-        dens = np.abs(vals) ** 2
+        dens = _fresh(np.abs(vals) ** 2)
         norm = riemann_sum(dens, grid.cell_volume)
         if not abs(norm - 1.0) <= GRID_NORM_TOL:
             raise InvalidInput(
@@ -123,9 +117,10 @@ def effective_volume(psi: GridWaveFunction, c: CountingFunction) -> float:
     """Effective volume occupied by the state: integral of c(V |psi|^2).
 
     The density and its norm check are the state's own, so each further
-    kernel costs one kernel pass and one sum.
+    kernel costs one blocked kernel sum.
     """
-    return riemann_sum(c(psi.grid.total_volume * psi.density), psi.grid.cell_volume)
+    volume = psi.grid.total_volume
+    return psi.grid.cell_volume * exact_total(lambda d: c(volume * d), psi.density)
 
 
 def _support_mask(eta: np.ndarray) -> np.ndarray:
@@ -133,9 +128,9 @@ def _support_mask(eta: np.ndarray) -> np.ndarray:
 
 
 def _relative_mu(p: np.ndarray, eta: np.ndarray, vol: float, c: CountingFunction) -> float:
-    """Riemann sum of eta * c(p / eta) over the support cells of volume ``vol``."""
+    """Midpoint integral of eta * c(p / eta) over the support cells of volume ``vol``."""
     mask = _support_mask(eta)
-    return riemann_sum(eta[mask] * c(p[mask] / eta[mask]), vol)
+    return vol * exact_total(lambda e, q: e * c(q / e), eta[mask], p[mask])
 
 
 class SectorFamily(Frozen):
@@ -203,123 +198,6 @@ def relative_mu_continuum(sf: SectorFamily, c: CountingFunction) -> float:
     is a one-sector family."""
     return math.fsum(
         _relative_mu(p, eta, sf.grid.cell_volume, c) for p, eta in zip(sf.ps, sf.etas)
-    )
-
-
-class PartitionAdditivityResult(NamedTuple):
-    value: float          # fraction of the full pair
-    split_value: float    # F1 * fraction(part 1) + F2 * fraction(part 2)
-    gap: float
-    fractions: tuple[float, float]
-
-
-def partition_additivity_check(
-    sd: SpectralDensityPair,
-    part_one: np.ndarray,
-    c: CountingFunction,
-) -> PartitionAdditivityResult:
-    """Two-sided evaluation of the additivity identity under a support cut.
-
-    ``part_one`` is a boolean cell mask selecting the first part.  Each
-    part inherits the restricted densities rescaled by the part's spectral
-    mass F_i = integral of eta over the part; the identity
-
-        F[P, eta] = F1 * F[P/F1, eta/F1 | part 1] + F2 * (...)
-
-    is exact at the Riemann-sum level, so the returned gap is pure
-    floating-point noise.
-    """
-    mask = np.asarray(part_one, dtype=bool).ravel()
-    if mask.size != sd.p.size:
-        raise InvalidInput("partition mask must cover every cell")
-    vol = sd.grid.cell_volume
-    value = _relative_mu(sd.p, sd.eta, vol, c)
-    split_terms = []
-    fractions = []
-    for part in (mask, ~mask):
-        f_part = riemann_sum(sd.eta[part], vol)
-        if f_part <= 0.0:
-            raise InvalidInput("partition part carries no spectral mass")
-        piece = _relative_mu(sd.p[part] / f_part, sd.eta[part] / f_part, vol, c)
-        fractions.append(f_part)
-        split_terms.append(f_part * piece)
-    split_value = split_terms[0] + split_terms[1]
-    return PartitionAdditivityResult(
-        value=value,
-        split_value=split_value,
-        gap=abs(value - split_value),
-        fractions=(fractions[0], fractions[1]),
-    )
-
-
-class ReparamCheckResult(NamedTuple):
-    value: float
-    mapped_value: float
-    discrepancy: float
-    error_bound: float
-
-    @property
-    def passed(self) -> bool:
-        return self.discrepancy <= self.error_bound
-
-
-def _coarsen(a: np.ndarray) -> np.ndarray:
-    return 0.5 * (a[0::2] + a[1::2])
-
-
-def reparametrization_check(
-    sd: SpectralDensityPair,
-    f_values: np.ndarray,
-    f_derivs: np.ndarray,
-    source_grid: Grid,
-    c: CountingFunction,
-) -> ReparamCheckResult:
-    """Verify invariance of the fraction under a relabeling of the spectrum.
-
-    The pair ``sd`` lives on a one-dimensional grid in the target variable;
-    ``f_values``/``f_derivs`` sample a strictly increasing differentiable
-    map and its derivative at the midpoints of ``source_grid``.  Both
-    densities transform with the Jacobian (P' = P(f) f', eta' = eta(f) f')
-    and the fraction is evaluated on each side by midpoint quadrature;
-    target-side values at mapped points come from linear interpolation.
-
-    The discrepancy between the two sides is reported together with a
-    two-sided quadrature error estimate obtained by re-evaluating each
-    side at half resolution.  ``passed`` states that the discrepancy is
-    within that bound.
-    """
-    if sd.grid.d != 1:
-        raise InvalidInput("the shipped checker needs a pair on a 1-dimensional grid")
-    if source_grid.d != 1:
-        raise InvalidInput("source grid must be 1-dimensional")
-    f = np.asarray(f_values, dtype=float).ravel()
-    fp = np.asarray(f_derivs, dtype=float).ravel()
-    if f.size != source_grid.ncells or fp.size != source_grid.ncells:
-        raise InvalidInput("need one f and one f' sample per source cell")
-    if np.any(np.diff(f) <= 0.0):
-        raise InvalidInput("map samples must be strictly increasing")
-    if np.any(fp <= 0.0):
-        raise InvalidInput("map derivative must be positive on the support")
-    if sd.grid.ncells % 2 or source_grid.ncells % 2 or min(sd.grid.ncells, source_grid.ncells) < 8:
-        raise InvalidInput("cell counts must be even and >= 8 for the error estimate")
-
-    centers = sd.grid.centers()[:, 0]
-    h_target = sd.grid.spacing[0]
-    h_source = source_grid.spacing[0]
-
-    def mapped_side(xs, ps, es, f_s, fp_s, h):
-        return _relative_mu(np.interp(f_s, xs, ps) * fp_s, np.interp(f_s, xs, es) * fp_s, h, c)
-
-    value = _relative_mu(sd.p, sd.eta, h_target, c)
-    value_coarse = _relative_mu(_coarsen(sd.p), _coarsen(sd.eta), 2.0 * h_target, c)
-    mapped = mapped_side(centers, sd.p, sd.eta, f, fp, h_source)
-    mapped_coarse = mapped_side(centers, sd.p, sd.eta, _coarsen(f), _coarsen(fp), 2.0 * h_source)
-
-    discrepancy = abs(value - mapped)
-    bound = abs(value - value_coarse) + abs(mapped - mapped_coarse)
-    bound += 1e-14 * (abs(value) + 1.0)  # floor for exactly-matching sides
-    return ReparamCheckResult(
-        value=value, mapped_value=mapped, discrepancy=discrepancy, error_bound=bound
     )
 
 

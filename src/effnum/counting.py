@@ -13,11 +13,12 @@ User-supplied kernels are accepted and can be screened against the
 necessary conditions with :func:`validate_counting_function`.
 
 Every reported number is exactly summed: each effective count here, and
-each Riemann sum of :mod:`effnum.continuum`, is one :func:`exact_total`,
-the correctly rounded sum of :func:`exact_sums` -- the same bits as
-``math.fsum`` -- at numpy speed, so it is invariant under permutation of
-the weights or cells bit-for-bit.  Checks of a sum against a tolerance use
-numpy's pairwise ``sum`` instead (see :class:`ProbabilityVector`).
+each kernel integral and Riemann sum of :mod:`effnum.continuum`, is one
+:func:`exact_total`, the correctly rounded sum of :func:`exact_sums` --
+the same bits as ``math.fsum`` -- at numpy speed, so it is invariant under
+permutation of the weights or cells bit-for-bit.  A kernel is applied
+inside that reduction, one block at a time.  Checks of a sum against a
+tolerance use numpy's pairwise ``sum`` instead (see :class:`ProbabilityVector`).
 """
 
 from __future__ import annotations
@@ -297,24 +298,25 @@ def effnum(w: WeightVector, c: CountingFunction) -> float:
     return exact_total(c, w.w)
 
 
-def exact_total(f: Callable[[np.ndarray], np.ndarray], x) -> float:
-    """The correctly rounded sum of ``f(x)`` (:func:`exact_sums`) as a float:
-    the one reduction of every effective count and every Riemann sum.
+def exact_total(f: Callable[..., np.ndarray], x, *more) -> float:
+    """The correctly rounded sum of ``f(x, *more)`` (:func:`exact_sums`) as a
+    float: the one reduction of every effective count and every Riemann sum.
 
-    ``f`` is elementwise.  It is applied to ``BLOCK`` entries of x at a
-    time, and each block leaves only the exact totals of its passes (its
-    values, if ``math.fsum`` must take them), so memory follows a block, not
-    x.  One :func:`exact_sums` over all of them rounds once; a correctly
-    rounded sum is unique, so the blocks change no bit.  A sum that
-    overflows, as ``math.fsum`` can even where the exact sum is finite, and
-    a sum of both infinities raise InvalidInput."""
-    x = np.asarray(x)
+    ``f`` is elementwise, and ``more`` holds arrays aligned with x, of its
+    size.  ``f`` is applied to ``BLOCK`` entries at a time, the same entries
+    of each array, and each block leaves only the exact totals of its passes
+    (its values, if ``math.fsum`` must take them), so memory follows a
+    block, not x.  One :func:`exact_sums` over all of them rounds once; a
+    correctly rounded sum is unique, so the blocks change no bit.  A sum
+    that overflows, as ``math.fsum`` can even where the exact sum is finite,
+    and a sum of both infinities raise InvalidInput."""
+    arrays = [np.asarray(a) for a in (x, *more)]
     try:
-        if x.size <= BLOCK:  # one block: exact_sums takes its values as they are
-            return exact_sums(f(x)).item()
-        x, parts = x.reshape(-1), []
-        for start in range(0, x.size, BLOCK):
-            values = np.asarray(f(x[start:start + BLOCK]), dtype=float).ravel()
+        if arrays[0].size <= BLOCK:  # one block: exact_sums takes its values as they are
+            return exact_sums(f(*arrays)).item()
+        arrays, parts = [a.reshape(-1) for a in arrays], []
+        for start in range(0, arrays[0].size, BLOCK):
+            values = np.asarray(f(*(a[start:start + BLOCK] for a in arrays)), dtype=float).ravel()
             passes = _pass_totals(values, None, 1)
             parts.append(values if passes is None else np.array(passes))
         return exact_sums(np.concatenate(parts)).item()

@@ -20,12 +20,11 @@ import numpy as np
 
 from .counting import CountingFunction, Frozen, WeightVector, _fresh, as_dim, effnum, exact_sums
 from .errors import ConvergenceError, InvalidInput, InvariantViolation
-from .states import PureState
+from .states import DEFAULT_DIM_CAP, PureState
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
 NEGATIVE_EIGENVALUE_TOL = 1e-10
-DEFAULT_DIM_CAP = 4096
 
 
 class DensityMatrix(Frozen):

@@ -19,7 +19,6 @@ from .counting import (
     CountingFunction,
     ProbabilityVector,
     effnum,
-    product,
     tail_fit,
     weights_from_probs,
 )
@@ -29,16 +28,6 @@ from .errors import InvalidInput
 def mu_entropy(p: ProbabilityVector, c: CountingFunction) -> float:
     """log of the effective count of p; in [0, log n]."""
     return math.log(effnum(weights_from_probs(p), c))
-
-
-def superadditivity_gap(p: ProbabilityVector, q: ProbabilityVector, alpha: float) -> float:
-    """S_alpha of the product distribution minus the sum of the factors'.
-
-    Non-negative for every (p, q, alpha); returned as computed so callers
-    can assert the >= -1e-12 contract.
-    """
-    c = CountingFunction.canonical(alpha)
-    return mu_entropy(product(p, q), c) - mu_entropy(p, c) - mu_entropy(q, c)
 
 
 class ScanStep(NamedTuple):

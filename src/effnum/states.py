@@ -28,10 +28,18 @@ from .errors import InvalidInput
 
 STATE_NORM_TOL = 1e-12
 BASIS_ORTHO_TOL = 1e-10
+# Largest N of an N x N matrix input, a basis or a density matrix, whose
+# checks are O(N^3); it lives here because effnum.density imports this module.
+DEFAULT_DIM_CAP = 4096
 
 
 class PureState(Frozen):
-    """Unit-norm complex amplitude vector."""
+    """Unit-norm complex amplitude vector.
+
+    Unlike a basis or a density matrix it has no dimension cap: its checks
+    and counts are linear in the dimension, and ``mu`` runs on 2**16
+    amplitudes and more.
+    """
 
     def __init__(self, amps):
         arr = np.asarray(amps, dtype=complex)
@@ -60,6 +68,10 @@ class OrthonormalBasis(Frozen):
         mat = np.asarray(vectors, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidInput(f"basis must be a square matrix, got shape {mat.shape}")
+        if mat.shape[0] > DEFAULT_DIM_CAP:
+            raise InvalidInput(
+                f"basis dimension {mat.shape[0]} exceeds the supported cap {DEFAULT_DIM_CAP}"
+            )
         gram = mat.conj().T @ mat
         defect = float(np.max(np.abs(gram - np.eye(mat.shape[0]))))
         if not defect <= BASIS_ORTHO_TOL:

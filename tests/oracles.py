@@ -1,15 +1,35 @@
-"""Independent numerical oracles used by the test suite.
+"""Independent numerical oracles and the identity checkers of the test suite.
 
-These deliberately avoid the code paths they are checking: the Hermitian
-eigensolver here is a hand-rolled cyclic Jacobi iteration (the library
-delegates to LAPACK), characteristic-polynomial roots come from Newton's
-identities, and quadrature oracles re-do Riemann sums with plain
+The oracles deliberately avoid the code paths they are checking: the
+Hermitian eigensolver here is a hand-rolled cyclic Jacobi iteration (the
+library delegates to LAPACK), characteristic-polynomial roots come from
+Newton's identities, and quadrature oracles re-do Riemann sums with plain
 ndarray arithmetic.
+
+The identity checkers at the end state identities of the paper: additivity
+of the relative fraction under a cut of the support, its invariance under a
+relabeling of the spectrum, and superadditivity of the entropies.  They
+evaluate each side with the library's own ``_relative_mu``, ``riemann_sum``
+and ``mu_entropy``, so the identities are checked on library code.
 """
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
+
+from effnum import (
+    CountingFunction,
+    Grid,
+    InvalidInput,
+    ProbabilityVector,
+    SpectralDensityPair,
+    mu_entropy,
+    product,
+    riemann_sum,
+)
+from effnum.continuum import _relative_mu
 
 
 def jacobi_hermitian(matrix, tol: float = 1e-14, max_sweeps: int = 100):
@@ -112,3 +132,140 @@ def midpoint_min_fraction(intensity, lo: float, hi: float, cells: int) -> float:
     vals = np.asarray(intensity(x), dtype=float)
     p = vals / vals.sum()
     return float(np.sum(np.minimum(cells * p, 1.0))) / cells
+
+
+def cell_centers(grid: Grid) -> np.ndarray:
+    """A grid's cell midpoints as an (ncells, d) array, row-major."""
+    axes = [
+        grid.origin[k] + (np.arange(grid.shape[k]) + 0.5) * grid.spacing[k]
+        for k in range(grid.d)
+    ]
+    mesh = np.meshgrid(*axes, indexing="ij")
+    return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def superadditivity_gap(p: ProbabilityVector, q: ProbabilityVector, alpha: float) -> float:
+    """S_alpha of the product distribution minus the sum of the factors'.
+
+    Non-negative for every (p, q, alpha); returned as computed so callers
+    can assert the >= -1e-12 contract.
+    """
+    c = CountingFunction.canonical(alpha)
+    return mu_entropy(product(p, q), c) - mu_entropy(p, c) - mu_entropy(q, c)
+
+
+class PartitionAdditivityResult(NamedTuple):
+    value: float          # fraction of the full pair
+    split_value: float    # F1 * fraction(part 1) + F2 * fraction(part 2)
+    gap: float
+    fractions: tuple[float, float]
+
+
+def partition_additivity_check(
+    sd: SpectralDensityPair,
+    part_one: np.ndarray,
+    c: CountingFunction,
+) -> PartitionAdditivityResult:
+    """Two-sided evaluation of the additivity identity under a support cut.
+
+    ``part_one`` is a boolean cell mask selecting the first part.  Each
+    part inherits the restricted densities rescaled by the part's spectral
+    mass F_i = integral of eta over the part; the identity
+
+        F[P, eta] = F1 * F[P/F1, eta/F1 | part 1] + F2 * (...)
+
+    is exact at the Riemann-sum level, so the returned gap is pure
+    floating-point noise.
+    """
+    mask = np.asarray(part_one, dtype=bool).ravel()
+    if mask.size != sd.p.size:
+        raise InvalidInput("partition mask must cover every cell")
+    vol = sd.grid.cell_volume
+    value = _relative_mu(sd.p, sd.eta, vol, c)
+    split_terms = []
+    fractions = []
+    for part in (mask, ~mask):
+        f_part = riemann_sum(sd.eta[part], vol)
+        if f_part <= 0.0:
+            raise InvalidInput("partition part carries no spectral mass")
+        piece = _relative_mu(sd.p[part] / f_part, sd.eta[part] / f_part, vol, c)
+        fractions.append(f_part)
+        split_terms.append(f_part * piece)
+    split_value = split_terms[0] + split_terms[1]
+    return PartitionAdditivityResult(
+        value=value,
+        split_value=split_value,
+        gap=abs(value - split_value),
+        fractions=(fractions[0], fractions[1]),
+    )
+
+
+class ReparamCheckResult(NamedTuple):
+    value: float
+    mapped_value: float
+    discrepancy: float
+    error_bound: float
+
+    @property
+    def passed(self) -> bool:
+        return self.discrepancy <= self.error_bound
+
+
+def _coarsen(a: np.ndarray) -> np.ndarray:
+    return 0.5 * (a[0::2] + a[1::2])
+
+
+def reparametrization_check(
+    sd: SpectralDensityPair,
+    f_values: np.ndarray,
+    f_derivs: np.ndarray,
+    source_grid: Grid,
+    c: CountingFunction,
+) -> ReparamCheckResult:
+    """Verify invariance of the fraction under a relabeling of the spectrum.
+
+    The pair ``sd`` lives on a one-dimensional grid in the target variable;
+    ``f_values``/``f_derivs`` sample a strictly increasing differentiable
+    map and its derivative at the midpoints of ``source_grid``.  Both
+    densities transform with the Jacobian (P' = P(f) f', eta' = eta(f) f')
+    and the fraction is evaluated on each side by midpoint quadrature;
+    target-side values at mapped points come from linear interpolation.
+
+    The discrepancy between the two sides is reported together with a
+    two-sided quadrature error estimate obtained by re-evaluating each
+    side at half resolution.  ``passed`` states that the discrepancy is
+    within that bound.
+    """
+    if sd.grid.d != 1:
+        raise InvalidInput("the shipped checker needs a pair on a 1-dimensional grid")
+    if source_grid.d != 1:
+        raise InvalidInput("source grid must be 1-dimensional")
+    f = np.asarray(f_values, dtype=float).ravel()
+    fp = np.asarray(f_derivs, dtype=float).ravel()
+    if f.size != source_grid.ncells or fp.size != source_grid.ncells:
+        raise InvalidInput("need one f and one f' sample per source cell")
+    if np.any(np.diff(f) <= 0.0):
+        raise InvalidInput("map samples must be strictly increasing")
+    if np.any(fp <= 0.0):
+        raise InvalidInput("map derivative must be positive on the support")
+    if sd.grid.ncells % 2 or source_grid.ncells % 2 or min(sd.grid.ncells, source_grid.ncells) < 8:
+        raise InvalidInput("cell counts must be even and >= 8 for the error estimate")
+
+    centers = cell_centers(sd.grid)[:, 0]
+    h_target = sd.grid.spacing[0]
+    h_source = source_grid.spacing[0]
+
+    def mapped_side(xs, ps, es, f_s, fp_s, h):
+        return _relative_mu(np.interp(f_s, xs, ps) * fp_s, np.interp(f_s, xs, es) * fp_s, h, c)
+
+    value = _relative_mu(sd.p, sd.eta, h_target, c)
+    value_coarse = _relative_mu(_coarsen(sd.p), _coarsen(sd.eta), 2.0 * h_target, c)
+    mapped = mapped_side(centers, sd.p, sd.eta, f, fp, h_source)
+    mapped_coarse = mapped_side(centers, sd.p, sd.eta, _coarsen(f), _coarsen(fp), 2.0 * h_source)
+
+    discrepancy = abs(value - mapped)
+    bound = abs(value - value_coarse) + abs(mapped - mapped_coarse)
+    bound += 1e-14 * (abs(value) + 1.0)  # floor for exactly-matching sides
+    return ReparamCheckResult(
+        value=value, mapped_value=mapped, discrepancy=discrepancy, error_bound=bound
+    )

@@ -1,11 +1,19 @@
+import gc
 import math
 import sys
+import tracemalloc
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import midpoint_min_fraction, random_probs
+from oracles import (
+    cell_centers,
+    midpoint_min_fraction,
+    partition_additivity_check,
+    random_probs,
+    reparametrization_check,
+)
 
 from effnum import (
     CountingFunction,
@@ -19,12 +27,11 @@ from effnum import (
     constant_refinement_problem,
     effective_volume,
     interval_refinement_problem,
-    partition_additivity_check,
     refine_sequence,
     relative_mu_continuum,
-    reparametrization_check,
     riemann_sum,
 )
+from effnum.counting import BLOCK
 
 MINIMAL = CountingFunction.minimal()
 HALF = CountingFunction.canonical(0.5)
@@ -52,14 +59,14 @@ def half_box_state(cells: int = 8, spacing: float = 0.25) -> GridWaveFunction:
 
 def gaussian_state(cells: int) -> GridWaveFunction:
     grid = Grid(shape=(cells,), spacing=(1.0 / cells,))
-    values = np.sqrt(gaussian_intensity(grid.centers()[:, 0])).astype(complex)
+    values = np.sqrt(gaussian_intensity(cell_centers(grid)[:, 0])).astype(complex)
     values /= math.sqrt(float(np.sum(np.abs(values) ** 2) * grid.cell_volume))
     return GridWaveFunction(grid, values)
 
 
 def gaussian_pair(cells: int, lo: float = 1.0, hi: float = 8.0) -> SpectralDensityPair:
     grid = Grid(shape=(cells,), spacing=((hi - lo) / cells,), origin=(lo,))
-    x = grid.centers()[:, 0]
+    x = cell_centers(grid)[:, 0]
     dens = np.exp(-((x - 3.0) ** 2) / 2.0)
     p = dens / (dens.sum() * grid.cell_volume)
     eta = np.full(cells, 1.0 / (hi - lo))
@@ -99,6 +106,32 @@ class TestEffectiveVolume:
         with pytest.raises(ValueError):
             psi.density[0] = 0.0
 
+    def test_the_density_is_stored_once(self):
+        # the complex values' copy is 2x the density's bytes and the density
+        # 1x; a copy of the density as well made the peak 4.0x
+        n = 2**18
+        grid, values = Grid(shape=(n,), spacing=(1.0 / n,)), np.ones(n, dtype=complex)
+        GridWaveFunction(grid, values)  # warm-up: first-use imports and caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            GridWaveFunction(grid, values)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 3.0 * n * np.dtype(float).itemsize + 2**14  # a few objects' bytes
+
+    def test_the_kernel_sees_one_block_at_a_time(self):
+        sizes = []
+
+        def kernel(w):
+            sizes.append(w.size)
+            return np.minimum(w, 1.0)
+
+        psi = uniform_state(cells=2**17, spacing=2.0**-17)
+        assert effective_volume(psi, CountingFunction.from_callable(kernel)) == 1.0
+        assert max(sizes) <= BLOCK and sum(sizes) == 2**17
+
     def test_volume_equals_the_jordan_content_of_the_density(self):
         # V times the fraction against the uniform eta = 1/V, from the state's own density
         grid = Grid(shape=(4, 8, 2), spacing=(0.5, 0.25, 0.75), origin=(1.0, 0.0, -2.0))
@@ -128,7 +161,7 @@ def test_tolerance_checks_reject_nan(build):
 class TestGrid:
     def test_row_major_centers_in_2d(self):
         grid = Grid(shape=(2, 3), spacing=(1.0, 0.5), origin=(0.0, 10.0))
-        centers = grid.centers()
+        centers = cell_centers(grid)
         assert centers.shape == (6, 2)
         assert centers[0].tolist() == [0.5, 10.25]
         assert centers[1].tolist() == [0.5, 10.75]   # last axis fastest
@@ -163,7 +196,7 @@ class TestRelativeMu:
     def test_uniform_eta_matches_jordan_content_exactly(self):
         # V times the fraction against eta = 1/V is the state's effective volume
         grid = Grid(shape=(64,), spacing=(2.0 / 64,))
-        x = grid.centers()[:, 0]
+        x = cell_centers(grid)[:, 0]
         dens = 1.0 + 0.5 * np.sin(3.0 * x)
         psi = GridWaveFunction(grid, np.sqrt(dens / (dens.sum() * grid.cell_volume)))
         volume = grid.total_volume
@@ -174,7 +207,7 @@ class TestRelativeMu:
     def test_triangular_profile_against_finer_oracle(self):
         def value_at(cells: int) -> float:
             grid = Grid(shape=(cells,), spacing=(1.0 / cells,))
-            x = grid.centers()[:, 0]
+            x = cell_centers(grid)[:, 0]
             p = 2.0 * x
             p = p / (p.sum() * grid.cell_volume)
             eta = np.full(cells, 1.0)
@@ -236,7 +269,7 @@ class TestJordanContent:
     def test_triangular_orders_and_matches_oracle(self):
         def values(cells):
             grid = Grid(shape=(cells,), spacing=(1.0 / cells,))
-            x = grid.centers()[:, 0]
+            x = cell_centers(grid)[:, 0]
             p = 2.0 * x
             psi = GridWaveFunction(grid, np.sqrt(p / (p.sum() * grid.cell_volume)))
             return effective_volume(psi, MINIMAL), effective_volume(psi, HALF)
@@ -272,7 +305,7 @@ def test_riemann_sum_of_both_infinities_is_invalid_input():
 class TestPartitionAdditivity:
     def test_symmetric_cut_splits_evenly(self):
         grid = Grid(shape=(64,), spacing=(1.0 / 64,))
-        x = grid.centers()[:, 0]
+        x = cell_centers(grid)[:, 0]
         dens = np.exp(-((x - 0.5) ** 2) / 0.02)
         p = dens / (dens.sum() * grid.cell_volume)
         eta = np.full(64, 1.0)
@@ -283,7 +316,7 @@ class TestPartitionAdditivity:
 
     def test_probability_free_part_still_balances(self):
         grid = Grid(shape=(32,), spacing=(1.0 / 32,))
-        x = grid.centers()[:, 0]
+        x = cell_centers(grid)[:, 0]
         p = np.where(x < 0.5, 4.0 * x, 0.0)
         p = p / (p.sum() * grid.cell_volume)
         eta = np.full(32, 1.0)
@@ -360,7 +393,7 @@ class TestMixedSpectra:
 class TestReparametrization:
     def test_identity_map_is_exact(self):
         sd = gaussian_pair(256)
-        centers = sd.grid.centers()[:, 0]
+        centers = cell_centers(sd.grid)[:, 0]
         source = Grid(shape=(256,), spacing=sd.grid.spacing, origin=sd.grid.origin)
         result = reparametrization_check(sd, centers, np.ones(256), source, MINIMAL)
         assert result.discrepancy == 0.0
@@ -369,13 +402,13 @@ class TestReparametrization:
     def test_linear_map_on_matching_grids(self):
         cells = 128
         target = Grid(shape=(cells,), spacing=(2.0 / cells,))
-        x = target.centers()[:, 0]
+        x = cell_centers(target)[:, 0]
         dens = np.exp(-((x - 1.0) ** 2) / 0.1)
         p = dens / (dens.sum() * target.cell_volume)
         eta = np.full(cells, 0.5)
         sd = SpectralDensityPair.from_grid(target, p, eta)
         source = Grid(shape=(cells,), spacing=(1.0 / cells,))
-        t = source.centers()[:, 0]
+        t = cell_centers(source)[:, 0]
         result = reparametrization_check(sd, 2.0 * t, np.full(cells, 2.0), source, MINIMAL)
         assert result.discrepancy < 1e-10
         assert result.passed
@@ -383,7 +416,7 @@ class TestReparametrization:
     def test_cubic_map_on_gaussian_fixture(self):
         sd = gaussian_pair(1024)
         source = Grid(shape=(1024,), spacing=(1.0 / 1024,), origin=(1.0,))
-        t = source.centers()[:, 0]
+        t = cell_centers(source)[:, 0]
         result = reparametrization_check(sd, t**3, 3.0 * t**2, source, MINIMAL)
         assert result.passed
         assert result.discrepancy < result.error_bound
@@ -391,14 +424,14 @@ class TestReparametrization:
     def test_non_monotone_map_rejected(self):
         sd = gaussian_pair(64)
         source = Grid(shape=(64,), spacing=(1.0 / 64,), origin=(1.0,))
-        t = source.centers()[:, 0]
+        t = cell_centers(source)[:, 0]
         with pytest.raises(InvalidInput):
             reparametrization_check(sd, np.sin(20 * t), np.ones(64), source, MINIMAL)
 
     def test_negative_derivative_rejected(self):
         sd = gaussian_pair(64)
         source = Grid(shape=(64,), spacing=(1.0 / 64,), origin=(1.0,))
-        t = source.centers()[:, 0]
+        t = cell_centers(source)[:, 0]
         with pytest.raises(InvalidInput):
             reparametrization_check(sd, t, -np.ones(64), source, MINIMAL)
 

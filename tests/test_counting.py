@@ -443,3 +443,10 @@ class TestBlockedReduction:
         n = 3 * BLOCK + 5
         assert effnum(WeightVector(np.ones(n)), CountingFunction.from_callable(kernel)) == n
         assert sizes == [BLOCK, BLOCK, BLOCK, 5]
+
+    @pytest.mark.parametrize("n", [BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 7])
+    def test_aligned_arrays_equal_fsum_bit_for_bit(self, n):
+        eta, p = _weights(n) + 0.5, _wide(n)
+        expected = math.fsum((eta * HALF(np.abs(p) / eta)).tolist())
+        total = exact_total(lambda e, q: e * HALF(np.abs(q) / e), eta, p)
+        assert _bits([total]) == _bits([expected])

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
-from oracles import random_probs
+from oracles import random_probs, superadditivity_gap
 
 from effnum import (
     CountingFunction,
@@ -16,7 +16,6 @@ from effnum import (
     dfd_gamma_scan,
     io,
     mu_entropy,
-    superadditivity_gap,
 )
 
 MINIMAL = CountingFunction.minimal()

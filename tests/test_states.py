@@ -15,6 +15,7 @@ from effnum import (
     mu_uncertainty,
     subspace_probs,
 )
+from effnum.states import DEFAULT_DIM_CAP
 
 MINIMAL = CountingFunction.minimal()
 
@@ -220,6 +221,12 @@ class TestBasisChange:
     def test_non_unitary_rejected(self):
         with pytest.raises(InvalidInput):
             OrthonormalBasis(np.array([[1.0, 0.1], [0.0, 1.0]]))
+
+    def test_dimension_over_the_cap_is_rejected_before_the_gram_product(self):
+        # a read-only view of one zero: no 4097 x 4097 matrix is ever allocated
+        zeros = np.broadcast_to(np.zeros(1, complex), (DEFAULT_DIM_CAP + 1,) * 2)
+        with pytest.raises(InvalidInput, match="basis dimension 4097 exceeds the supported cap"):
+            OrthonormalBasis(zeros)
 
 
 class TestDecomposition:

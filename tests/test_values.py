@@ -50,8 +50,6 @@ RECORDS = {
     counting.CountingFunctionReport: ("checks",),
     entropy.ScanStep: ("n", "ratio", "k_eq"),
     entropy.GammaScanResult: ("steps", "gamma", "residual", "window"),
-    continuum.PartitionAdditivityResult: ("value", "split_value", "gap", "fractions"),
-    continuum.ReparamCheckResult: ("value", "mapped_value", "discrepancy", "error_bound"),
     continuum.RefinementRow: ("level", "m_count", "spacing", "ratio"),
     continuum.RefinementResult: ("rows", "extrapolated", "residual", "window"),
     simulate.PluginEstimate: ("estimate", "stderr", "n_bootstrap"),
@@ -61,9 +59,6 @@ RECORDS_BUILT = {
         effnum.CountingFunction.minimal()),
     entropy.GammaScanResult: lambda: effnum.dfd_gamma_scan(
         [(n, np.full(n, 1.0 / n)) for n in (2, 4, 8)], effnum.CountingFunction.minimal()),
-    continuum.PartitionAdditivityResult: lambda: effnum.partition_additivity_check(
-        VALUES[effnum.SpectralDensityPair](), np.arange(4) < 2, effnum.CountingFunction.minimal()),
-    continuum.ReparamCheckResult: lambda: continuum.ReparamCheckResult(1.0, 1.0, 0.0, 1e-14),
     continuum.RefinementResult: lambda: effnum.refine_sequence(
         effnum.constant_refinement_problem([1.0, 1.0]), 3, effnum.CountingFunction.minimal()),
     simulate.PluginEstimate: lambda: simulate.PluginEstimate(2.0, 0.1, 200),
