@@ -233,68 +233,47 @@ def build_parser() -> argparse.ArgumentParser:
     return _parser
 
 
+def _arg(*names, **options):
+    return names, options
+
+
+_COMMON = (
+    _arg("--cf", default="star", help='counting kernel: "star" or "alpha=<x>" (default star)'),
+    _arg("--format", choices=("table", "csv", "json"), default="table"),
+    _arg("--out", default=None, help="write output to this path"),
+)
+
+# One row per subcommand: name, handler, help and its own arguments, which come before _COMMON.
+_COMMANDS = (
+    ("mu", _cmd_mu, "measurement uncertainty of a state", (_arg("state"), _arg("decomposition"))),
+    ("qnum", _cmd_qnum, "state content of a density matrix", (
+        _arg("density"),
+        _arg("--log-base", default="e", dest="log_base",
+             help='entropy display base: "e" (default), 2, or any base > 1'))),
+    ("entangle", _cmd_entangle, "bipartite state sharing of a pure state", (
+        _arg("state"), _arg("--dims", required=True, help="factor dimensions, e.g. 2x3"))),
+    ("effvol", _cmd_effvol, "effective volume of a grid wave function", (_arg("wavefunction"),)),
+    ("refine", _cmd_refine, "refinement scan with extrapolation",
+     (_arg("problem"), _arg("--levels", type=int, default=5))),
+    ("simulate", _cmd_simulate, "Monte Carlo measurement simulation", (
+        _arg("state"), _arg("decomposition"),
+        _arg("--trials", default="100000",
+             help="trial count, or comma-separated list for a convergence table"),
+        _arg("--seed", type=int, default=0))),
+    ("dfd", _cmd_dfd, "degree-of-freedom density scan of a family", (_arg("family"),)),
+    ("check", _cmd_check, "validate a kernel and input files", (_arg("files", nargs="*"),)),
+)
+
+
 def _new_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="effnum",
-        description="Effective-number analysis of states, densities and distributions.",
-    )
+    parser = argparse.ArgumentParser(prog="effnum", description=(
+        "Effective-number analysis of states, densities and distributions."))
     sub = parser.add_subparsers(dest="command", required=True)
-
-    def common(p):
-        p.add_argument("--cf", default="star",
-                       help='counting kernel: "star" or "alpha=<x>" (default star)')
-        p.add_argument("--format", choices=("table", "csv", "json"), default="table")
-        p.add_argument("--out", default=None, help="write output to this path")
-
-    p = sub.add_parser("mu", help="measurement uncertainty of a state")
-    p.add_argument("state")
-    p.add_argument("decomposition")
-    common(p)
-    p.set_defaults(handler=_cmd_mu)
-
-    p = sub.add_parser("qnum", help="state content of a density matrix")
-    p.add_argument("density")
-    p.add_argument("--log-base", default="e", dest="log_base",
-                   help='entropy display base: "e" (default), 2, or any base > 1')
-    common(p)
-    p.set_defaults(handler=_cmd_qnum)
-
-    p = sub.add_parser("entangle", help="bipartite state sharing of a pure state")
-    p.add_argument("state")
-    p.add_argument("--dims", required=True, help="factor dimensions, e.g. 2x3")
-    common(p)
-    p.set_defaults(handler=_cmd_entangle)
-
-    p = sub.add_parser("effvol", help="effective volume of a grid wave function")
-    p.add_argument("wavefunction")
-    common(p)
-    p.set_defaults(handler=_cmd_effvol)
-
-    p = sub.add_parser("refine", help="refinement scan with extrapolation")
-    p.add_argument("problem")
-    p.add_argument("--levels", type=int, default=5)
-    common(p)
-    p.set_defaults(handler=_cmd_refine)
-
-    p = sub.add_parser("simulate", help="Monte Carlo measurement simulation")
-    p.add_argument("state")
-    p.add_argument("decomposition")
-    p.add_argument("--trials", default="100000",
-                   help="trial count, or comma-separated list for a convergence table")
-    p.add_argument("--seed", type=int, default=0)
-    common(p)
-    p.set_defaults(handler=_cmd_simulate)
-
-    p = sub.add_parser("dfd", help="degree-of-freedom density scan of a family")
-    p.add_argument("family")
-    common(p)
-    p.set_defaults(handler=_cmd_dfd)
-
-    p = sub.add_parser("check", help="validate a kernel and input files")
-    p.add_argument("files", nargs="*")
-    common(p)
-    p.set_defaults(handler=_cmd_check)
-
+    for name, handler, help_text, arguments in _COMMANDS:
+        p = sub.add_parser(name, help=help_text)
+        for names, options in arguments + _COMMON:
+            p.add_argument(*names, **options)
+        p.set_defaults(handler=handler)
     return parser
 
 

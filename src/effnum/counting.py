@@ -304,17 +304,16 @@ def exact_total(f: Callable[..., np.ndarray], x, *more) -> float:
 
     ``f`` is elementwise, and ``more`` holds arrays aligned with x, of its
     size.  ``f`` is applied to ``BLOCK`` entries at a time, the same entries
-    of each array, and each block leaves only the exact totals of its passes
-    (its values, if ``math.fsum`` must take them), so memory follows a
-    block, not x.  One :func:`exact_sums` over all of them rounds once; a
-    correctly rounded sum is unique, so the blocks change no bit.  A sum
-    that overflows, as ``math.fsum`` can even where the exact sum is finite,
-    and a sum of both infinities raise InvalidInput."""
-    arrays = [np.asarray(a) for a in (x, *more)]
+    of each array, whatever x's size, and each block leaves only the exact
+    totals of its passes (its values, if ``math.fsum`` must take them), so
+    memory follows a block, not x.  One :func:`exact_sums` over all of them
+    rounds once; a correctly rounded sum is unique, so the blocks change no
+    bit, and an empty x sums to 0.0.  A sum that overflows, as ``math.fsum``
+    can even where the exact sum is finite, and a sum of both infinities
+    raise InvalidInput."""
+    arrays = [np.asarray(a).reshape(-1) for a in (x, *more)]
+    parts = [np.zeros(0)]
     try:
-        if arrays[0].size <= BLOCK:  # one block: exact_sums takes its values as they are
-            return exact_sums(f(*arrays)).item()
-        arrays, parts = [a.reshape(-1) for a in arrays], []
         for start in range(0, arrays[0].size, BLOCK):
             values = np.asarray(f(*(a[start:start + BLOCK] for a in arrays)), dtype=float).ravel()
             passes = _pass_totals(values, None, 1)

@@ -275,10 +275,8 @@ def _decomposition(doc: dict, dim: int | None = None):
         raise InvalidInput("'basis' must be \"identity\" or an object with 'rows'")
 
     eig = doc.get("eigtuples")
-    if eig is not None:
-        eigtuples = np.atleast_2d(_float_array(eig, "eigtuples"))
-        if eigtuples.ndim != 2 or eigtuples.shape[0] != dec.m_count:
-            raise InvalidInput("need one eigtuple per group")
+    if eig is not None:  # no command reads the labels; the library's setup checks them
+        states.MeasurementSetup(dec, _float_array(eig, "eigtuples"))
     return dec, basis
 
 
@@ -289,7 +287,7 @@ def load_decomposition(
 
     {"basis": "identity" | {"rows": [[[re, im], ...], ...]},
      "groups": [[i, ...], ...],
-     "eigtuples": [[x, ...], ...]}     # optional outcome labels, checked only
+     "eigtuples": [[x, ...], ...]}     # optional: one distinct outcome label per group
     """
     return _named(path, _decomposition, _load_json(path), dim)
 

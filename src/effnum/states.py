@@ -19,6 +19,7 @@ from .counting import (
     CountingFunction,
     Frozen,
     ProbabilityVector,
+    _fresh,
     as_dim,
     effnum,
     exact_sums,
@@ -90,8 +91,8 @@ class OrthogonalDecomposition(Frozen):
 
     Each block models one orthogonal subspace; blocks with more than one
     index represent degenerate outcome sectors.  Indices are 0-based.  The
-    blocks are kept as ``flat``, the indices block after block, and
-    ``segment``, the block of each entry of ``flat``; both are read-only.
+    blocks are kept as ``block``, read-only: ``block[i]`` is the block of
+    basis index i.
     """
 
     def __init__(self, blocks: Sequence[Sequence[int]], dim: int):
@@ -113,8 +114,9 @@ class OrthogonalDecomposition(Frozen):
         if (flat is None or flat.size != dim or flat.min() < 0 or flat.max() >= dim
                 or not np.bincount(flat, minlength=dim).all()):
             raise InvalidInput(f"blocks must partition {{0,...,{dim - 1}}} into disjoint pieces")
-        segment = np.repeat(np.arange(sizes.size), sizes)
-        self._store(dim=dim, m_count=sizes.size, flat=flat, segment=segment)
+        block = np.empty(dim, np.intp)
+        block[flat] = np.repeat(np.arange(sizes.size), sizes)
+        self._store(dim=dim, m_count=sizes.size, block=_fresh(block))
 
     @classmethod
     def singletons(cls, dim: int) -> "OrthogonalDecomposition":
@@ -134,7 +136,12 @@ class MeasurementSetup(Frozen):
 
     def __init__(self, decomposition: OrthogonalDecomposition, eigtuples: np.ndarray,
                  metric: Callable[[np.ndarray, np.ndarray], float] = euclidean_metric):
-        pts = np.atleast_2d(np.asarray(eigtuples, dtype=float))
+        try:
+            pts = np.atleast_2d(np.asarray(eigtuples, dtype=float))
+        except (TypeError, ValueError):  # ragged lists, or entries that are not numbers
+            pts = None
+        if pts is None or pts.ndim != 2:
+            raise InvalidInput("eigenvalue tuples must be a table of numbers, one row per subspace")
         if pts.shape[0] != decomposition.m_count:
             raise InvalidInput(
                 f"need one eigenvalue tuple per subspace: got {pts.shape[0]} "
@@ -169,8 +176,7 @@ def subspace_probs(
     if dec.dim != psi.dim:
         raise InvalidInput(f"decomposition dimension {dec.dim} != state dimension {psi.dim}")
     amps = _amps_in_basis(psi, basis)
-    sq = np.abs(amps) ** 2
-    return ProbabilityVector(exact_sums(sq[dec.flat], dec.segment, dec.m_count))
+    return ProbabilityVector(exact_sums(np.abs(amps) ** 2, dec.block, dec.m_count))
 
 
 def mu_uncertainty(

@@ -338,6 +338,8 @@ class TestExitCodes:
     @pytest.mark.parametrize("doc, says", [
         ({"groups": [[0], [1.7], [2]]}, "groups"),
         ({"groups": [[0], [1], [2]], "eigtuples": [["a"], [1], [2]]}, "'eigtuples'"),
+        ({"groups": [[0], [1], [2]], "eigtuples": [[1], [2], [1]]},
+         "eigenvalue tuples 0 and 2 coincide"),
         ({"groups": [[0], [1], [2]], "basis": "foo"}, "'basis' must be \"identity\" or an object"),
         ({"groups": [[0], [1], [2]], "basis": 5}, "'basis' must be \"identity\" or an object"),
         ({"groups": [[0], [0], [2]]}, "blocks must partition {0,...,2}"),
@@ -345,8 +347,8 @@ class TestExitCodes:
                                                          [[0, 0], [1, 0], [0, 0]],
                                                          [[0, 0], [0, 0], [1, 0]]]}},
          "basis columns are not orthonormal"),
-    ], ids=["group-index", "eigtuples", "basis-string", "basis-number", "not-a-partition",
-            "basis-not-orthonormal"])
+    ], ids=["group-index", "eigtuples", "eigtuples-repeated", "basis-string", "basis-number",
+            "not-a-partition", "basis-not-orthonormal"])
     def test_malformed_decomposition_is_exit_two(self, capsys, tmp_path, doc, says):
         dec = tmp_path / "dec.json"
         dec.write_text(json.dumps(doc))
@@ -571,6 +573,19 @@ class TestCheck:
         assert code == 2
         assert err.startswith("error: ") and f"{path}: INVALID (" in err
         assert err.count(str(path)) == 1  # the row names the file; its detail does not
+
+    @pytest.mark.parametrize("eigtuples, says", [
+        ([[1.0], [1.0]], "eigenvalue tuples 0 and 1 coincide"),
+        ([[], []], "eigenvalue tuples 0 and 1 coincide"),
+        ([[0.0], [1.0], [2.0]], "need one eigenvalue tuple per subspace: got 3 for 2 blocks"),
+        ([[[0.0]], [[1.0]]], "eigenvalue tuples must be a table of numbers"),
+    ], ids=["repeated", "empty", "count", "three-d"])
+    def test_bad_labels_fail_the_check(self, capsys, tmp_path, eigtuples, says):
+        path = tmp_path / "dec.json"
+        path.write_text(json.dumps({"groups": [[0], [1]], "eigtuples": eigtuples}))
+        code, _, err = run(capsys, "check", path)
+        assert code == 2
+        assert f"{path}: INVALID ({says}" in err
 
     def test_check_rejects_the_constant_weights_refine_rejects(self, capsys, tmp_path):
         for weights, says in [([5, -1], "must be non-negative"), ([1, 2], "must sum to n=2")]:

@@ -412,7 +412,9 @@ def _wide(n):
 class TestBlockedReduction:
     """exact_total applies its function a block at a time and rounds once."""
 
-    @pytest.mark.parametrize("n", [BLOCK + 7, 2**20])
+    # from the empty sum, fsum's 0.0, across EXACT_SUM_CUTOFF and BLOCK to many blocks
+    @pytest.mark.parametrize("n", [0, 1, EXACT_SUM_CUTOFF, EXACT_SUM_CUTOFF + 1, BLOCK, BLOCK + 7,
+                                   2**20])
     @pytest.mark.parametrize("f, values", [(MINIMAL, _weights), (HALF, _weights), (np.ravel, _wide)],
                              ids=["minimal", "canonical", "wide"])
     def test_equals_fsum_bit_for_bit(self, n, f, values):

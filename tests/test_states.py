@@ -180,6 +180,13 @@ class TestMetricUncertainty:
         with pytest.raises(InvalidInput, match=f"tuples {pair[0]} and {pair[1]} coincide$"):
             MeasurementSetup(dec, np.array(labels))
 
+    @pytest.mark.parametrize("labels", [[[[1.0]], [[2.0]]], [[0.0], [1.0, 2.0]], [["a"], ["b"]]],
+                             ids=["three-d", "ragged", "not-numbers"])
+    def test_labels_that_are_not_a_table_are_rejected(self, labels):
+        dec = OrthogonalDecomposition.singletons(2)
+        with pytest.raises(InvalidInput, match="eigenvalue tuples must be a table of numbers"):
+            MeasurementSetup(dec, labels)
+
     def test_first_pair_matches_the_pairwise_scan(self):
         rng = np.random.default_rng(5)
         for _ in range(200):
@@ -264,8 +271,8 @@ class TestDecomposition:
     def test_numpy_integer_indices_are_accepted(self, kind):
         dec = OrthogonalDecomposition(((kind(2), 0), np.array([1], dtype=kind)), 3)
         assert dec.m_count == 2 and type(dec.m_count) is int
-        assert dec.flat.tolist() == [2, 0, 1]
-        assert dec.segment.tolist() == [0, 0, 1]
+        assert dec.block.tolist() == [0, 1, 0]
+        assert not dec.block.flags.writeable
 
     def test_equality_is_identity(self):
         # fields alone would equate partitions that share dim and block count
@@ -284,11 +291,10 @@ class TestDecomposition:
         got = subspace_probs(psi, OrthogonalDecomposition(blocks, dim)).p
         assert [v.hex() for v in got.tolist()] == [v.hex() for v in expected]
 
-    def test_flat_indices_and_segments(self):
+    def test_block_of_each_index(self):
         dec = OrthogonalDecomposition(((2, 0), (3,), (1, 4)), 5)
-        assert dec.flat.tolist() == [2, 0, 3, 1, 4]
-        assert dec.segment.tolist() == [0, 0, 1, 2, 2]
-        assert not dec.flat.flags.writeable and not dec.segment.flags.writeable
+        assert dec.block.tolist() == [0, 2, 0, 1, 2]
+        assert not dec.block.flags.writeable
 
     def test_degenerate_blocks_model_degenerate_outcomes(self):
         psi = state(0.5, 0.5, 0.5, 0.5)
