@@ -14,6 +14,40 @@ import os
 import re
 import sys
 
+
+def _openblas_threads():
+    """(get, set) of the thread count of the OpenBLAS numpy has loaded, or
+    None: another BLAS, or no /proc/self/maps to find it in."""
+    import ctypes
+
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted({line.split(None, 5)[-1].strip() for line in maps if "openblas" in line})
+    except OSError:
+        return None
+    for path in paths:
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        # numpy 2's scipy-openblas, numpy 1's openblas64_, a system OpenBLAS
+        for name in ("scipy_openblas_{}_num_threads64_", "openblas_{}_num_threads64_",
+                     "openblas_{}_num_threads"):
+            get, put = (getattr(lib, name.format(verb), None) for verb in ("get", "set"))
+            if get and put:
+                return get, put
+    return None
+
+
+# One BLAS thread unless the user sets OPENBLAS_NUM_THREADS: a command makes
+# at most one eigenvalue-only solve, which a second thread does not speed up
+# at the sizes it takes, while starting the thread pool slows every command's
+# `import numpy`.  OpenBLAS reads the variable once, when numpy loads, so it is
+# set before any command imports numpy; in a process that loaded numpy first,
+# main sets the count itself for each command (_BlasThreads).
+os.environ.setdefault("OPENBLAS_NUM_THREADS", "1")
+_OPENBLAS = _openblas_threads() if "numpy" in sys.modules else None
+
 from . import continuum, counting, density, entropy, io, simulate, states
 from .errors import ConvergenceError, InvalidInput, InvariantViolation
 
@@ -280,13 +314,32 @@ def _new_parser() -> argparse.ArgumentParser:
 _EXIT_CODES = {InvalidInput: 2, InvariantViolation: 3, ConvergenceError: 4}
 
 
+class _BlasThreads:
+    """Holds an OpenBLAS that numpy loaded before this module at the count
+    OPENBLAS_NUM_THREADS names while a command runs, and restores its own
+    count after: in such a process, one that calls main itself, numpy's
+    default count would otherwise serve every command."""
+
+    def __enter__(self):
+        want = os.environ.get("OPENBLAS_NUM_THREADS", "")
+        self.before = None
+        if _OPENBLAS is not None and want.isdigit() and int(want) >= 1:
+            get, put = _OPENBLAS
+            self.before = get()
+            put(int(want))
+
+    def __exit__(self, *exc_info):
+        if self.before is not None:
+            _OPENBLAS[1](self.before)
+
+
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     import numpy as np  # after parsing: --help and usage errors load no numpy
 
     try:
         # overflows give inf or NaN, which the checks reject without a warning
-        with np.errstate(all="ignore"):
+        with _BlasThreads(), np.errstate(all="ignore"):
             _emit(args.handler(args).render(args.format), args.out)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)

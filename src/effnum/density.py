@@ -4,7 +4,9 @@ The effective number of state components of an N x N density matrix is
 the effective count of its spectral weights N * rho_i
 (:func:`spectral_weights`, built once for any number of kernels), a
 basis-independent quantity.  The spectrum is computed once, when the
-matrix is validated, and every count and entropy reads that one array.
+matrix is validated, by LAPACK's eigenvalue-only solver on the traceless
+part rho - (tr rho / N) I, and every count and entropy reads that one
+array; only :func:`hermitian_eigen` builds eigenvectors.
 
 For a bipartite pure state the same count applied to a reduced density
 matrix measures entanglement.  Both reductions share their non-zero
@@ -15,6 +17,8 @@ and as the reference path the tests compare against.
 """
 
 from __future__ import annotations
+
+from typing import Callable
 
 import numpy as np
 
@@ -55,9 +59,7 @@ class DensityMatrix(Frozen):
         trace = complex(np.trace(mat))
         if abs(trace - 1.0) > TRACE_TOL:
             raise InvariantViolation(f"trace must equal 1 within {TRACE_TOL:g}; got {trace!r}")
-        # eigh, not eigvalsh: the two LAPACK drivers differ in the last bit,
-        # and hermitian_eigen's values must equal this spectrum exactly.
-        vals = _eigh(mat)[0]
+        vals = _eigvalsh(mat, trace.real / n)
         self._store(mat=mat, dim=int(n), spectrum=_normalized_spectrum(vals[::-1]))
 
     @classmethod
@@ -96,12 +98,27 @@ def _fix_phases(vecs: np.ndarray) -> np.ndarray:
     return vecs
 
 
-def _eigh(mat: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """LAPACK's Hermitian solver; non-convergence raises ConvergenceError."""
+def _solved(solve: Callable, mat: np.ndarray):
+    """``solve(mat)``, ``solve`` one of numpy's Hermitian solvers;
+    non-convergence raises ConvergenceError."""
     try:
-        return np.linalg.eigh(mat)
+        return solve(mat)
     except np.linalg.LinAlgError as exc:
         raise ConvergenceError(f"eigensolver did not converge: {exc}") from exc
+
+
+def _eigvalsh(mat: np.ndarray, sigma: float) -> np.ndarray:
+    """Ascending eigenvalues of the Hermitian ``mat``: LAPACK's
+    eigenvalue-only solver applied to mat - sigma I, with sigma added back.
+
+    With sigma = Re tr(mat) / N the solver sees the traceless part, and its
+    absolute error scales with ||mat - sigma I|| instead of ||mat||: a
+    multiple of the identity, for one, becomes the zero matrix, and its
+    spectrum comes back exact.
+    """
+    shifted = mat.copy()
+    shifted.flat[:: mat.shape[0] + 1] -= sigma
+    return _solved(np.linalg.eigvalsh, shifted) + sigma
 
 
 def _normalized_spectrum(vals: np.ndarray) -> np.ndarray:
@@ -123,16 +140,15 @@ def hermitian_eigen(rho: DensityMatrix) -> Eigensystem:
     """Spectral decomposition of a density matrix.
 
     Delegates the diagonalization to LAPACK's Hermitian solver and then
-    applies the ordering, clamping and phase conventions of
-    :class:`Eigensystem`; the eigenvalues equal ``rho.spectrum`` bit for
+    applies the ordering and phase conventions of :class:`Eigensystem`;
+    the eigenvalues are ``rho.spectrum`` itself, so they equal it bit for
     bit.  Callers that need only the eigenvalues should read
     ``rho.spectrum``.  Raises :class:`ConvergenceError` if the solver
     fails to converge (pathological input).
     """
-    vals, vecs = _eigh(rho.mat)
+    vals, vecs = _solved(np.linalg.eigh, rho.mat)
     order = np.argsort(vals, kind="stable")[::-1]
-    vecs = _fix_phases(vecs[:, order])
-    return Eigensystem(eigenvalues=_normalized_spectrum(vals[order]), eigenvectors=vecs)
+    return Eigensystem(eigenvalues=rho.spectrum, eigenvectors=_fix_phases(vecs[:, order]))
 
 
 def quantum_effnum(rho: DensityMatrix, c: CountingFunction) -> float:

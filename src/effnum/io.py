@@ -2,12 +2,14 @@
 
 All input files are JSON documents with complex numbers written as
 ``[re, im]`` pairs and 0-based indices.  ``_load_json`` alone decodes
-files.  It decodes a density's top-level "rows" one row at a time into one
-float array, so the matrix never exists as a tree of Python lists; any
-document it cannot read that way goes to ``json.loads``.  Each input kind
-has one reader of the decoded document alone, which ``load_<kind>`` and,
-through ``SCHEMAS``, ``check_file`` call through ``_named``:
-the one place an error raised while reading a file gets the file's name.
+files.  It reads the open file through a window, so a valid density's
+whole text is never held, and decodes a density's top-level "rows" one row
+at a time into one float array, so the matrix never exists as a tree of
+Python lists; any document it cannot read that way goes to ``json.loads``.
+Each input kind has one reader of the decoded document alone, which
+``load_<kind>`` and, through ``SCHEMAS``, ``check_file`` call through
+``_named``: the one place an error raised while reading a file gets the
+file's name.
 A command's output is one ``Result``, rendered as json, csv or a table.
 Floating-point output in the json/csv renderers carries 17 significant
 digits so values round-trip exactly.
@@ -52,19 +54,19 @@ def _load_json(path: str | Path) -> Any:
     """The document in the file at ``path``, decoded with the cyclic garbage
     collector paused: a decoded document holds no reference cycles, so a
     collection triggered by its many new objects would free nothing; it
-    would only walk them, and the heap.  ``_walk`` decodes it if it can,
-    ``json.loads`` if not, so a valid file is decoded once and every other
-    file gets ``json.loads``'s verdict."""
-    try:
-        text = Path(path).read_text()
-    except (OSError, UnicodeDecodeError) as exc:  # a UnicodeDecodeError has no strerror
-        reason = getattr(exc, "strerror", None) or exc
-        raise InvalidInput(f"{path}: cannot read file: {reason}") from exc
+    would only walk them, and the heap.  ``_walk`` decodes it from the open
+    file if it can, ``json.loads`` from the file's whole text if not, so a
+    valid file is decoded once and every other file gets ``json.loads``'s
+    verdict."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        doc = _walk(text)
-        return json.loads(text) if doc is None else doc
+        with open(path) as file:
+            doc = _walk(_Window(file))
+        return json.loads(Path(path).read_text()) if doc is None else doc
+    except (OSError, UnicodeDecodeError) as exc:  # a UnicodeDecodeError has no strerror
+        reason = getattr(exc, "strerror", None) or exc
+        raise InvalidInput(f"{path}: cannot read file: {reason}") from exc
     except json.JSONDecodeError as exc:
         raise InvalidInput(f"{path}:{exc.lineno}:{exc.colno}: invalid JSON: {exc.msg}") from exc
     except ValueError as exc:  # an integer of more digits than Python converts
@@ -78,60 +80,122 @@ def _load_json(path: str | Path) -> Any:
 
 _decode = json.JSONDecoder().raw_decode
 _space = json.decoder.WHITESPACE.match
+HEAD_CHARS = 1 << 16  # the document's head is read this many characters at a time
+ROW_CHARS = 1 << 20  # and a row of "rows" that runs past the window this many more
 
 
-def _walk(text: str) -> dict | None:
-    """The JSON object ``text`` holds, decoded member by member, with a
-    top-level "rows" member decoded one row at a time by ``_rows``, so the
-    lists of a whole matrix never exist at once.  None for any other text or
-    on any doubt: not a non-empty object, invalid JSON, trailing data, or a
-    "rows" member ``_rows`` refuses.  Only "rows" is streamed, because no
-    reader quotes a "rows" value in an error message."""
+class _Window:
+    """An open text file read forward: ``text`` holds what has been read and
+    not yet dropped, and ``ended`` says whether it runs to the end of the file."""
+
+    def __init__(self, file):
+        self.file, self.text, self.ended = file, "", False
+
+    def take(self, parse: Callable, i: int, size: int = -1) -> tuple[Any, int]:
+        """(value, index of the first non-space character after it) for
+        ``parse(text, i) -> (value, end)``, once the value and that character
+        lie in the window or the window runs to the end of the file.  Until
+        then ``text[:i]`` is dropped and ``size`` more characters are read,
+        or the rest of the file if ``size`` is -1 or this is the second
+        read, so a parse is retried at most twice.  At the end of the file,
+        parse's ValueError propagates."""
+        while True:
+            try:
+                value, end = parse(self.text, i)
+                end = _space(self.text, end).end()
+                if end < len(self.text) or self.ended:
+                    return value, end
+            except ValueError:  # a JSONDecodeError, or a member cut short
+                if self.ended:
+                    raise
+            self._read(self.text[i:], size)
+            i, size = 0, -1
+
+    def _read(self, kept: str, size: int) -> None:
+        """Make the window ``kept`` and ``size`` more characters, or the rest
+        of the file if ``size`` is -1.  The old window is freed first, and
+        ``size`` is read in pieces: a text file keeps its last read's bytes
+        and characters until the next read."""
+        self.text = ""
+        if size < 0:
+            parts = [kept, self.file.read()]
+        else:
+            parts = [kept] + [self.file.read(HEAD_CHARS) for _ in range(size // HEAD_CHARS)]
+        self.text, self.ended = "".join(parts), size < 0 or not parts[-1]
+
+
+def _value(text: str, i: int) -> tuple[Any, int]:
+    """The JSON value at the first non-space character from ``text[i]``."""
+    return _decode(text, _space(text, i).end())
+
+
+def _key(text: str, i: int) -> tuple[str, int]:
+    """(key, the index after its colon) of the object member whose key is at
+    the first non-space character from ``text[i]``."""
+    i = _space(text, i).end()
+    if not text.startswith('"', i):
+        raise ValueError("not a key")
+    key, i = json.decoder.scanstring(text, i + 1)
+    i = _space(text, i).end()
+    if not text.startswith(":", i):
+        raise ValueError("not a key")
+    return key, i + 1
+
+
+def _nothing(text: str, i: int) -> tuple[None, int]:
+    return None, i
+
+
+def _walk(window: _Window) -> dict | None:
+    """The JSON object the ``window``'s file holds, decoded member by member,
+    with a top-level "rows" member decoded one row at a time by ``_rows``, so
+    neither the lists of a whole matrix nor the file's whole text exist at
+    once.  The head of the document is read ``HEAD_CHARS`` at a time; a
+    member other than "rows" that runs past the window reads the rest of
+    the file.  None for any other file or on any doubt: not a non-empty
+    object, invalid JSON, trailing data, or a "rows" member ``_rows``
+    refuses.  Only "rows" is streamed, because no reader quotes a "rows"
+    value in an error message."""
     try:
-        doc, i = {}, _space(text).end()
-        if not text.startswith("{", i):
+        doc, i = {}, window.take(_nothing, 0, HEAD_CHARS)[1]
+        if not window.text.startswith("{", i):
             return None
-        while True:  # text[i] is the "{" or "," before a member
-            i = _space(text, i + 1).end()
-            if not text.startswith('"', i):
-                return None
-            key, i = json.decoder.scanstring(text, i + 1)
-            i = _space(text, i).end()
-            if not text.startswith(":", i):
-                return None
-            value, i = (_rows if key == "rows" else _decode)(text, _space(text, i + 1).end())
+        while True:  # window.text[i] is the "{" or "," before a member
+            key, i = window.take(_key, i + 1, HEAD_CHARS)
+            value, i = _rows(window, i) if key == "rows" else window.take(_value, i)
             doc[key] = value  # a repeated key keeps its first place and last value
-            i = _space(text, i).end()
-            if not text.startswith(",", i):
+            if not window.text.startswith(",", i):
                 break
-        if text.startswith("}", i) and _space(text, i + 1).end() == len(text):
-            return doc
-    # ValueError: a JSONDecodeError, an integer too long to convert, or rows
-    # _rows refuses; IndexError: rows with as many dimensions as numpy allows
+        if window.text.startswith("}", i):
+            i = window.take(_nothing, i + 1, HEAD_CHARS)[1]
+            return doc if i == len(window.text) else None
+    # ValueError: a JSONDecodeError, an integer too long to convert, a
+    # UnicodeDecodeError, or rows _rows refuses; IndexError: rows with as
+    # many dimensions as numpy allows
     except (ValueError, IndexError, RecursionError):
         pass
     return None
 
 
-def _rows(text: str, i: int) -> tuple[np.ndarray, int]:
-    """(the list at ``text[i]`` as a float array, the index after it): each
-    row is decoded and read by ``_number_array`` alone, and the rows are
-    stacked.  ValueError unless it is a non-empty list of rows
-    ``_number_array`` accepts, all of one shape."""
-    if not text.startswith("[", i):
+def _rows(window: _Window, i: int) -> tuple[np.ndarray, int]:
+    """(the list at ``window.text[i]`` as a float array, the index of the
+    first non-space character after it): each row is decoded, reading
+    ``ROW_CHARS`` more when it runs past the window, and read by
+    ``_number_array`` alone, and the rows are stacked.  ValueError unless it
+    is a non-empty list of rows ``_number_array`` accepts, all of one shape."""
+    if not window.text.startswith("[", i):
         raise ValueError("not a list")
     rows = []
-    while True:  # text[i] is the "[" or "," before a row
-        row, i = _decode(text, _space(text, i + 1).end())
+    while True:  # window.text[i] is the "[" or "," before a row
+        row, i = window.take(_value, i + 1, ROW_CHARS)
         rows.append(_number_array(row))
         if rows[-1] is None:
             raise ValueError("not a row of finite numbers")
-        i = _space(text, i).end()
-        if not text.startswith(",", i):
+        if not window.text.startswith(",", i):
             break
-    if not text.startswith("]", i):
+    if not window.text.startswith("]", i):
         raise ValueError("not a list")
-    return np.stack(rows), i + 1
+    return np.stack(rows), window.take(_nothing, i + 1, HEAD_CHARS)[1]
 
 
 def _named(path, read: Callable, *args) -> Any:

@@ -140,8 +140,10 @@ class MeasurementSetup(Frozen):
             pts = np.atleast_2d(np.asarray(eigtuples, dtype=float))
         except (TypeError, ValueError):  # ragged lists, or entries that are not numbers
             pts = None
-        if pts is None or pts.ndim != 2:
-            raise InvalidInput("eigenvalue tuples must be a table of numbers, one row per subspace")
+        # NaN compares unequal to itself, so it would pass the duplicate scan below
+        if pts is None or pts.ndim != 2 or not np.isfinite(pts).all():
+            raise InvalidInput(
+                "eigenvalue tuples must be a table of finite numbers, one row per subspace")
         if pts.shape[0] != decomposition.m_count:
             raise InvalidInput(
                 f"need one eigenvalue tuple per subspace: got {pts.shape[0]} "

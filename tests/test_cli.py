@@ -578,7 +578,7 @@ class TestCheck:
         ([[1.0], [1.0]], "eigenvalue tuples 0 and 1 coincide"),
         ([[], []], "eigenvalue tuples 0 and 1 coincide"),
         ([[0.0], [1.0], [2.0]], "need one eigenvalue tuple per subspace: got 3 for 2 blocks"),
-        ([[[0.0]], [[1.0]]], "eigenvalue tuples must be a table of numbers"),
+        ([[[0.0]], [[1.0]]], "eigenvalue tuples must be a table of finite numbers"),
     ], ids=["repeated", "empty", "count", "three-d"])
     def test_bad_labels_fail_the_check(self, capsys, tmp_path, eigtuples, says):
         path = tmp_path / "dec.json"
@@ -936,20 +936,48 @@ class TestOneDecodePerFile:
     @pytest.mark.parametrize("command", ["qnum", "check"])
     def test_density_document_is_freed_before_eigh(self, capsys, monkeypatch, command):
         freed, freed_at_eigh = [], []
-        walk, eigh = io._walk, density._eigh
+        walk, eigvalsh = io._walk, density._eigvalsh
 
         class Document(dict):
             def __del__(self):
                 freed.append(True)
 
-        def spy_eigh(mat):
+        def spy_eigvalsh(mat, sigma):
             freed_at_eigh.append(bool(freed))
-            return eigh(mat)
+            return eigvalsh(mat, sigma)
 
-        monkeypatch.setattr(io, "_walk", lambda text: Document(walk(text)))
-        monkeypatch.setattr(density, "_eigh", spy_eigh)
+        monkeypatch.setattr(io, "_walk", lambda window: Document(walk(window)))
+        monkeypatch.setattr(density, "_eigvalsh", spy_eigvalsh)
         assert run(capsys, command, FIXTURES / "density_werner.json")[0] == 0
         assert freed_at_eigh == [True]
+
+
+@pytest.mark.skipif(cli._OPENBLAS is None, reason="numpy's BLAS is no OpenBLAS cli can find")
+class TestBlasThreads:
+    @pytest.mark.parametrize("setting, threads", [(None, 1), ("2", 2)])
+    def test_a_child_starts_numpy_on_the_count_the_variable_names(self, setting, threads):
+        env = fresh_env()
+        env.pop("OPENBLAS_NUM_THREADS", None)
+        if setting:
+            env["OPENBLAS_NUM_THREADS"] = setting
+        probe = "import effnum.cli as c, numpy; print(c._openblas_threads()[0]())"
+        done = subprocess.run([sys.executable, "-c", probe], env=env, capture_output=True,
+                              text=True, check=True)
+        assert done.stdout == f"{threads}\n"
+
+    @pytest.mark.parametrize("threads", ["1", "2"])
+    def test_main_holds_a_loaded_blas_at_that_count(self, capsys, monkeypatch, threads):
+        get, seen, eigvalsh = cli._OPENBLAS[0], [], density._eigvalsh
+        before = get()
+
+        def spy(mat, sigma):
+            seen.append(get())
+            return eigvalsh(mat, sigma)
+
+        monkeypatch.setattr(density, "_eigvalsh", spy)
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+        assert run(capsys, "qnum", FIXTURES / "density_werner.json")[0] == 0
+        assert seen == [int(threads)] and get() == before
 
 
 class TestLoadJsonPausesTheCollector:

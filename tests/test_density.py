@@ -29,7 +29,8 @@ from effnum import (
     spectral_weights,
 )
 from effnum import density
-from effnum.cli import main
+from effnum.cli import _BlasThreads, main
+from effnum.io import load_density
 
 MINIMAL = CountingFunction.minimal()
 
@@ -94,6 +95,52 @@ class TestStoredSpectrum:
         rho = werner_half()
         with pytest.raises(ValueError):
             rho.spectrum[0] = 0.0
+
+
+class TestShiftedSolve:
+    """The spectrum is eigvalsh's of the traceless part, rho - (tr rho / N) I,
+    with tr rho / N added back."""
+
+    def test_werner_fixture_keeps_its_binary_spectrum(self):
+        rho = load_density(FIXTURES / "density_werner.json")
+        assert rho.spectrum.tolist() == [0.625 + 2**-53, 0.125, 0.125, 0.125]
+        assert quantum_effnum(rho, MINIMAL) == 2.5
+
+    @pytest.mark.parametrize("n", range(1, 65))
+    def test_maximally_mixed_is_exact(self, n):
+        rho = DensityMatrix.maximally_mixed(n)
+        # the solver sees the zero matrix; the exact renormalization then moves
+        # 1/n only where n copies of it do not sum to 1 (n = 49 here)
+        assert rho.spectrum.tolist() == [(1 / n) / math.fsum([1 / n] * n)] * n
+        for c in (MINIMAL, CountingFunction.canonical(0.4)):
+            assert quantum_effnum(rho, c) == n
+
+    def test_permuted_dyadic_diagonal_is_exact(self):
+        values = np.array([0.5, 0.25, 0.125, 0.0625, 0.03125, 0.03125])
+        rng = np.random.default_rng(83)
+        unitary = np.eye(6)[rng.permutation(6)] * np.array([1, -1, 1j, -1j, 1, 1j])
+        rho = DensityMatrix((unitary * values) @ unitary.conj().T)
+        assert rho.spectrum.tolist() == values.tolist()
+        assert quantum_effnum(rho, MINIMAL) == 3.5
+
+    def test_random_densities_agree_with_eigvalsh(self):
+        rng = np.random.default_rng(89)
+        for n in (2, 3, 8, 33, 128):
+            for _ in range(4):
+                mat = random_density(rng, n)
+                error = np.abs(DensityMatrix(mat).spectrum - np.linalg.eigvalsh(mat)[::-1])
+                assert error.max() <= 8 * n * np.finfo(float).eps
+
+    @pytest.mark.parametrize("smallest, code", [(-1.001e-10, 3), (-0.999e-10, 0)])
+    def test_the_positivity_tolerance_does_not_move(self, tmp_path, capsys, smallest, code):
+        unitary = random_unitary(np.random.default_rng(97), 4)
+        mat = (unitary * [0.5 - smallest, 0.3, 0.2, smallest]) @ unitary.conj().T
+        path = tmp_path / "rho.json"
+        pairs = np.stack([mat.real, mat.imag], axis=-1)
+        path.write_text(json.dumps({"dim": 4, "rows": pairs.tolist()}))
+        assert main(["qnum", str(path)]) == code
+        if code:
+            assert "smallest eigenvalue -1.001e-10" in capsys.readouterr().err
 
 
 class TestHermitianEigen:
@@ -358,7 +405,10 @@ class TestEntanglement:
         rng = np.random.default_rng(79)
         bp = BipartiteStructure(64, 128)  # N = 8192 > DEFAULT_DIM_CAP
         amps = random_pure(rng, bp.dim)
-        value = mu_entanglement(PureState(amps), bp, MINIMAL)
+        # on the BLAS thread count main runs a command on: the SVD's last bit
+        # depends on it
+        with _BlasThreads():
+            value = mu_entanglement(PureState(amps), bp, MINIMAL)
         assert 1.0 <= value <= 64.0
         path = tmp_path / "state.json"
         path.write_text(json.dumps({"dim": bp.dim, "amps": [[z.real, z.imag] for z in amps]}))
@@ -398,7 +448,7 @@ class TestDecompositionsPerCommand:
 
     def test_qnum_decomposes_once(self, linalg_calls, capsys):
         assert main(["qnum", str(FIXTURES / "density_werner.json")]) == 0
-        assert linalg_calls == ["eigh"]
+        assert linalg_calls == ["eigvalsh"]  # the spectrum alone: no eigenvectors
 
     def test_entangle_never_diagonalizes(self, linalg_calls, capsys):
         args = ["entangle", str(FIXTURES / "state_tilted.json"), "--dims", "2x2",

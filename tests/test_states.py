@@ -180,11 +180,12 @@ class TestMetricUncertainty:
         with pytest.raises(InvalidInput, match=f"tuples {pair[0]} and {pair[1]} coincide$"):
             MeasurementSetup(dec, np.array(labels))
 
-    @pytest.mark.parametrize("labels", [[[[1.0]], [[2.0]]], [[0.0], [1.0, 2.0]], [["a"], ["b"]]],
-                             ids=["three-d", "ragged", "not-numbers"])
+    @pytest.mark.parametrize("labels", [[[[1.0]], [[2.0]]], [[0.0], [1.0, 2.0]], [["a"], ["b"]],
+                                        [[math.nan], [math.nan]], [[0.0], [math.inf]]],
+                             ids=["three-d", "ragged", "not-numbers", "nan", "infinite"])
     def test_labels_that_are_not_a_table_are_rejected(self, labels):
         dec = OrthogonalDecomposition.singletons(2)
-        with pytest.raises(InvalidInput, match="eigenvalue tuples must be a table of numbers"):
+        with pytest.raises(InvalidInput, match="eigenvalue tuples must be a table of finite numbers"):
             MeasurementSetup(dec, labels)
 
     def test_first_pair_matches_the_pairwise_scan(self):
