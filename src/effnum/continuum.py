@@ -96,7 +96,9 @@ class GridWaveFunction(Frozen):
     """
 
     def __init__(self, grid: Grid, values):
-        vals = np.asarray(values, dtype=complex).ravel()
+        vals = np.asarray(values, dtype=complex)
+        if vals.ndim != 1:  # ravel returns a new object even for a 1-d array
+            vals = vals.ravel()
         if vals.size != grid.ncells:
             raise InvalidInput(
                 f"wave function has {vals.size} samples, grid has {grid.ncells} cells"

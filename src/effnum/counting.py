@@ -98,6 +98,13 @@ def _fresh(arr: np.ndarray) -> np.ndarray:
     return arr
 
 
+def _owned(arr: np.ndarray) -> np.ndarray:
+    """``arr`` if ``_fresh`` handed it over, a C-order copy otherwise: an
+    array that the value object being built may change in place and then
+    keep, handed on to its ``_store`` by ``_fresh``."""
+    return _fresh(arr if _FRESH.get(id(arr)) is arr else np.array(arr, order="C"))
+
+
 def as_dim(value, name: str) -> int:
     """``value`` as an int, if it is a Python or numpy integer; anything
     else, a bool, a float or a string, raises InvalidInput."""

@@ -6,7 +6,11 @@ the effective count of its spectral weights N * rho_i
 basis-independent quantity.  The spectrum is computed once, when the
 matrix is validated, by LAPACK's eigenvalue-only solver on the traceless
 part rho - (tr rho / N) I, and every count and entropy reads that one
-array; only :func:`hermitian_eigen` builds eigenvectors.
+array; only :func:`hermitian_eigen` builds eigenvectors.  A
+:class:`DensityMatrix` holds one N x N array from its input to its
+spectrum: the array a reader or builder hands over, or its own copy of a
+caller's.  It checks that array a block of rows at a time and shifts its
+diagonal in place for the solve, so LAPACK's copy is the only other one.
 
 For a bipartite pure state the same count applied to a reduced density
 matrix measures entanglement.  Both reductions share their non-zero
@@ -22,7 +26,8 @@ from typing import Callable
 
 import numpy as np
 
-from .counting import CountingFunction, Frozen, WeightVector, _fresh, as_dim, effnum, exact_sums
+from .counting import (BLOCK, CountingFunction, Frozen, WeightVector, _fresh, _owned, as_dim,
+                       effnum, exact_sums)
 from .errors import ConvergenceError, InvalidInput, InvariantViolation
 from .states import DEFAULT_DIM_CAP, PureState
 
@@ -48,10 +53,11 @@ class DensityMatrix(Frozen):
             raise InvalidInput(
                 f"density matrix dimension {n} exceeds the supported cap {DEFAULT_DIM_CAP}"
             )
+        mat = _owned(mat)  # the checks and the solve work in it
         # NaN would pass the comparisons below, which are all false for it.
         if not np.all(np.isfinite(mat)):
             raise InvalidInput("density matrix contains non-finite entries")
-        herm_defect = float(np.max(np.abs(mat - mat.conj().T)))
+        herm_defect = _hermiticity_defect(mat)
         if herm_defect > HERMITICITY_TOL:
             raise InvariantViolation(
                 f"matrix is not Hermitian: max |rho - rho^H| = {herm_defect:.3e}"
@@ -64,11 +70,24 @@ class DensityMatrix(Frozen):
 
     @classmethod
     def from_pure(cls, psi: PureState) -> "DensityMatrix":
-        return cls(np.outer(psi.amps, psi.amps.conj()))
+        return cls(_fresh(np.outer(psi.amps, psi.amps.conj())))
 
     @classmethod
     def maximally_mixed(cls, dim: int) -> "DensityMatrix":
-        return cls(np.eye(dim, dtype=complex) / dim)
+        return cls(_fresh(np.eye(dim, dtype=complex) / dim))
+
+
+def _hermiticity_defect(mat: np.ndarray) -> float:
+    """max |mat - mat^H|, taken over rows of about ``BLOCK`` entries at a time,
+    so that neither mat^H nor the whole difference is built."""
+    n = mat.shape[0]
+    rows = BLOCK // max(n, 1)  # at least 16 under DEFAULT_DIM_CAP
+    defect = 0.0
+    for start in range(0, n, rows):
+        block = mat[:, start:start + rows].T.conj()
+        np.subtract(mat[start:start + rows], block, out=block)
+        defect = max(defect, float(np.max(np.abs(block))))
+    return defect
 
 
 class Eigensystem(Frozen):
@@ -114,11 +133,18 @@ def _eigvalsh(mat: np.ndarray, sigma: float) -> np.ndarray:
     With sigma = Re tr(mat) / N the solver sees the traceless part, and its
     absolute error scales with ||mat - sigma I|| instead of ||mat||: a
     multiple of the identity, for one, becomes the zero matrix, and its
-    spectrum comes back exact.
+    spectrum comes back exact.  ``mat`` must be an array the caller owns:
+    sigma is subtracted from its diagonal in place, and the saved diagonal
+    is written back bit for bit afterwards, also when the solver fails, so
+    the only N x N temporary is the solver's own copy.
     """
-    shifted = mat.copy()
-    shifted.flat[:: mat.shape[0] + 1] -= sigma
-    return _solved(np.linalg.eigvalsh, shifted) + sigma
+    step = mat.shape[0] + 1
+    diagonal = mat.flat[::step]  # a copy
+    mat.flat[::step] = diagonal - sigma
+    try:
+        return _solved(np.linalg.eigvalsh, mat) + sigma
+    finally:
+        mat.flat[::step] = diagonal
 
 
 def _normalized_spectrum(vals: np.ndarray) -> np.ndarray:
@@ -190,7 +216,7 @@ def partial_trace(rho: DensityMatrix, bp: BipartiteStructure, keep: str) -> Dens
         reduced = np.trace(four, axis1=0, axis2=2)
     else:
         raise InvalidInput(f'keep must be "A" or "B", got {keep!r}')
-    return DensityMatrix(reduced)
+    return DensityMatrix(_fresh(reduced))
 
 
 def schmidt_weights(psi: PureState, bp: BipartiteStructure) -> np.ndarray:

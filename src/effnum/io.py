@@ -3,13 +3,14 @@
 All input files are JSON documents with complex numbers written as
 ``[re, im]`` pairs and 0-based indices.  ``_load_json`` alone decodes
 files.  It reads the open file through a window, so a valid density's
-whole text is never held, and decodes a density's top-level "rows" one row
+whole text is never held, and writes a density's top-level "rows" one row
 at a time into one float array, so the matrix never exists as a tree of
-Python lists; any document it cannot read that way goes to ``json.loads``.
-Each input kind has one reader of the decoded document alone, which
-``load_<kind>`` and, through ``SCHEMAS``, ``check_file`` call through
-``_named``: the one place an error raised while reading a file gets the
-file's name.
+Python lists or as stacked rows; any document it cannot read that way goes
+to ``json.loads``.  Each input kind has one reader of the decoded document
+alone, which ``load_<kind>`` and, through ``SCHEMAS``, ``check_file`` call
+through ``_named``: the one place an error raised while reading a file gets
+the file's name.  A reader hands the array it has just decoded to its value
+object by ``counting._fresh``, so the object keeps it without a copy.
 A command's output is one ``Result``, rendered as json, csv or a table.
 Floating-point output in the json/csv renderers carries 17 significant
 digits so values round-trip exactly.
@@ -155,7 +156,8 @@ def _walk(window: _Window) -> dict | None:
     the file.  None for any other file or on any doubt: not a non-empty
     object, invalid JSON, trailing data, or a "rows" member ``_rows``
     refuses.  Only "rows" is streamed, because no reader quotes a "rows"
-    value in an error message."""
+    value in an error message; rows wider than ``DEFAULT_DIM_CAP`` are
+    kept by their shape alone."""
     try:
         doc, i = {}, window.take(_nothing, 0, HEAD_CHARS)[1]
         if not window.text.startswith("{", i):
@@ -169,33 +171,43 @@ def _walk(window: _Window) -> dict | None:
         if window.text.startswith("}", i):
             i = window.take(_nothing, i + 1, HEAD_CHARS)[1]
             return doc if i == len(window.text) else None
-    # ValueError: a JSONDecodeError, an integer too long to convert, a
-    # UnicodeDecodeError, or rows _rows refuses; IndexError: rows with as
-    # many dimensions as numpy allows
-    except (ValueError, IndexError, RecursionError):
+    # a JSONDecodeError, an integer too long to convert, a
+    # UnicodeDecodeError, or rows _rows refuses
+    except (ValueError, RecursionError):
         pass
     return None
 
 
 def _rows(window: _Window, i: int) -> tuple[np.ndarray, int]:
-    """(the list at ``window.text[i]`` as a float array, the index of the
-    first non-space character after it): each row is decoded, reading
-    ``ROW_CHARS`` more when it runs past the window, and read by
-    ``_number_array`` alone, and the rows are stacked.  ValueError unless it
-    is a non-empty list of rows ``_number_array`` accepts, all of one shape."""
+    """(the list at ``window.text[i]`` as an N x N x 2 float array, the index
+    of the first non-space character after it): each row is decoded,
+    reading ``ROW_CHARS`` more when it runs past the window, read by
+    ``_number_array`` alone and written into the one array that the first
+    row's width N sizes.  ValueError unless it is a list of N rows of N
+    pairs of finite numbers.  Past ``DEFAULT_DIM_CAP``, which the density
+    reader refuses by the shape alone, the rows are checked but not kept:
+    the array is a read-only zero array of their shape, which holds no
+    memory, and there may be fewer than N of them."""
     if not window.text.startswith("[", i):
         raise ValueError("not a list")
-    rows = []
+    pairs, count = None, 0
     while True:  # window.text[i] is the "[" or "," before a row
         row, i = window.take(_value, i + 1, ROW_CHARS)
-        rows.append(_number_array(row))
-        if rows[-1] is None:
-            raise ValueError("not a row of finite numbers")
+        row = _number_array(row)
+        if pairs is None:  # the first row's width sizes the array
+            n = len(row) if row is not None and row.ndim else 0
+            kept = n <= states.DEFAULT_DIM_CAP
+            pairs = np.empty((n, n, 2)) if kept else np.broadcast_to(np.zeros(2), (n, n, 2))
+        if not n or count == n or row is None or row.shape != (n, 2):
+            raise ValueError("not a square matrix of pairs of finite numbers")
+        if kept:
+            pairs[count] = row
+        count += 1
         if not window.text.startswith(",", i):
             break
-    if not window.text.startswith("]", i):
-        raise ValueError("not a list")
-    return np.stack(rows), window.take(_nothing, i + 1, HEAD_CHARS)[1]
+    if not window.text.startswith("]", i) or (kept and count < n):
+        raise ValueError("not a square matrix of pairs of finite numbers")
+    return pairs[:count], window.take(_nothing, i + 1, HEAD_CHARS)[1]
 
 
 def _named(path, read: Callable, *args) -> Any:
@@ -295,7 +307,7 @@ def _state(doc: dict) -> states.PureState:
     amps = _complex_array(_require(doc, "amps"), "amps", 1)
     if amps.size != dim:
         raise InvalidInput(f"expected {dim} amplitudes, got {amps.size}")
-    return states.PureState(amps)
+    return states.PureState(counting._fresh(amps))
 
 
 def load_state(path: str | Path) -> states.PureState:
@@ -304,14 +316,16 @@ def load_state(path: str | Path) -> states.PureState:
 
 
 def _density(doc: dict) -> np.ndarray:
-    """The document's matrix, checked for shape: a complex view of the float
-    array ``_load_json`` stacked the rows into.  Build the DensityMatrix after
-    this returns, so that the document is gone by ``eigh``."""
+    """The document's matrix, checked for shape: a complex view of the one
+    float array ``_load_json`` wrote the rows into, handed over by
+    ``counting._fresh``, so the DensityMatrix built from it checks and
+    solves it in place and keeps it.  Build that DensityMatrix after this
+    returns, so that the document is gone by the solve."""
     dim = _int_field(doc, "dim")
     mat = _complex_array(_require(doc, "rows"), "rows", 2)
     if mat.shape != (dim, dim):
         raise InvalidInput(f"expected a {dim}x{dim} matrix, got shape {mat.shape}")
-    return mat
+    return counting._fresh(mat)
 
 
 def load_density(path: str | Path) -> density.DensityMatrix:
@@ -334,7 +348,7 @@ def _decomposition(doc: dict, dim: int | None = None):
         mat = _complex_array(basis_doc["rows"], "rows", 2)
         if mat.shape != (dim, dim):
             raise InvalidInput(f"basis must be a {dim}x{dim} matrix")
-        basis = states.OrthonormalBasis(mat)
+        basis = states.OrthonormalBasis(counting._fresh(mat))
     else:
         raise InvalidInput("'basis' must be \"identity\" or an object with 'rows'")
 
@@ -367,7 +381,7 @@ def _grid_wavefunction(doc: dict) -> continuum.GridWaveFunction:
         origin = tuple(_float_field(doc, "origin", listed=True).tolist())
     grid = continuum.Grid(shape=shape, spacing=spacing, origin=origin)
     values = _complex_array(_require(doc, "values"), "values", 1)
-    return continuum.GridWaveFunction(grid=grid, values=values)
+    return continuum.GridWaveFunction(grid=grid, values=counting._fresh(values))
 
 
 def load_grid_wavefunction(path: str | Path) -> continuum.GridWaveFunction:

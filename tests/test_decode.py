@@ -19,11 +19,14 @@ from pathlib import Path
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from effnum import io
+from effnum.cli import main
 from effnum.errors import InvalidInput
+from effnum.states import DEFAULT_DIM_CAP
 
 SPACE = st.sampled_from(["", " ", "\n", "\t", "\r\n  ", "\n    "])
 
@@ -231,3 +234,69 @@ def test_reading_a_density_peaks_at_about_its_text(tmp_path):
     finally:
         tracemalloc.stop()
     assert peak <= 1.25 * len(text), peak / len(text)
+
+
+def test_reading_a_density_holds_about_one_matrix(tmp_path):
+    # with the rows kept apart and stacked, and the matrix copied for the
+    # Hermiticity check, the solve and the stored copy, it peaked at 3.03 times
+    n = 512
+    path = tmp_path / "rho.json"
+    path.write_text(_density_text(n, 7))
+    io.load_density(path)  # warm-up: first-use imports and caches
+    gc.collect()
+    tracemalloc.start()
+    try:
+        io.load_density(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.7 * 16 * n * n, peak / (16 * n * n)
+
+
+def _pairs(*widths) -> list:
+    """Rows of [re, im] pairs of the given widths, 0.5 on the diagonal."""
+    return [[[0.5 if i == j else 0, 0] for j in range(w)] for i, w in enumerate(widths)]
+
+
+# Rows that are not N rows of N pairs: ``_rows`` refuses them, and
+# ``json.loads`` reads the file; (dim, rows, the error message).
+REFUSED_ROWS = {
+    "three-rows-of-two": (2, _pairs(2, 2, 2), "expected a 2x2 matrix, got shape (3, 2)"),
+    "two-rows-of-three": (3, _pairs(3, 3), "expected a 3x3 matrix, got shape (2, 3)"),
+    "ragged": (2, _pairs(2, 1),
+               "'rows' must be rectangular lists of [re, im] pairs of finite JSON numbers"),
+}
+
+
+def _refused_as_before(path, message, capsys):
+    """Both commands exit 2 with the message the whole-document decode gave."""
+    assert main(["qnum", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {path}: {message}\n"
+    assert main(["check", str(path)]) == 2
+    assert capsys.readouterr().err.endswith(f"  {path}: INVALID ({message})\n")
+
+
+@pytest.mark.parametrize("case", list(REFUSED_ROWS))
+def test_refused_rows_are_read_by_json_loads(tmp_path, capsys, case):
+    dim, rows, message = REFUSED_ROWS[case]
+    text = json.dumps({"dim": dim, "rows": rows})
+    assert io._walk(io._Window(StringIO(text))) is None
+    path = tmp_path / "rho.json"
+    path.write_text(text)
+    _refused_as_before(path, message, capsys)
+
+
+def test_rows_wider_than_the_cap_are_read_by_their_shape(tmp_path, capsys):
+    wide = DEFAULT_DIM_CAP + 1
+    text = json.dumps({"dim": wide, "rows": _pairs(wide, wide)})
+    tracemalloc.start()
+    try:
+        rows = io._walk(io._Window(StringIO(text)))["rows"]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (2, wide, 2) and not rows.any() and not rows.flags.writeable
+    assert peak < 2**20 + 8 * len(text)  # no matrix, only a few rows' worth
+    path = tmp_path / "rho.json"
+    path.write_text(text)
+    _refused_as_before(path, f"expected a {wide}x{wide} matrix, got shape (2, {wide})", capsys)

@@ -30,6 +30,8 @@ from effnum import (
 )
 from effnum import density
 from effnum.cli import _BlasThreads, main
+from effnum.counting import _fresh
+from effnum.errors import ConvergenceError
 from effnum.io import load_density
 
 MINIMAL = CountingFunction.minimal()
@@ -95,6 +97,47 @@ class TestStoredSpectrum:
         rho = werner_half()
         with pytest.raises(ValueError):
             rho.spectrum[0] = 0.0
+
+
+class TestOwnedMatrix:
+    """The checks and the solve work in an array the DensityMatrix owns: the
+    one that ``counting._fresh`` handed over, or its own copy of the caller's."""
+
+    def test_a_writable_input_keeps_its_bytes(self):
+        mat = random_density(np.random.default_rng(101), 16)
+        before = mat.tobytes()
+        rho = DensityMatrix(mat)
+        assert mat.tobytes() == before and mat.flags.writeable
+        assert rho.mat.tobytes() == before and not np.shares_memory(rho.mat, mat)
+
+    def test_a_read_only_input_is_accepted(self):
+        rho = werner_half()
+        before = rho.mat.tobytes()
+        again = DensityMatrix(rho.mat)
+        assert rho.mat.tobytes() == again.mat.tobytes() == before
+        assert np.array_equal(again.spectrum, rho.spectrum)
+
+    def test_a_failed_solve_leaves_the_input_as_it_was(self, capsys, monkeypatch):
+        def fail(mat):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        given = random_density(np.random.default_rng(103), 8)
+        handed = _fresh(given.copy())
+        before = given.tobytes()
+        monkeypatch.setattr(np.linalg, "eigvalsh", fail)
+        for mat in (given, handed):
+            with pytest.raises(ConvergenceError, match="eigensolver did not converge"):
+                DensityMatrix(mat)
+            assert mat.tobytes() == before  # the shifted diagonal is written back
+        assert main(["qnum", str(FIXTURES / "density_werner.json")]) == 4
+        assert capsys.readouterr().err.startswith("error: ")
+
+    def test_the_werner_fixture_is_stored_as_read(self):
+        rho = load_density(FIXTURES / "density_werner.json")
+        rows = json.loads((FIXTURES / "density_werner.json").read_text())["rows"]
+        assert rho.mat.tobytes() == np.array(rows, dtype=float).view(complex)[..., 0].tobytes()
+        assert not rho.mat.flags.writeable
+        assert quantum_effnum(rho, MINIMAL) == 2.5
 
 
 class TestShiftedSolve:

@@ -11,6 +11,7 @@ pickle, deepcopy or copy.  The result records are NamedTuples whose
 import copy
 import functools
 import gc
+import json
 import pickle
 import tracemalloc
 
@@ -20,6 +21,8 @@ import pytest
 import effnum
 from effnum import continuum, counting, entropy, io, simulate
 from effnum.counting import Frozen
+
+from conftest import FIXTURES
 
 GRID = effnum.Grid(shape=(4,), spacing=(0.25,))
 DEC = effnum.OrthogonalDecomposition([[0, 1], [2]], 3)
@@ -204,6 +207,10 @@ HANDED_OVER = {
         effnum.PureState(np.array([1.0, 0.0, 0.0, 1.0]) / np.sqrt(2.0)),
         effnum.BipartiteStructure(2, 2)),
     "uniform_on_support": lambda: io._uniform_on_support(8, 0.5),
+    "from_pure": lambda: effnum.DensityMatrix.from_pure(effnum.PureState.basis_vector(1, 3)),
+    "maximally_mixed": lambda: effnum.DensityMatrix.maximally_mixed(3),
+    "partial_trace": lambda: effnum.partial_trace(effnum.DensityMatrix.maximally_mixed(6),
+                                                  effnum.BipartiteStructure(2, 3), "A"),
     "sample_outcomes": lambda: effnum.sample_outcomes(effnum.PureState.basis_vector(1, 3), DEC,
                                                       None, 10, seed=1),
 }
@@ -237,12 +244,45 @@ def test_a_builder_stores_its_array_once(build, given):
     assert peak < 1.5 * 2**20 * np.dtype(float).itemsize, peak / 2**23
 
 
+def _basis_decomposition(tmp_path):
+    path = tmp_path / "dec.json"
+    path.write_text(json.dumps({"groups": [[0], [1]],
+                                "basis": {"rows": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}}))
+    return io.load_decomposition(path, 2)[1]
+
+
+# Each reader of a complex array: (the object it reads, given a temporary
+# directory; the array that object keeps).
+READERS = {
+    "state": (lambda tmp: io.load_state(FIXTURES / "state_bell.json"), lambda o: o.amps),
+    "density": (lambda tmp: io.load_density(FIXTURES / "density_werner.json"), lambda o: o.mat),
+    "basis": (_basis_decomposition, lambda o: o.vectors),
+    "grid wave function": (lambda tmp: io.load_grid_wavefunction(FIXTURES / "grid_gauss1d.json"),
+                           lambda o: o.values),
+}
+
+
+@pytest.mark.parametrize("name", list(READERS))
+def test_a_reader_hands_its_array_over(monkeypatch, tmp_path, name):
+    load, kept = READERS[name]
+    read, complex_array = [], io._complex_array
+
+    def spy(*args):
+        read.append(complex_array(*args))
+        return read[-1]
+
+    monkeypatch.setattr(io, "_complex_array", spy)
+    obj = load(tmp_path)
+    assert kept(obj) is read[-1] and not kept(obj).flags.writeable
+
+
 def test_arrays_are_copied_from_the_caller():
-    p, eta = np.array([0.25, 0.75]), np.ones(4)
+    p, eta, values = np.array([0.25, 0.75]), np.ones(4), np.ones((2, 2), complex)
     vector, family = effnum.ProbabilityVector(p), effnum.SectorFamily([eta], [eta], GRID)
-    p[:], eta[:] = 0.0, 0.0
+    psi = effnum.GridWaveFunction(effnum.Grid(shape=(2, 2), spacing=(0.5, 0.5)), values)
+    p[:], eta[:], values[:] = 0.0, 0.0, 0.0
     assert list(vector.p) == [0.25, 0.75]
-    assert list(family.ps[0]) == list(family.etas[0]) == [1.0] * 4
+    assert list(family.ps[0]) == list(family.etas[0]) == list(psi.values) == [1.0] * 4
 
 
 @pytest.mark.parametrize("cls", list(RECORDS), ids=lambda c: c.__name__)
