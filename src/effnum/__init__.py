@@ -93,7 +93,7 @@ def _register(module: str) -> None:
     globals()[module] = lazy
 
 
-for _module in (*_EXPORTS, "io"):
+for _module in (*_EXPORTS, "io", "decode"):
     _register(_module)
 del _module
 

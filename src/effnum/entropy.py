@@ -18,6 +18,7 @@ import numpy as np
 from .counting import (
     CountingFunction,
     ProbabilityVector,
+    WeightVector,
     effnum,
     tail_fit,
     weights_from_probs,
@@ -47,12 +48,13 @@ def dfd_gamma_scan(family, c: CountingFunction) -> GammaScanResult:
     """Fit the decay exponent of the effective-count fraction over a family.
 
     ``family`` is any iterable of (n_k, p_k) with strictly increasing n_k,
-    read once; p_k may be a :class:`ProbabilityVector` or a raw array.  Each
-    member is checked and counted before the next is read, and only its
-    step is kept, so a streamed family is held one member at a time.  For
-    each step the fraction F_k = effective count / n_k and the density
-    k_eq = 1 + log F_k / log n_k are tabulated; gamma is minus the
-    least-squares slope of log2 F_k against log2 n_k.
+    read once; p_k may be a :class:`ProbabilityVector`, a raw array of
+    probabilities, or a :class:`WeightVector`, the member's counting weights
+    taken as they are.  Each member is checked and counted before the next
+    is read, and only its step is kept, so a streamed family is held one
+    member at a time.  For each step the fraction F_k = effective count /
+    n_k and the density k_eq = 1 + log F_k / log n_k are tabulated; gamma
+    is minus the least-squares slope of log2 F_k against log2 n_k.
 
     The fit uses the last max(3, ceil(k/2)) of the k steps
     (:func:`~effnum.counting.tail_fit`) to suppress small-n transients.
@@ -60,16 +62,17 @@ def dfd_gamma_scan(family, c: CountingFunction) -> GammaScanResult:
     residual (max |fit - data| over the window).
     """
     steps: list[ScanStep] = []
-    for n_k, p_k in family:
-        pv = p_k if isinstance(p_k, ProbabilityVector) else ProbabilityVector(np.asarray(p_k))
-        if pv.n != int(n_k):
-            raise InvalidInput(f"family member claims n={n_k} but has {pv.n} entries")
-        if pv.n < 2:  # k_eq divides by log2(n)
+    for n_k, member in family:
+        if not isinstance(member, (ProbabilityVector, WeightVector)):
+            member = ProbabilityVector(np.asarray(member))
+        if member.n != int(n_k):
+            raise InvalidInput(f"family member claims n={n_k} but has {member.n} entries")
+        if member.n < 2:  # k_eq divides by log2(n)
             raise InvalidInput(f"family members need n >= 2, got n={n_k}")
-        if steps and pv.n <= steps[-1].n:
+        if steps and member.n <= steps[-1].n:
             raise InvalidInput("family sizes n_k must be strictly increasing")
-        w = weights_from_probs(pv)
-        del p_k, pv  # a streamed member's probabilities go before the kernel sum
+        w = member if isinstance(member, WeightVector) else weights_from_probs(member)
+        del member  # a streamed member's probabilities go before the kernel sum
         ratio = effnum(w, c) / w.n
         steps.append(ScanStep(n=w.n, ratio=ratio, k_eq=1.0 + math.log2(ratio) / math.log2(w.n)))
         del w  # and its weights before the next member is built

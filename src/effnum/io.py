@@ -2,15 +2,17 @@
 
 All input files are JSON documents with complex numbers written as
 ``[re, im]`` pairs and 0-based indices.  ``_load_json`` alone decodes
-files.  It reads the open file through a window, so a valid density's
-whole text is never held, and writes a density's top-level "rows" one row
-at a time into one float array, so the matrix never exists as a tree of
-Python lists or as stacked rows; any document it cannot read that way goes
-to ``json.loads``.  Each input kind has one reader of the decoded document
-alone, which ``load_<kind>`` and, through ``SCHEMAS``, ``check_file`` call
-through ``_named``: the one place an error raised while reading a file gets
-the file's name.  A reader hands the array it has just decoded to its value
-object by ``counting._fresh``, so the object keeps it without a copy.
+files, by ``effnum.decode``: it reads the open file through a window, so a
+valid file's whole text is never held, and decodes each large list -- a
+state's "amps", a grid's "values", a density's or a basis's "rows", a
+decomposition's "groups" -- a run of items at a time into one array, so no
+such list exists as a tree of Python lists; any document it cannot read
+that way goes to ``json.loads``.  Each input kind has one reader of the
+decoded document alone, which ``load_<kind>`` and, through ``SCHEMAS``,
+``check_file`` call through ``_named``: the one place an error raised
+while reading a file gets the file's name.  A reader hands the array it
+has just decoded to its value object by ``counting._fresh``, so the object
+keeps it without a copy.
 A command's output is one ``Result``, rendered as json, csv or a table.
 Floating-point output in the json/csv renderers carries 17 significant
 digits so values round-trip exactly.
@@ -29,6 +31,7 @@ from typing import Any, Callable, Iterable
 import numpy as np
 
 from . import continuum, counting, density, states
+from .decode import _number_array, _walk, _Window
 from .errors import EffnumError, InvalidInput
 
 # A uniform-power member holds 2**j floats: exponents lie in
@@ -79,137 +82,6 @@ def _load_json(path: str | Path) -> Any:
             gc.enable()
 
 
-_decode = json.JSONDecoder().raw_decode
-_space = json.decoder.WHITESPACE.match
-HEAD_CHARS = 1 << 16  # the document's head is read this many characters at a time
-ROW_CHARS = 1 << 20  # and a row of "rows" that runs past the window this many more
-
-
-class _Window:
-    """An open text file read forward: ``text`` holds what has been read and
-    not yet dropped, and ``ended`` says whether it runs to the end of the file."""
-
-    def __init__(self, file):
-        self.file, self.text, self.ended = file, "", False
-
-    def take(self, parse: Callable, i: int, size: int = -1) -> tuple[Any, int]:
-        """(value, index of the first non-space character after it) for
-        ``parse(text, i) -> (value, end)``, once the value and that character
-        lie in the window or the window runs to the end of the file.  Until
-        then ``text[:i]`` is dropped and ``size`` more characters are read,
-        or the rest of the file if ``size`` is -1 or this is the second
-        read, so a parse is retried at most twice.  At the end of the file,
-        parse's ValueError propagates."""
-        while True:
-            try:
-                value, end = parse(self.text, i)
-                end = _space(self.text, end).end()
-                if end < len(self.text) or self.ended:
-                    return value, end
-            except ValueError:  # a JSONDecodeError, or a member cut short
-                if self.ended:
-                    raise
-            self._read(self.text[i:], size)
-            i, size = 0, -1
-
-    def _read(self, kept: str, size: int) -> None:
-        """Make the window ``kept`` and ``size`` more characters, or the rest
-        of the file if ``size`` is -1.  The old window is freed first, and
-        ``size`` is read in pieces: a text file keeps its last read's bytes
-        and characters until the next read."""
-        self.text = ""
-        if size < 0:
-            parts = [kept, self.file.read()]
-        else:
-            parts = [kept] + [self.file.read(HEAD_CHARS) for _ in range(size // HEAD_CHARS)]
-        self.text, self.ended = "".join(parts), size < 0 or not parts[-1]
-
-
-def _value(text: str, i: int) -> tuple[Any, int]:
-    """The JSON value at the first non-space character from ``text[i]``."""
-    return _decode(text, _space(text, i).end())
-
-
-def _key(text: str, i: int) -> tuple[str, int]:
-    """(key, the index after its colon) of the object member whose key is at
-    the first non-space character from ``text[i]``."""
-    i = _space(text, i).end()
-    if not text.startswith('"', i):
-        raise ValueError("not a key")
-    key, i = json.decoder.scanstring(text, i + 1)
-    i = _space(text, i).end()
-    if not text.startswith(":", i):
-        raise ValueError("not a key")
-    return key, i + 1
-
-
-def _nothing(text: str, i: int) -> tuple[None, int]:
-    return None, i
-
-
-def _walk(window: _Window) -> dict | None:
-    """The JSON object the ``window``'s file holds, decoded member by member,
-    with a top-level "rows" member decoded one row at a time by ``_rows``, so
-    neither the lists of a whole matrix nor the file's whole text exist at
-    once.  The head of the document is read ``HEAD_CHARS`` at a time; a
-    member other than "rows" that runs past the window reads the rest of
-    the file.  None for any other file or on any doubt: not a non-empty
-    object, invalid JSON, trailing data, or a "rows" member ``_rows``
-    refuses.  Only "rows" is streamed, because no reader quotes a "rows"
-    value in an error message; rows wider than ``DEFAULT_DIM_CAP`` are
-    kept by their shape alone."""
-    try:
-        doc, i = {}, window.take(_nothing, 0, HEAD_CHARS)[1]
-        if not window.text.startswith("{", i):
-            return None
-        while True:  # window.text[i] is the "{" or "," before a member
-            key, i = window.take(_key, i + 1, HEAD_CHARS)
-            value, i = _rows(window, i) if key == "rows" else window.take(_value, i)
-            doc[key] = value  # a repeated key keeps its first place and last value
-            if not window.text.startswith(",", i):
-                break
-        if window.text.startswith("}", i):
-            i = window.take(_nothing, i + 1, HEAD_CHARS)[1]
-            return doc if i == len(window.text) else None
-    # a JSONDecodeError, an integer too long to convert, a
-    # UnicodeDecodeError, or rows _rows refuses
-    except (ValueError, RecursionError):
-        pass
-    return None
-
-
-def _rows(window: _Window, i: int) -> tuple[np.ndarray, int]:
-    """(the list at ``window.text[i]`` as an N x N x 2 float array, the index
-    of the first non-space character after it): each row is decoded,
-    reading ``ROW_CHARS`` more when it runs past the window, read by
-    ``_number_array`` alone and written into the one array that the first
-    row's width N sizes.  ValueError unless it is a list of N rows of N
-    pairs of finite numbers.  Past ``DEFAULT_DIM_CAP``, which the density
-    reader refuses by the shape alone, the rows are checked but not kept:
-    the array is a read-only zero array of their shape, which holds no
-    memory, and there may be fewer than N of them."""
-    if not window.text.startswith("[", i):
-        raise ValueError("not a list")
-    pairs, count = None, 0
-    while True:  # window.text[i] is the "[" or "," before a row
-        row, i = window.take(_value, i + 1, ROW_CHARS)
-        row = _number_array(row)
-        if pairs is None:  # the first row's width sizes the array
-            n = len(row) if row is not None and row.ndim else 0
-            kept = n <= states.DEFAULT_DIM_CAP
-            pairs = np.empty((n, n, 2)) if kept else np.broadcast_to(np.zeros(2), (n, n, 2))
-        if not n or count == n or row is None or row.shape != (n, 2):
-            raise ValueError("not a square matrix of pairs of finite numbers")
-        if kept:
-            pairs[count] = row
-        count += 1
-        if not window.text.startswith(",", i):
-            break
-    if not window.text.startswith("]", i) or (kept and count < n):
-        raise ValueError("not a square matrix of pairs of finite numbers")
-    return pairs[:count], window.take(_nothing, i + 1, HEAD_CHARS)[1]
-
-
 def _named(path, read: Callable, *args) -> Any:
     """``read(*args)``, re-raising an EffnumError as its own type with ``path`` in front."""
     try:
@@ -238,34 +110,6 @@ def _int_field(doc: dict, key: str, *, listed: bool = False):
     return value
 
 
-def _number_array(value) -> np.ndarray | None:
-    """``value`` as a float array if it is a finite JSON number or rectangular
-    lists, nested to any depth, of them; otherwise None.
-
-    One pass per nesting level, each over a flat list: ``set(map(...))``
-    checks the types and the lengths and ``np.fromiter`` converts, so
-    nothing recurses and numpy never walks nested lists.  A string, a
-    boolean, null, a ragged list, an integer beyond float range, NaN or
-    Infinity (which Python's decoder accepts but JSON does not) gives None.
-    """
-    if isinstance(value, np.ndarray):  # rows that _walk has read
-        return value
-    level, shape = [value], []
-    while (kinds := set(map(type, level))) == {list}:
-        lengths = set(map(len, level))
-        if len(lengths) != 1:
-            return None
-        shape.append(lengths.pop())
-        level = list(chain.from_iterable(level))
-    if not kinds <= {int, float}:  # bool is neither
-        return None
-    try:
-        arr = np.fromiter(level, float, len(level)).reshape(shape)
-    except (OverflowError, ValueError):  # beyond float range; more dimensions than numpy allows
-        return None
-    return arr if np.isfinite(arr).all() else None
-
-
 def _float_array(value, key: str) -> np.ndarray:
     """``value`` as a float array: finite JSON numbers in rectangular lists."""
     arr = _number_array(value)
@@ -283,9 +127,12 @@ def _float_field(doc: dict, key: str, *, listed: bool = False):
     return arr if listed else float(arr)
 
 
-def _index_groups(doc: dict) -> list[list[int]]:
-    """``doc["groups"]``: lists of 0-based indices, each a JSON integer."""
+def _index_groups(doc: dict) -> list[list[int]] | states.Blocks:
+    """``doc["groups"]``: lists of 0-based indices, each a JSON integer, or
+    the ``Blocks`` that ``_walk`` decoded them into."""
     groups = _require(doc, "groups")
+    if isinstance(groups, states.Blocks):
+        return groups
     if not (type(groups) is list and set(map(type, groups)) <= {list}
             and set(map(type, chain.from_iterable(groups))) <= {int}):
         raise InvalidInput("groups must be lists of JSON integer indices")
@@ -338,7 +185,8 @@ def _decomposition(doc: dict, dim: int | None = None):
     smallest dimension the indices fill (``check`` has no state to go by)."""
     groups = _index_groups(doc)
     if dim is None:
-        dim = 1 + max(chain.from_iterable(groups), default=-1)
+        dim = 1 + (int(groups.indices.max(initial=-1)) if isinstance(groups, states.Blocks)
+                   else max(chain.from_iterable(groups), default=-1))
     dec = states.OrthogonalDecomposition(groups, dim)
 
     basis_doc = doc.get("basis", "identity")
@@ -449,12 +297,15 @@ def _uniform_power_family(doc: dict):
     return ((2**j, _uniform_on_support(2**j, gamma)) for j in exponents)
 
 
-def _uniform_on_support(n: int, gamma: float) -> counting.ProbabilityVector:
-    """Uniform on the first ceil(n**(1-gamma)) of n states."""
+def _uniform_on_support(n: int, gamma: float) -> counting.WeightVector:
+    """The counting weights of the distribution uniform on the first
+    ceil(n**(1-gamma)) of n states: n * (1 / support) on those, the bits of
+    ``weights_from_probs``, and 0 on the rest, built without the
+    probabilities."""
     support = min(n, math.ceil(n ** (1.0 - gamma)))
-    p = np.zeros(n)
-    p[:support] = 1.0 / support
-    return counting.ProbabilityVector(counting._fresh(p))
+    w = np.zeros(n)
+    w[:support] = n * (1.0 / support)
+    return counting.WeightVector(counting._fresh(w))
 
 
 def _explicit_family(doc: dict):
@@ -508,15 +359,17 @@ def load_refine_problem(path: str | Path) -> tuple[continuum.RefinementProblem, 
     return _named(path, _refine_problem, _load_json(path))
 
 
-def load_dfd_family(path: str | Path) -> Iterable[tuple[int, counting.ProbabilityVector]]:
-    """Degree-of-freedom family file, as (n_k, p_k) pairs to be read once.
+def load_dfd_family(
+    path: str | Path,
+) -> Iterable[tuple[int, counting.ProbabilityVector | counting.WeightVector]]:
+    """Degree-of-freedom family file, as (n_k, member) pairs to be read once.
 
     {"kind": "uniform-power", "gamma": g, "exponents": [j, ...]} gives
     distributions uniform on ceil(n**(1-g)) of n = 2**j states, with
     1 <= j <= MAX_POWER_EXPONENT and at most MAX_FAMILY_STATES in all.  Its
-    parameters are checked here, and each member is built only when a scan
-    reaches it; {"kind": "explicit", "members": [{"n": n, "p": [...]}, ...]}
-    lists the distributions directly.
+    parameters are checked here, and each member is built, as its counting
+    weights, only when a scan reaches it; {"kind": "explicit", "members":
+    [{"n": n, "p": [...]}, ...]} lists the distributions directly.
     """
     return _named(path, _dfd_family, _load_json(path))
 

@@ -38,7 +38,8 @@ from .counting import (
     _fresh,
     as_dim,
     effnum,
-    exact_total,
+    exact_sums,
+    _summing,
     weights_from_probs,
 )
 from .errors import InvalidInput, InvariantViolation
@@ -48,6 +49,11 @@ GENERATOR_ID = "philox4x32-10/inverse-cdf"
 MIN_TRIALS_FOR_ESTIMATE = 100
 MAX_TRIALS = 2**24  # sample_outcomes holds 8 bytes per trial (16 while it joins the blocks)
 DEFAULT_BOOTSTRAP = 200
+# Kernel values, at most, of the bootstrap replicas summed by one exact_sums
+# call, one segment per replica: at small M one call's fixed cost is paid
+# once for many replicas, while at M = 4096 a segmented sum of several
+# replicas costs more per value than one sum per replica.
+BOOTSTRAP_BATCH = 2**12
 
 
 class OutcomeSequence(Frozen):
@@ -213,11 +219,18 @@ def _estimate(counts: np.ndarray, seed: int, run: int, c: CountingFunction | Non
     m = freqs.n
     pvals = freqs.p / float(np.sum(freqs.p))
     replicas = np.empty(DEFAULT_BOOTSTRAP)
-    for r in range(DEFAULT_BOOTSTRAP):
-        sub = SeedSequence(seed, spawn_key=(1 + run, r))
-        drawn = Generator(Philox(seed=sub)).multinomial(t, pvals)
-        if drawn.min() < 0 or drawn.sum() != t:
-            raise InvariantViolation(f"bootstrap replica {r} does not hold {t} trials")
-        replicas[r] = exact_total(c, m * (drawn / t))
+    batch = max(1, BOOTSTRAP_BATCH // m)  # replicas summed by one exact_sums call
+    for first in range(0, DEFAULT_BOOTSTRAP, batch):
+        drawn = np.empty((min(batch, DEFAULT_BOOTSTRAP - first), m), np.int64)
+        for r, row in enumerate(drawn, first):
+            sub = SeedSequence(seed, spawn_key=(1 + run, r))
+            row[:] = Generator(Philox(seed=sub)).multinomial(t, pvals)
+            if row.min() < 0 or row.sum() != t:
+                raise InvariantViolation(f"bootstrap replica {r} does not hold {t} trials")
+        # one segment per replica: each rounds once, as exact_total rounds it
+        with _summing:
+            values = c((m * (drawn / t)).ravel())
+            segments = np.repeat(np.arange(len(drawn)), m)
+            replicas[first:first + len(drawn)] = exact_sums(values, segments, len(drawn))
     stderr = float(np.std(replicas, ddof=1))
     return PluginEstimate(estimate=estimate, stderr=stderr, n_bootstrap=DEFAULT_BOOTSTRAP)

@@ -11,11 +11,12 @@ from __future__ import annotations
 
 import itertools
 import math
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
 from .counting import (
+    BLOCK,
     CountingFunction,
     Frozen,
     ProbabilityVector,
@@ -48,7 +49,8 @@ class PureState(Frozen):
             raise InvalidInput(f"state amplitudes must be a non-empty vector, got shape {arr.shape}")
         if not np.all(np.isfinite(arr.view(float))):
             raise InvalidInput("state amplitudes contain non-finite entries")
-        norm_sq = float((np.abs(arr) ** 2).sum())
+        squares = np.abs(arr)
+        norm_sq = float(np.square(squares, out=squares).sum())
         if abs(norm_sq - 1.0) > STATE_NORM_TOL:
             raise InvalidInput(
                 f"state norm^2 must equal 1 within {STATE_NORM_TOL:g}; got {norm_sq!r}"
@@ -73,8 +75,7 @@ class OrthonormalBasis(Frozen):
             raise InvalidInput(
                 f"basis dimension {mat.shape[0]} exceeds the supported cap {DEFAULT_DIM_CAP}"
             )
-        gram = mat.conj().T @ mat
-        defect = float(np.max(np.abs(gram - np.eye(mat.shape[0]))))
+        defect = _orthonormality_defect(mat)
         if not defect <= BASIS_ORTHO_TOL:
             raise InvalidInput(
                 f"basis columns are not orthonormal: max |U^H U - I| = {defect:.3e}"
@@ -86,36 +87,79 @@ class OrthonormalBasis(Frozen):
         return cls(np.eye(dim, dtype=complex))
 
 
+def _orthonormality_defect(mat: np.ndarray) -> float:
+    """max |U^H U - I| over the columns U of ``mat``, taken over rows of
+    U^H U of about ``BLOCK`` entries at a time, so that neither U^H nor
+    the whole product is built."""
+    n = mat.shape[0]
+    rows = BLOCK // max(n, 1)  # at least 16 under DEFAULT_DIM_CAP
+    maxima = []  # np.max, unlike max, keeps a NaN
+    for start in range(0, n, rows):
+        gram = mat[:, start:start + rows].T.conj() @ mat
+        diagonal = np.arange(gram.shape[0])
+        gram[diagonal, start + diagonal] -= 1.0
+        maxima.append(np.max(np.abs(gram)))
+        del gram  # before the next one is built
+    return float(np.max(maxima))
+
+
+class Blocks(NamedTuple):
+    """A partition's blocks as two integer arrays: their indices, block
+    after block, and the size of each block."""
+
+    indices: np.ndarray
+    sizes: np.ndarray
+
+
+def _block_of(flat: np.ndarray, sizes: np.ndarray, dim: int) -> np.ndarray:
+    """The block of each of the ``dim`` indices, given as ``flat``, block
+    after block, in blocks of ``sizes``; -1 for an index not given.  The
+    blocks are labelled about ``BLOCK`` at a time, so that no array of
+    labels in the order of ``flat`` is built whole."""
+    block = np.full(dim, -1, np.intp)
+    start = 0
+    for first in range(0, sizes.size, BLOCK):
+        part = sizes[first:first + BLOCK]
+        end = start + int(part.sum())
+        block[flat[start:end]] = np.repeat(np.arange(first, first + part.size), part)
+        start = end
+    return block
+
+
 class OrthogonalDecomposition(Frozen):
     """Partition of the basis-index set {0, ..., dim-1} into disjoint blocks.
 
     Each block models one orthogonal subspace; blocks with more than one
     index represent degenerate outcome sectors.  Indices are 0-based.  The
     blocks are kept as ``block``, read-only: ``block[i]`` is the block of
-    basis index i.
+    basis index i.  The blocks are lists of indices, or ``Blocks``, as a
+    file's reader decodes them.
     """
 
-    def __init__(self, blocks: Sequence[Sequence[int]], dim: int):
+    def __init__(self, blocks: Sequence[Sequence[int]] | Blocks, dim: int):
         dim = as_dim(dim, "decomposition dimension")
-        indices = list(itertools.chain.from_iterable(blocks))
-        kinds = set(map(type, indices))
+        if isinstance(blocks, Blocks):
+            flat, sizes = blocks
+            kinds = {flat.dtype.type, sizes.dtype.type}
+        else:
+            flat = list(itertools.chain.from_iterable(blocks))
+            kinds = set(map(type, flat))
         # numpy integers are indices too; a bool or a float is not one
         if not all(k is int or issubclass(k, np.integer) for k in kinds):
             names = ", ".join(sorted(k.__name__ for k in kinds))
             raise InvalidInput(f"block indices must be integers, got {names}")
-        sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
-        if not sizes.size or not sizes.all():
+        if not isinstance(blocks, Blocks):
+            sizes = np.fromiter(map(len, blocks), np.intp, len(blocks))
+            try:
+                flat = np.fromiter(flat, np.intp, len(flat))
+            except OverflowError:  # an index beyond the platform's integer range
+                flat = None
+        if not sizes.size or not (sizes > 0).all():
             raise InvalidInput("decomposition blocks must be non-empty")
-        try:
-            flat = np.fromiter(indices, np.intp, len(indices))
-        except OverflowError:  # an index beyond the platform's integer range
-            flat = None
         # dim indices in range, none missing: by pigeonhole, none repeated
-        if (flat is None or flat.size != dim or flat.min() < 0 or flat.max() >= dim
-                or not np.bincount(flat, minlength=dim).all()):
+        if (flat is None or flat.size != dim or sizes.sum() != dim or flat.min() < 0
+                or flat.max() >= dim or (block := _block_of(flat, sizes, dim)).min() < 0):
             raise InvalidInput(f"blocks must partition {{0,...,{dim - 1}}} into disjoint pieces")
-        block = np.empty(dim, np.intp)
-        block[flat] = np.repeat(np.arange(sizes.size), sizes)
         self._store(dim=dim, m_count=sizes.size, block=_fresh(block))
 
     @classmethod
@@ -178,7 +222,8 @@ def subspace_probs(
     if dec.dim != psi.dim:
         raise InvalidInput(f"decomposition dimension {dec.dim} != state dimension {psi.dim}")
     amps = _amps_in_basis(psi, basis)
-    return ProbabilityVector(exact_sums(np.abs(amps) ** 2, dec.block, dec.m_count))
+    squares = np.abs(amps)
+    return ProbabilityVector(exact_sums(np.square(squares, out=squares), dec.block, dec.m_count))
 
 
 def mu_uncertainty(

@@ -734,7 +734,8 @@ print(json.dumps([code, "numpy" in sys.modules,
 """
 
     @pytest.mark.parametrize("argv, numpy, unloaded", [
-        ([], False, ["continuum", "counting", "density", "entropy", "io", "simulate", "states"]),
+        ([], False, ["continuum", "counting", "decode", "density", "entropy", "io", "simulate",
+                     "states"]),
         (["qnum", "density_werner.json"], True, ["continuum", "entropy", "simulate"]),
         (["mu", "state_bell.json", "dec_pairs4.json"], True,
          ["continuum", "density", "entropy", "simulate"]),

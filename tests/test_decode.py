@@ -1,11 +1,13 @@
-"""The streamed decode of a density's "rows" against ``json.loads``.
+"""The streamed decode of a document's large lists against ``json.loads``.
 
-``io._load_json`` reads the open file through a window and a top-level
-"rows" member one row at a time (``io._walk``), and leaves every other
-document to ``json.loads``.  The differential test writes density documents
-in many textual forms, valid and corrupt, and reads each twice: as
-``_load_json`` does, and with the walk switched off, so that ``json.loads``
-decodes the whole document as before.
+``io._load_json`` reads the open file through a window and decodes the
+lists ``decode.MEMBERS`` names -- a state's "amps", a grid's "values", a
+density's "rows", a decomposition's "groups" and its basis's "rows" -- a
+run of items at a time into arrays (``io._walk``), and leaves every other
+document to ``json.loads``.  The differential test writes documents of
+each kind in many textual forms, valid and corrupt, and reads each twice:
+as ``_load_json`` does, and with the walk switched off, so that
+``json.loads`` decodes the whole document as before.
 """
 
 from __future__ import annotations
@@ -15,6 +17,7 @@ import json
 import tempfile
 import tracemalloc
 from io import StringIO
+from itertools import chain
 from pathlib import Path
 from unittest import mock
 
@@ -23,10 +26,10 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from effnum import io
+from effnum import decode, io
 from effnum.cli import main
 from effnum.errors import InvalidInput
-from effnum.states import DEFAULT_DIM_CAP
+from effnum.states import DEFAULT_DIM_CAP, Blocks
 
 SPACE = st.sampled_from(["", " ", "\n", "\t", "\r\n  ", "\n    "])
 
@@ -104,16 +107,53 @@ def matrices(draw):
 
 
 @st.composite
+def vectors(draw):
+    """Nested lists of number texts: a list of [re, im] pairs, sometimes
+    corrupted the way the CLI fuzz corrupts one."""
+    rows = draw(matrices())
+    return rows[0] if isinstance(rows, list) and rows and isinstance(rows[0], list) else rows
+
+
+INDICES = st.one_of(st.integers(0, 3).map(str),
+                    st.sampled_from(["-1", "0.0", "1e0", "true", '"0"', "null", str(2**63),
+                                     "1" + "0" * 30]))
+
+
+@st.composite
+def index_lists(draw):
+    """Lists of index texts, sometimes empty, not lists, or not a list."""
+    groups = draw(st.lists(st.lists(INDICES, max_size=3), max_size=4))
+    form = draw(st.sampled_from([None] * 6 + ["flat", "nested", "number"]))
+    if form == "flat":
+        return list(chain.from_iterable(groups))
+    if form == "nested":
+        return [groups]
+    return "3" if form == "number" else groups
+
+
+BASES = st.one_of(st.just('"identity"'), st.just('"x"'), st.just("{}"),
+                  matrices().map(lambda rows: (('"rows"', rows),)),
+                  matrices().map(lambda rows: (('"note"', '"]]"'), ('"rows"', rows))))
+
+
+@st.composite
 def documents(draw) -> str:
-    """The text of a density document: its members in any order, some
-    repeated or extra, sometimes not an object, truncated or with data
-    after it."""
-    members = [('"dim"', draw(st.sampled_from(["2", "2.0", "-0", "3", '"2"']))),
-               ('"rows"', draw(matrices()))]
+    """The text of a density, state, grid or decomposition document: its
+    members in any order, some repeated or extra, sometimes not an object,
+    truncated or with data after it."""
+    dim = ('"dim"', draw(st.sampled_from(["2", "2.0", "-0", "3", '"2"'])))
+    kind = draw(st.sampled_from(["density", "state", "grid", "decomposition"]))
+    members = {
+        "density": [dim, ('"rows"', draw(matrices()))],
+        "state": [dim, ('"amps"', draw(vectors()))],
+        "grid": [('"d"', "1"), ('"shape"', "[2]"), ('"spacing"', "[0.5]"),
+                 ('"values"', draw(vectors()))],
+        "decomposition": [('"groups"', draw(index_lists())), ('"basis"', draw(BASES))],
+    }[kind]
     extras = [('"rows"', draw(matrices())), ('"\\u0072ows"', draw(matrices())),
-              ('"rows"', '"x"'), ('"rows"', "{}"), ('"dim"', "1"), ('"note"', '"rows"'),
-              ('"amps"', [["1", "0"]]), ('"basis"', (('"rows"', draw(matrices())),)),
-              ('""', "null")]
+              ('"rows"', '"x"'), ('"rows"', "{}"), ('"dim"', "1"), ('"note"', '"rows]]"'),
+              ('"amps"', [["1", "0"]]), ('"amps"', draw(vectors())), ('"values"', "[[]]"),
+              ('"groups"', draw(index_lists())), ('"basis"', draw(BASES)), ('""', "null")]
     members += draw(st.lists(st.sampled_from(extras), max_size=3))
     text = draw(SPACE) + draw(_text(tuple(draw(st.permutations(members)))))
     form = draw(st.sampled_from([None] * 8 + ["array", "trailing", "truncated", "bom"]))
@@ -128,22 +168,54 @@ def documents(draw) -> str:
     return text + draw(SPACE)
 
 
+def _seen(key, value):
+    """A member as a reader sees it: a listed member's numbers as bits, and
+    groups as their indices and sizes, whether ``_walk`` or ``json.loads``
+    decoded them; any other member as its repr."""
+    if key in ("amps", "values", "rows"):
+        return _bits(decode._number_array(value))
+    if key == "groups":
+        try:
+            blocks = value if isinstance(value, Blocks) else Blocks(
+                np.array(list(chain.from_iterable(value)), np.intp),
+                np.array(list(map(len, value)), np.intp))
+        except (TypeError, ValueError, OverflowError):  # not lists of integers
+            return repr(value)
+        return _bits(blocks.indices), _bits(blocks.sizes)
+    if key == "basis" and isinstance(value, dict):
+        return [(k, _seen(k, v)) for k, v in value.items()]
+    return repr(value)
+
+
+def _read(read, doc):
+    """The arrays of what ``read`` makes of the document, or its error."""
+    try:
+        with np.errstate(all="ignore"):  # as the command line reads them
+            made = read(doc)
+    except InvalidInput as exc:
+        return str(exc)
+    return _arrays(made)
+
+
+def _arrays(obj):
+    if isinstance(obj, tuple):  # a decomposition and its basis or None
+        return [_arrays(o) for o in obj]
+    if obj is None or isinstance(obj, np.ndarray):
+        return _bits(obj)
+    return [(k, _bits(v)) for k, v in vars(obj).items() if isinstance(v, np.ndarray)]
+
+
 def _outcome(path):
-    """What the readers see of the file: each member, "rows" read by
-    ``_number_array``, and ``_density``'s matrix; or the InvalidInput text."""
+    """What the readers see of the file: each member, and what each
+    reader of ``io.SCHEMAS`` makes of it; or the InvalidInput text."""
     try:
         doc = io._load_json(path)
     except InvalidInput as exc:
         return str(exc)
     if not isinstance(doc, dict):
         return repr(doc)
-    members = [(k, _bits(io._number_array(v)) if k == "rows" else repr(v))
-               for k, v in doc.items()]
-    try:
-        matrix = _bits(io._density(doc))
-    except InvalidInput as exc:
-        matrix = str(exc)
-    return members, matrix
+    members = [(k, _seen(k, v)) for k, v in doc.items()]
+    return members, [_read(read, doc) for _, _, read in io.SCHEMAS[:4]]
 
 
 def _bits(arr):
@@ -155,21 +227,43 @@ def _crossing(rows: str) -> str:
     return '{"dim": 2, "rows": ' + rows + "}"
 
 
-@settings(max_examples=400, deadline=None, derandomize=True)
+def _pairs_text(n: int) -> str:
+    return "[" + ", ".join(f"[{i % 7}.25, -0.5]" for i in range(n)) + "]"
+
+
+@settings(max_examples=500, deadline=None, derandomize=True)
 @given(documents())
 @example('{"dim": 2, "rows": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]}}')  # "rows" closed by "}"
 @example('{"rows": [[[1, 0], [0, 0]], [[0, 0], [0, 0]]}, "dim": 2}')
-# the head window ends inside the first row's 0.123456: the row reads ROW_CHARS more
-@example(_crossing(" " * (io.HEAD_CHARS - 26) + '[[[0.123456, 0], [0, 0]], [[0, 0], [0, 0]]]'))
-# a row ends where the head window does: its lookahead reads ROW_CHARS more
-@example(_crossing(" " * (io.HEAD_CHARS - 36) + '[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]'))
-# a row runs past the head window and ROW_CHARS more: it reads the rest
-@example(_crossing('[[[0.5, 0], [0, 0]],' + " " * (io.HEAD_CHARS + io.ROW_CHARS) + '[[0, 0], [0.5, 0]]]'))
-# a member other than "rows" runs past the head window: it reads the rest
-@example('{"note": "' + "x" * io.HEAD_CHARS + '", "dim": 2, "rows": [[[1, 0], [0, 0]], '
+# the first window ends inside the first row's 0.123456: the run reads more
+@example(_crossing(" " * (decode.WINDOW_CHARS - 26)
+                   + '[[[0.123456, 0], [0, 0]], [[0, 0], [0, 0]]]'))
+# a row ends where the first window does: its lookahead reads more
+@example(_crossing(" " * (decode.WINDOW_CHARS - 36) + '[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]'))
+# the list's own "]" is the window's last character
+@example(_crossing(" " * (decode.WINDOW_CHARS - 55) + '[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]'))
+# a row runs past the first window and as much again: the window grows twice
+@example(_crossing('[[[0.5, 0], [0, 0]],' + " " * (3 * decode.WINDOW_CHARS)
+                   + '[[0, 0], [0.5, 0]]]'))
+# a member other than a listed one runs past the first window: it reads the rest
+@example('{"note": "' + "x" * decode.WINDOW_CHARS + '", "dim": 2, "rows": [[[1, 0], [0, 0]], '
          '[[0, 0], [0, 0]]]}')
-# data after a document whose rows were read past the head window
-@example(_crossing(" " * io.HEAD_CHARS + '[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]') + "x")
+# data after a document whose rows were read past the first window
+@example(_crossing(" " * decode.WINDOW_CHARS + '[[[1, 0], [0, 0]], [[0, 0], [0, 0]]]') + "x")
+# "amps" of many runs, and one pair cut by the window's end
+@example('{"dim": 6000, "amps": ' + _pairs_text(6000) + "}")
+@example('{"dim": 2, "amps": [[0.5,' + " " * decode.WINDOW_CHARS + '0], [0, 0.5]]}')
+# "]" in a string after the list, inside the run that ends the list
+@example('{"amps": [[1, 0]], "note": "]]", "dim": 1}')
+# a grid's values over several windows, one of them not a pair
+@example('{"d": 1, "shape": [6000], "spacing": [1.0], "values": '
+         + _pairs_text(6000)[:-1] + ", [1, 0, 0]]}")
+# groups over several windows, and one index too large for the platform
+@example('{"groups": [' + ", ".join(f"[{i}, {i + 1}]" for i in range(0, 20000, 2)) + "]}")
+@example('{"groups": [' + "[0], " * 20000 + "[" + str(2**64) + "]]}")
+# a basis's rows cross the first window, after groups
+@example('{"groups": [[0], [1]], "basis": {"rows": ' + " " * (decode.WINDOW_CHARS - 40)
+         + '[[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}}')
 def test_the_walk_reads_what_json_loads_reads(text):
     with tempfile.TemporaryDirectory() as tmp:
         path = Path(tmp) / "doc.json"
@@ -182,10 +276,10 @@ def test_the_walk_reads_what_json_loads_reads(text):
 
 def test_valid_rows_are_streamed():
     text = '{"dim": 2, "rows": [[[0.5, 0], [0, 0]], [[0, 0], [0.5, -0]]], "dim": 2}'
-    doc = io._walk(io._Window(StringIO(text)))
+    doc = decode._walk(decode._Window(StringIO(text)))
     assert list(doc) == ["dim", "rows"] and isinstance(doc["rows"], np.ndarray)
-    assert io._number_array(doc["rows"]) is doc["rows"]
-    assert doc["rows"].tobytes() == io._number_array(json.loads(text)["rows"]).tobytes()
+    assert decode._number_array(doc["rows"]) is doc["rows"]
+    assert doc["rows"].tobytes() == decode._number_array(json.loads(text)["rows"]).tobytes()
 
 
 class _Recording(StringIO):
@@ -200,14 +294,30 @@ class _Recording(StringIO):
         return super().read(size)
 
 
-def test_rows_are_read_in_pieces_and_any_other_member_at_once():
-    rows = _Recording(_density_text(128, 1))  # 0.8 MB
-    assert isinstance(io._walk(io._Window(rows))["rows"], np.ndarray)
-    assert set(rows.sizes) == {io.HEAD_CHARS}  # never the rest of the file at once
+def test_lists_are_read_in_pieces_and_any_other_member_at_once():
     n = 2**14
-    amps = _Recording(json.dumps({"dim": n, "amps": [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1)}))
-    assert io._walk(io._Window(amps))["dim"] == n
-    assert amps.sizes == [io.HEAD_CHARS, -1]  # "amps" ran past the head: the rest, once
+    for member in ({"rows": json.loads(_density_text(128, 1))["rows"]},  # 0.8 MB
+                   {"amps": [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1)},
+                   {"groups": [[i] for i in range(n)]},
+                   {"basis": {"rows": json.loads(_density_text(64, 2))["rows"]}}):
+        text = _Recording(json.dumps({"dim": n, **member}))
+        assert decode._walk(decode._Window(text))["dim"] == n
+        assert set(text.sizes) == {decode.WINDOW_CHARS}  # never the rest of the file at once
+    text = _Recording(json.dumps({"dim": n, "eigtuples": [[0.0]] * n}))
+    assert decode._walk(decode._Window(text))["dim"] == n
+    # "eigtuples" ran past the window: the rest of the file, once
+    assert text.sizes == [decode.WINDOW_CHARS, -1]
+
+
+def test_groups_are_read_as_blocks(tmp_path):
+    text = '{"groups": [[3, 0], [1], [2, 4]]}'
+    groups = decode._walk(decode._Window(StringIO(text)))["groups"]
+    assert isinstance(groups, Blocks)
+    assert groups.indices.tolist() == [3, 0, 1, 2, 4] and groups.sizes.tolist() == [2, 1, 2]
+    path = tmp_path / "dec.json"
+    path.write_text(text)
+    dec, basis = io.load_decomposition(path, 5)
+    assert basis is None and dec.block.tolist() == [0, 1, 2, 0, 2]
 
 
 def _density_text(n: int, seed: int) -> str:
@@ -238,7 +348,9 @@ def test_reading_a_density_peaks_at_about_its_text(tmp_path):
 
 def test_reading_a_density_holds_about_one_matrix(tmp_path):
     # with the rows kept apart and stacked, and the matrix copied for the
-    # Hermiticity check, the solve and the stored copy, it peaked at 3.03 times
+    # Hermiticity check, the solve and the stored copy, it peaked at 3.03
+    # times; with a 1 MiB window refill read in pieces and joined, and the
+    # Hermiticity check's blocks of 1 MiB, at 1.53
     n = 512
     path = tmp_path / "rho.json"
     path.write_text(_density_text(n, 7))
@@ -250,7 +362,51 @@ def test_reading_a_density_holds_about_one_matrix(tmp_path):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak < 1.7 * 16 * n * n, peak / (16 * n * n)
+    assert peak < 1.2 * 16 * n * n, peak / (16 * n * n)
+
+
+def _pairs_json(values: np.ndarray) -> str:
+    return json.dumps(np.stack([values.real, values.imag], axis=-1).tolist())
+
+
+def _read_peak(read, path, small):
+    """Bytes ``read(path)`` allocates at its peak, after ``read(small)``
+    has warmed up first-use imports and caches."""
+    read(small)
+    gc.collect()
+    tracemalloc.start()
+    try:
+        read(path)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_reading_a_state_holds_about_one_array(tmp_path):
+    # with "amps" decoded as a tree of Python lists it peaked at 12 times its array
+    n = 2**20
+    rng = np.random.default_rng(11)
+    amps = rng.standard_normal(n) + 1j * rng.standard_normal(n)
+    path, small = tmp_path / "state.json", tmp_path / "small.json"
+    path.write_text(f'{{"dim": {n}, "amps": {_pairs_json(amps / np.linalg.norm(amps))}}}')
+    small.write_text('{"dim": 2, "amps": [[0.6, 0], [0, 0.8]]}')
+    peak = _read_peak(io.load_state, path, small)
+    assert peak < 2 * 16 * n, peak / (16 * n)
+
+
+def test_reading_a_basis_holds_about_one_matrix(tmp_path):
+    # with its rows decoded as a tree of Python lists, and U^H U and its
+    # difference from I built whole, it peaked at 12.5 times its matrix
+    n = 1024
+    rng = np.random.default_rng(12)
+    u = np.linalg.qr(rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n)))[0]
+    path, small = tmp_path / "dec.json", tmp_path / "small.json"
+    groups = json.dumps([[i] for i in range(n)])
+    path.write_text(f'{{"basis": {{"rows": {_pairs_json(u)}}}, "groups": {groups}}}')
+    small.write_text('{"basis": {"rows": [[[0, 0], [1, 0]], [[1, 0], [0, 0]]]}, '
+                     '"groups": [[0], [1]]}')
+    peak = _read_peak(lambda p: io.load_decomposition(p, n if p == path else 2), path, small)
+    assert peak < 2 * 16 * n * n, peak / (16 * n * n)
 
 
 def _pairs(*widths) -> list:
@@ -280,7 +436,7 @@ def _refused_as_before(path, message, capsys):
 def test_refused_rows_are_read_by_json_loads(tmp_path, capsys, case):
     dim, rows, message = REFUSED_ROWS[case]
     text = json.dumps({"dim": dim, "rows": rows})
-    assert io._walk(io._Window(StringIO(text))) is None
+    assert decode._walk(decode._Window(StringIO(text))) is None
     path = tmp_path / "rho.json"
     path.write_text(text)
     _refused_as_before(path, message, capsys)
@@ -291,7 +447,7 @@ def test_rows_wider_than_the_cap_are_read_by_their_shape(tmp_path, capsys):
     text = json.dumps({"dim": wide, "rows": _pairs(wide, wide)})
     tracemalloc.start()
     try:
-        rows = io._walk(io._Window(StringIO(text)))["rows"]
+        rows = decode._walk(decode._Window(StringIO(text)))["rows"]
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()

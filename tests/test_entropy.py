@@ -13,9 +13,11 @@ from effnum import (
     CountingFunction,
     InvalidInput,
     ProbabilityVector,
+    WeightVector,
     dfd_gamma_scan,
     io,
     mu_entropy,
+    weights_from_probs,
 )
 
 MINIMAL = CountingFunction.minimal()
@@ -258,6 +260,13 @@ class TestStreamedFamily:
         listed = dfd_gamma_scan(family, c)
         assert dfd_gamma_scan((member for member in family), c) == listed
         assert dfd_gamma_scan(io.load_dfd_family(_family_file(tmp_path, range(4, 12))), c) == listed
+
+    @pytest.mark.parametrize("gamma", [0.0, 0.375, 0.5, 1.0])
+    def test_a_uniform_member_is_the_weights_of_its_distribution(self, gamma):
+        for n, p in uniform_power_family(gamma, range(1, 13)):
+            member = io._uniform_on_support(n, gamma)
+            assert isinstance(member, WeightVector)
+            assert member.w.tobytes() == weights_from_probs(p).w.tobytes()
 
     def test_check_builds_no_member(self, tmp_path):
         # building every member (2**23 floats in all) peaked at 100 MB

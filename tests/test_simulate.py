@@ -291,6 +291,16 @@ class TestBootstrapMatchesTheReferenceLoop:
     def test_bit_identical(self, sequence, c):
         assert plugin_mu_estimate(sequence, c) == reference_plugin_mu_estimate(sequence, c)
 
+    @pytest.mark.parametrize("m", [64, 1000])
+    def test_replicas_summed_in_batches_bit_identical(self, m):
+        # 64 or 4 replicas per exact_sums call, and a shorter last batch
+        rng = np.random.default_rng(m)
+        amps = rng.normal(size=m) + 1j * rng.normal(size=m)
+        psi = PureState(amps / np.linalg.norm(amps))
+        seq = sample_outcomes(psi, OrthogonalDecomposition.singletons(m), None, 20_000, seed=m)
+        for c in (MINIMAL, CountingFunction.canonical(0.5)):
+            assert plugin_mu_estimate(seq, c) == reference_plugin_mu_estimate(seq, c)
+
     def test_small_block_count_bit_identical(self):
         psi, dec = three_outcome_state()
         seq = sample_outcomes(psi, dec, None, 10_000, seed=8)

@@ -15,7 +15,8 @@ from effnum import (
     mu_uncertainty,
     subspace_probs,
 )
-from effnum.states import DEFAULT_DIM_CAP
+from effnum.counting import BLOCK
+from effnum.states import DEFAULT_DIM_CAP, Blocks
 
 MINIMAL = CountingFunction.minimal()
 
@@ -267,6 +268,33 @@ class TestDecomposition:
     def test_index_beyond_the_integer_range_is_rejected(self):
         with pytest.raises(InvalidInput, match="partition"):
             OrthogonalDecomposition(((0,), (2**70,)), 2)
+
+    def test_blocks_give_the_decomposition_of_their_lists(self):
+        groups = [[4, 0], [2], [1, 3, 5]]
+        listed = OrthogonalDecomposition(groups, 6)
+        flat = np.array([i for group in groups for i in group])
+        given = OrthogonalDecomposition(Blocks(flat, np.array([2, 1, 3])), 6)
+        assert given.m_count == listed.m_count == 3
+        assert given.block.tolist() == listed.block.tolist() == [0, 2, 1, 2, 0, 2]
+
+    @pytest.mark.parametrize("flat, sizes, message", [
+        ([0.0, 1.0], [1, 1], "block indices must be integers, got float64"),
+        ([0, 1], [2, 0], "decomposition blocks must be non-empty"),
+        ([0, 1], [3, -1], "decomposition blocks must be non-empty"),
+        ([0, 0], [1, 1], "partition"),
+        ([0, 1], [1, 2], "partition"),
+        ([0, 2], [1, 1], "partition"),
+    ], ids=["float-indices", "empty-block", "negative-size", "repeated", "sizes-past-indices",
+            "out-of-range"])
+    def test_blocks_are_checked_as_lists_are(self, flat, sizes, message):
+        with pytest.raises(InvalidInput, match=message):
+            OrthogonalDecomposition(Blocks(np.array(flat), np.array(sizes)), 2)
+
+    def test_many_blocks_are_labelled_in_several_passes(self):
+        # more blocks than one labelling pass takes, each index once
+        order = np.random.default_rng(5).permutation(3 * BLOCK)
+        dec = OrthogonalDecomposition(Blocks(order, np.full(3 * BLOCK // 2, 2)), 3 * BLOCK)
+        assert np.array_equal(dec.block[order], np.arange(3 * BLOCK) // 2)
 
     @pytest.mark.parametrize("kind", [np.int64, np.int32, np.uint8, np.intp])
     def test_numpy_integer_indices_are_accepted(self, kind):
