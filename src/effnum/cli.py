@@ -232,15 +232,17 @@ def _cmd_check(args) -> io.Result:
     return out
 
 
-def _emit(text: str, out: str | None) -> None:
+def _emit(chunks, out: str | None) -> None:
+    """Write the output's chunks in turn to stdout, or to ``out`` through
+    ``out.tmp``, renamed once it is whole."""
     if out is None:
-        sys.stdout.write(text)
+        sys.stdout.writelines(chunks)
         return
     tmp, opened = out + ".tmp", False
     try:
         with open(tmp, "w") as handle:
             opened = True
-            handle.write(text)
+            handle.writelines(chunks)
         os.replace(tmp, out)
     except OSError as exc:
         if opened:  # a <out>.tmp this call could not open is not its to remove
@@ -340,7 +342,7 @@ def main(argv: list[str] | None = None) -> int:
     try:
         # overflows give inf or NaN, which the checks reject without a warning
         with _BlasThreads(), np.errstate(all="ignore"):
-            _emit(args.handler(args).render(args.format), args.out)
+            _emit(args.handler(args).chunks(args.format), args.out)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -18,6 +18,11 @@ The central quantity is the relative uncertainty fraction
 for a probability density P and a spectral density eta sharing a support,
 summed over the sectors of a mixed spectrum.  Uniform eta = 1/V turns
 V * F into the effective volume of a grid wave function.
+
+A refinement scan holds one level at a time: an interval problem writes
+level k's samples into one array, ``BLOCK`` midpoints at a time, scales it
+into counting weights in place and hands it to its WeightVector, and
+``refine_sequence`` drops level k before it builds level k + 1.
 """
 
 from __future__ import annotations
@@ -28,7 +33,7 @@ from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
-from .counting import (CountingFunction, Frozen, WeightVector, _fresh, as_dim, effnum,
+from .counting import (BLOCK, CountingFunction, Frozen, WeightVector, _fresh, as_dim, effnum,
                        exact_total, tail_fit)
 from .errors import InvalidInput
 
@@ -256,6 +261,7 @@ def refine_sequence(
         wv = WeightVector(problem.weights(k))
         rows.append(RefinementRow(level=k, m_count=wv.n, spacing=float(problem.spacing(k)),
                                   ratio=effnum(wv, c) / wv.n))
+        del wv  # before level k + 1 is built
     extrapolated, _, residual, window = tail_fit([r.spacing for r in rows], [r.ratio for r in rows])
     return RefinementResult(
         rows=tuple(rows), extrapolated=extrapolated, residual=residual, window=window
@@ -278,11 +284,14 @@ def interval_refinement_problem(
     """Dyadic refinement of a 1-d intensity profile on an interval.
 
     ``intensity`` returns non-negative midpoint samples proportional to
-    the probability density (a wave function's |psi|^2, say); each level
-    doubles the cell count, renormalizes the cell masses and converts
-    them to counting weights.  A level of more than ``MAX_REFINE_CELLS``
-    cells raises InvalidInput; ``spacing(k)`` applies that check without
-    building level k.
+    the probability density (a wave function's |psi|^2, say).  It is
+    applied to blocks of at most ``BLOCK`` midpoints at a time, never to a
+    whole level, so it must be elementwise.  Each level doubles the cell
+    count; ``weights(k)`` writes level k's samples into one array, which it
+    renormalizes and converts to counting weights in place and hands to the
+    WeightVector built from it (``_fresh``).  A level of more than
+    ``MAX_REFINE_CELLS`` cells raises InvalidInput; ``spacing(k)`` applies
+    that check without building level k.
     """
     lo, hi = float(box[0]), float(box[1])
     if hi <= lo:
@@ -302,14 +311,18 @@ def interval_refinement_problem(
         return (hi - lo) / cells(k)
 
     def weights(k: int) -> np.ndarray:
-        m = cells(k)
-        x = lo + (np.arange(m) + 0.5) * spacing(k)
-        vals = np.asarray(intensity(x), dtype=float)
-        if np.any(vals < 0.0):
-            raise InvalidInput("intensity samples must be non-negative")
+        m, h = cells(k), spacing(k)
+        vals = np.empty(m)
+        for start in range(0, m, BLOCK):
+            block = vals[start:start + BLOCK]
+            block[:] = intensity(lo + (np.arange(start, start + block.size) + 0.5) * h)
+            if np.any(block < 0.0):
+                raise InvalidInput("intensity samples must be non-negative")
         total = float(np.sum(vals))
         if total <= 0.0:
             raise InvalidInput("intensity vanishes on the whole box")
-        return m * (vals / total)
+        vals /= total
+        vals *= m  # the bits of m * (vals / total)
+        return _fresh(vals)
 
     return RefinementProblem(weights, spacing)

@@ -100,8 +100,8 @@ def _fresh(arr: np.ndarray) -> np.ndarray:
 
 def _owned(arr: np.ndarray) -> np.ndarray:
     """``arr`` if ``_fresh`` handed it over, a C-order copy otherwise: an
-    array that the value object being built may change in place and then
-    keep, handed on to its ``_store`` by ``_fresh``."""
+    array that the caller may change in place, handed on by ``_fresh``, so
+    that a value object built from it next keeps it."""
     return _fresh(arr if _FRESH.get(id(arr)) is arr else np.array(arr, order="C"))
 
 
@@ -128,39 +128,47 @@ def exact_sums(x, seg=None, m: int = 1) -> np.ndarray:
 
     ``seg`` gives each entry's segment in [0, m) (default, and always if
     m = 1: all in segment 0); the result has m entries, and an empty
-    segment sums to 0.0.
+    segment sums to 0.0.  An x that ``_fresh`` handed over is used up: the
+    passes work in it instead of in a copy.
 
     Error-free extraction (Rump, Ogita & Oishi, SIAM J. Sci. Comput. 2008):
     with e the exponent of max|x| (|x| < 2**e) and sigma =
     2**(ceil(log2(n + 2)) + e), q = (sigma + x) - sigma rounds every entry
     to a multiple of 2**-53 * sigma, and any partial sum of the q stays
     below sigma, so numpy adds them without error; x - q is exact too.
-    Passes repeat on the non-zero remainders, each gaining at least
-    52 - log2(n + 2) bits, and one ``math.fsum`` over each segment's few
-    exact pass totals rounds once.  Short and non-finite inputs, and
-    inputs whose sigma would overflow, take ``math.fsum`` directly.
+    Passes repeat on the remainders, each gaining at least 52 - log2(n + 2)
+    bits, and one ``math.fsum`` over each segment's few exact pass totals
+    rounds once.  Short and non-finite inputs, and inputs whose sigma would
+    overflow, take ``math.fsum`` directly.
     """
-    x = np.asarray(x, dtype=float).ravel()
+    x = _owned(np.asarray(x, dtype=float)).ravel()
     seg = None if seg is None or m == 1 else np.asarray(seg, dtype=np.intp)
     totals = _pass_totals(x, seg, m)
     if totals is None:
         return _fsums(x, seg, m)
     if seg is None:
         return np.array([math.fsum(totals)])
-    totals = np.stack(totals)
     # Adding one or two doubles rounds once, as fsum does; three or more
     # non-zero totals need fsum's exact accumulation.
-    sums = totals.sum(axis=0)
-    for j in np.flatnonzero(np.count_nonzero(totals, axis=0) > 2):
-        sums[j] = math.fsum(totals[:, j].tolist())
+    many = np.zeros(m, np.uint8)
+    for part in totals:
+        many += part != 0.0
+    fix = np.flatnonzero(many > 2)
+    exact = [math.fsum(column) for column in np.stack([part[fix] for part in totals], 1).tolist()]
+    sums = totals[0]
+    for part in totals[1:]:
+        sums += part
+    sums[fix] = exact
     return sums
 
 
 def _pass_totals(x: np.ndarray, seg: np.ndarray | None, m: int) -> list | None:
     """The exact totals of :func:`exact_sums`' error-free passes over the
-    float vector x: one float per pass, or with ``seg`` one array of m
-    segment totals per pass.  None where ``math.fsum`` must take x itself:
-    short or non-finite x, or one whose sigma would overflow."""
+    float vector x, which they use up: one float per pass, or with ``seg``
+    one array of m segment totals per pass.  The passes work in x while most
+    remainders are non-zero, and on a compressed copy of the rest after.
+    None where ``math.fsum`` must take x itself: short or non-finite x, or
+    one whose sigma would overflow; x is then as it was."""
     if x.size <= EXACT_SUM_CUTOFF:
         return None
     hi, lo = float(x.max()), float(x.min())
@@ -169,21 +177,22 @@ def _pass_totals(x: np.ndarray, seg: np.ndarray | None, m: int) -> list | None:
     top = math.frexp(max(hi, -lo))[1]
     if (x.size + 1).bit_length() + top > 1023:  # sigma would overflow
         return None
-    x = x.copy()  # the passes below work in place
     totals = []
     while True:
         sigma = math.ldexp(1.0, (x.size + 1).bit_length() + top)
         q = x + sigma
         q -= sigma
-        x -= q
+        x -= q  # a remainder of 0 stays 0 and adds 0 to its segment
         totals.append(float(q.sum()) if seg is None else np.bincount(seg, weights=q, minlength=m))
         del q  # before the remainders are compressed
-        keep = x != 0.0
-        x = x[keep]
-        if not x.size:
+        left = np.count_nonzero(x)
+        if not left:
             return totals
-        if seg is not None:
-            seg = seg[keep]
+        if 2 * left <= x.size:
+            keep = x != 0.0
+            x = x[keep]
+            if seg is not None:
+                seg = seg[keep]
         top = math.frexp(max(float(x.max()), -float(x.min())))[1]
 
 
@@ -324,7 +333,7 @@ def exact_total(f: Callable[..., np.ndarray], x, *more) -> float:
     with _summing:
         for start in range(0, arrays[0].size, BLOCK):
             values = np.asarray(f(*(a[start:start + BLOCK] for a in arrays)), dtype=float).ravel()
-            passes = _pass_totals(values, None, 1)
+            passes = _pass_totals(_owned(values), None, 1)
             parts.append(values if passes is None else np.array(passes))
         return exact_sums(np.concatenate(parts)).item()
 

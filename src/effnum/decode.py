@@ -23,18 +23,24 @@ from typing import Any, Callable
 
 import numpy as np
 
+from .errors import InvalidInput
 from .states import DEFAULT_DIM_CAP, Blocks
 
 _decode = json.JSONDecoder().raw_decode
 _space = json.decoder.WHITESPACE.match
 WINDOW_CHARS = 1 << 16  # the window is read, and a run of items cut, this many characters at a time
+# Largest input file read: the largest document the caps accept is a density
+# of DEFAULT_DIM_CAP**2 entries, each at most 54 characters at 17 significant
+# digits ("[-1.2345678901234567e-05, -1.2345678901234567e-05], "), 0.9 GB.
+MAX_FILE_BYTES = 64 * DEFAULT_DIM_CAP**2
 
 
 class _Window:
     """An open text file read forward: ``text`` holds what has been read and
     not yet dropped, ``start`` is the offset of its first character in the
     file, ``size`` the file's size in bytes (0 if it has none), and
-    ``ended`` says whether ``text`` runs to the end of the file."""
+    ``ended`` says whether ``text`` runs to the end of the file.  A file
+    above ``MAX_FILE_BYTES`` raises InvalidInput before any of it is read."""
 
     def __init__(self, file):
         self.file, self.text, self.start, self.ended = file, "", 0, False
@@ -42,6 +48,8 @@ class _Window:
             self.size = os.fstat(file.fileno()).st_size
         except OSError:  # a file in memory has no descriptor
             self.size = 0
+        if self.size > MAX_FILE_BYTES:
+            raise InvalidInput(f"{self.size} bytes exceed the file cap {MAX_FILE_BYTES}")
 
     def take(self, parse: Callable, i: int, size: int = -1, need: int = 0) -> tuple[Any, int]:
         """(value, index of the first non-space character after it) for
@@ -104,11 +112,14 @@ def _walk(window: _Window) -> dict | None:
     so that neither the lists of a large member nor the file's whole text
     exist at once.  None for any other file or on any doubt: not a
     non-empty object, invalid JSON, trailing data, or a list ``_items``
-    refuses."""
+    refuses.  A density whose "dim", met before its "rows", exceeds
+    ``DEFAULT_DIM_CAP`` raises InvalidInput before any row is decoded."""
     try:
         i = window.take(_nothing, 0, WINDOW_CHARS)[1]
         doc, i = _object(window, i, MEMBERS)
         return doc if i == len(window.text) else None
+    except InvalidInput:  # a declared size above its cap
+        raise
     # a JSONDecodeError, an integer too long to convert or too large for an
     # index, a UnicodeDecodeError, or a list _items refuses
     except (ValueError, OverflowError, RecursionError):
@@ -128,6 +139,10 @@ def _object(window: _Window, i: int, members: dict) -> tuple[dict, int]:
     while True:  # window.text[i] is the "{" or "," before a member
         key, i = window.take(_key, i + 1, WINDOW_CHARS)
         how = members.get(key)
+        if key == "rows" and members is MEMBERS and type(dim := doc.get("dim")) is int and (
+                dim > DEFAULT_DIM_CAP):  # a density's declared size, checked before any row
+            raise InvalidInput(
+                f"density matrix dimension {dim} exceeds the supported cap {DEFAULT_DIM_CAP}")
         if isinstance(how, dict) and window.text.startswith("{", i):
             value, i = _object(window, i, how)
         elif isinstance(how, tuple):

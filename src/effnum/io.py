@@ -1,21 +1,15 @@
 """JSON input formats and command output.
 
 All input files are JSON documents with complex numbers written as
-``[re, im]`` pairs and 0-based indices.  ``_load_json`` alone decodes
-files, by ``effnum.decode``: it reads the open file through a window, so a
-valid file's whole text is never held, and decodes each large list -- a
-state's "amps", a grid's "values", a density's or a basis's "rows", a
-decomposition's "groups" -- a run of items at a time into one array, so no
-such list exists as a tree of Python lists; any document it cannot read
-that way goes to ``json.loads``.  Each input kind has one reader of the
-decoded document alone, which ``load_<kind>`` and, through ``SCHEMAS``,
-``check_file`` call through ``_named``: the one place an error raised
-while reading a file gets the file's name.  A reader hands the array it
-has just decoded to its value object by ``counting._fresh``, so the object
-keeps it without a copy.
-A command's output is one ``Result``, rendered as json, csv or a table.
-Floating-point output in the json/csv renderers carries 17 significant
-digits so values round-trip exactly.
+``[re, im]`` pairs and 0-based indices.  ``_load_json`` alone reads files,
+by ``effnum.decode`` if it can and ``json.loads`` if not.  Each input kind
+has one reader of the decoded document alone, which ``load_<kind>`` and,
+through ``SCHEMAS``, ``check_file`` call through ``_named``: the one place
+an error raised while reading a file gets the file's name.  A reader hands
+the array it has just decoded to its value object by ``counting._fresh``,
+so the object keeps it without a copy.  A command's output is one
+``Result``, rendered as json, csv or a table in chunks, 4,096 lines of an
+array at a time, so the whole text of a long output never exists.
 """
 
 from __future__ import annotations
@@ -24,9 +18,9 @@ import gc
 import json
 import math
 from functools import partial
-from itertools import chain
+from itertools import chain, count
 from pathlib import Path
-from typing import Any, Callable, Iterable
+from typing import Any, Callable, Iterable, Iterator
 
 import numpy as np
 
@@ -57,17 +51,18 @@ def parse_counting_selector(text: str) -> counting.CountingFunction:
 def _load_json(path: str | Path) -> Any:
     """The document in the file at ``path``, decoded with the cyclic garbage
     collector paused: a decoded document holds no reference cycles, so a
-    collection triggered by its many new objects would free nothing; it
-    would only walk them, and the heap.  ``_walk`` decodes it from the open
-    file if it can, ``json.loads`` from the file's whole text if not, so a
-    valid file is decoded once and every other file gets ``json.loads``'s
-    verdict."""
+    collection triggered by its many new objects would only walk them.
+    ``_walk`` decodes it from the open file if it can, ``json.loads`` from
+    the file's whole text if not.  A file above ``decode.MAX_FILE_BYTES``,
+    or a density of a declared size above its cap, is refused unread."""
     enabled = gc.isenabled()
     gc.disable()
     try:
-        with open(path) as file:
-            doc = _walk(_Window(file))
+        with open(path) as file:  # the window stats it and refuses one above the cap
+            doc = _named(path, lambda: _walk(_Window(file)))
         return json.loads(Path(path).read_text()) if doc is None else doc
+    except InvalidInput:  # a size above its cap
+        raise
     except (OSError, UnicodeDecodeError) as exc:  # a UnicodeDecodeError has no strerror
         reason = getattr(exc, "strerror", None) or exc
         raise InvalidInput(f"{path}: cannot read file: {reason}") from exc
@@ -414,7 +409,7 @@ def format_float(x: float) -> str:
 
 class Result:
     """One command's output, filled once: the JSON payload, the parts of its
-    ``table_text`` and the rows of its ``csv_text``, rendered by :meth:`render`."""
+    table and the rows of its csv, rendered by :meth:`chunks`."""
 
     def __init__(self, command: str, title: str, header: list[str]):
         self.payload = {"command": command}
@@ -435,77 +430,82 @@ class Result:
         row = value if isinstance(value, np.ndarray) else [key, value]
         self.add((label, value) if label else None, row if csv else None)
 
-    def render(self, fmt: str) -> str:
+    def chunks(self, fmt: str) -> Iterator[str]:
+        """The output in ``fmt`` as pieces of text to be written in turn."""
         if fmt == "json":
-            return json_text(self.payload) + "\n"
-        if fmt == "csv":
-            return csv_text(self.header, self.csv)
-        return table_text(self.title, self.table)
+            return chain(json_chunks(self.payload), "\n")
+        return (csv_chunks(self.header, self.csv) if fmt == "csv"
+                else table_chunks(self.title, self.table))
+
+    def render(self, fmt: str) -> str:
+        return "".join(self.chunks(fmt))
 
 
-def json_text(obj: Any, indent: int = 0) -> str:
-    """Serialize to JSON with floats at 17 significant digits."""
+def _lines(arr: np.ndarray, line: Callable, keys: Iterator, sep: str = "") -> Iterator[str]:
+    """``line(entry, next(keys))`` per entry, joined by ``sep``, 4,096 entries a chunk."""
+    for start in range(0, arr.size, step := counting.BLOCK // 16):
+        yield sep * bool(start) + sep.join(map(line, arr[start:start + step].tolist(), keys))
+
+
+def json_text(obj: Any) -> str:
+    return "".join(json_chunks(obj))
+
+
+def json_chunks(obj: Any, indent: int = 0) -> Iterator[str]:
+    """Serialize to JSON with floats at 17 significant digits, in chunks."""
     if isinstance(obj, np.ndarray):
-        return "[" + ", ".join(map("{:.17g}".format, obj.tolist())) + "]"
-    pad = "  " * indent
-    inner = "  " * (indent + 1)
-    if isinstance(obj, dict):
-        if not obj:
-            return "{}"
-        items = [f'{inner}{json.dumps(str(k))}: {json_text(v, indent + 1)}' for k, v in obj.items()]
-        return "{\n" + ",\n".join(items) + f"\n{pad}}}"
-    if isinstance(obj, (list, tuple)):
-        if not obj:
-            return "[]"
-        if not any(isinstance(v, (dict, list, tuple)) for v in obj):
-            return "[" + ", ".join(map(json_text, obj)) + "]"
-        items = [f"{inner}{json_text(v, indent + 1)}" for v in obj]
-        return "[\n" + ",\n".join(items) + f"\n{pad}]"
-    if isinstance(obj, float):
-        return format_float(obj)
-    return json.dumps(obj)
+        yield from chain("[", _lines(obj, "{:.17g}".format, count(), ", "), "]")
+    elif isinstance(obj, dict) and obj:
+        for i, (key, value) in enumerate(obj.items()):
+            yield f"{',' if i else '{'}\n{'  ' * (indent + 1)}{json.dumps(str(key))}: "
+            yield from json_chunks(value, indent + 1)
+        yield "\n" + "  " * indent + "}"
+    elif isinstance(obj, (list, tuple)) and any(isinstance(v, (dict, list, tuple)) for v in obj):
+        for i, value in enumerate(obj):
+            yield f"{',' if i else '['}\n{'  ' * (indent + 1)}"
+            yield from json_chunks(value, indent + 1)
+        yield "\n" + "  " * indent + "]"
+    elif isinstance(obj, (list, tuple)):
+        yield "[" + ", ".join(map(json_text, obj)) + "]"
+    else:
+        yield format_float(obj) if isinstance(obj, float) else json.dumps(obj)
 
 
 def csv_text(header: list[str], rows: list) -> str:
+    return "".join(csv_chunks(header, rows))
+
+
+def csv_chunks(header: list[str], rows: list) -> Iterator[str]:
     """Render rows, lists of cells or 1-d float arrays, as CSV with
     17-significant-digit floats; an array's entry i is the row i,value."""
-    def cell(value: Any) -> str:
-        if isinstance(value, bool):
-            return "true" if value else "false"
-        if isinstance(value, float):
-            return format_float(value)
-        return str(value)
-
-    lines = [",".join(header)]
+    yield ",".join(header) + "\n"
     for row in rows:
         if isinstance(row, np.ndarray):
-            lines.extend(map("{},{:.17g}".format, range(row.size), row.tolist()))
-        else:
-            lines.append(",".join(map(cell, row)))
-    return "\n".join(lines) + "\n"
+            yield from _lines(row, "{1},{0:.17g}\n".format, count())
+        else:  # a bool is true or false
+            yield ",".join(str(v).lower() if isinstance(v, bool) else format_float(v)
+                           if isinstance(v, float) else str(v) for v in row) + "\n"
 
 
-def table_text(title: str, parts: list) -> str:
+def table_chunks(title: str, parts: list) -> Iterator[str]:
     """Render the title and one indented line per part: a (label, value)
     pair, aligned with the other pairs and with floats at 12 significant
     digits, or a preformatted line.  A pair whose value is a 1-d float
     array renders one pair ``label[i]`` (1-based) per entry."""
-    pairs = [p for p in parts if isinstance(p, tuple)]
     # an array's last label is its longest; an empty array has none
     labels = [f"{label}[{value.size}]" if isinstance(value, np.ndarray) else label
-              for label, value in pairs if not isinstance(value, np.ndarray) or value.size]
+              for label, value in (p for p in parts if isinstance(p, tuple))
+              if not isinstance(value, np.ndarray) or value.size]
     width = max(map(len, labels), default=0)
-    lines = [title]
+    yield title + "\n"
     for part in parts:
         if not isinstance(part, tuple):
-            lines.append(f"  {part}")
+            yield f"  {part}\n"
             continue
         label, value = part
         if isinstance(value, np.ndarray):
-            pair = f"  {{:<{width}}}  {{:.12g}}".format
-            names = map(f"{label}[{{}}]".format, range(1, value.size + 1))
-            lines.extend(map(pair, names, value.tolist()))
+            pair = f"  {{1:<{width}}}  {{0:.12g}}\n".format
+            yield from _lines(value, pair, map(f"{label}[{{}}]".format, count(1)))
         else:
             value = f"{value:.12g}" if isinstance(value, float) else value
-            lines.append(f"  {label:<{width}}  {value}")
-    return "\n".join(lines) + "\n"
+            yield f"  {label:<{width}}  {value}\n"

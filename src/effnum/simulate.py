@@ -13,7 +13,9 @@ smallest power of two at least twice the block count, gives each uniform
 a starting index that is never past its answer, and a short forward walk
 finishes it.  The indices equal ``np.searchsorted(cumulative, u,
 side="right")`` exactly; K is a power of two so that the bucket bounds
-k/K and the bucket u*K are computed without rounding.
+k/K and the bucket u*K are computed without rounding.  The CLI's sampler
+draws, searches and bins ``BLOCK // 4`` (2**14) trials at a time and keeps
+only the M outcome counts, so a run holds O(M) plus one block, never t.
 
 The plug-in estimator evaluates the effective outcome count on empirical
 frequencies count / t.  Each is one correctly rounded division, the same
@@ -21,7 +23,9 @@ float as ``Fraction(count, t)`` rounds to, so no rational arithmetic is
 needed; ``empirical_fractions`` still gives the exact rationals.  It is
 biased for nonlinear kernels (the population quantity is defined on exact
 probabilities); the bootstrap standard error is reported so the
-bias/noise tradeoff is visible, and no debiasing is attempted.
+bias/noise tradeoff is visible, and no debiasing is attempted.  The
+bootstrap sums its replicas' kernel values at most ``BOOTSTRAP_BATCH`` at a
+time.
 """
 
 from __future__ import annotations
@@ -105,7 +109,10 @@ def sample_outcomes(
 
 def _index_chunks(probs: ProbabilityVector, t: int, seed: int, run: int) -> Iterator[np.ndarray]:
     """The outcome indices of t trials drawn from the collapse probabilities,
-    ``BLOCK`` trials at a time; t and the seed are checked before any draw.
+    ``BLOCK // 4`` trials at a time; t and the seed are checked before any
+    draw.  A block's uniforms, indices and search temporaries are several
+    arrays of its size, so a quarter of ``BLOCK``, 2**14 trials, keeps them
+    under 1 MiB.
 
     The uniforms come from Philox keyed by ``seed`` and jumped ``run``
     times, as if 2**128 draws were made per jump, so the runs of one seed
@@ -122,8 +129,9 @@ def _index_chunks(probs: ProbabilityVector, t: int, seed: int, run: int) -> Iter
     cumulative = np.cumsum(probs.p)
     cumulative[-1] = max(cumulative[-1], 1.0)  # guard the last bin against rounding
     guide = _guide_table(cumulative)
-    return (_indexed_search(cumulative, rng.random(min(BLOCK, t - start)), guide)
-            for start in range(0, t, BLOCK))
+    step = BLOCK // 4
+    return (_indexed_search(cumulative, rng.random(min(step, t - start)), guide)
+            for start in range(0, t, step))
 
 
 def _outcome_counts(probs: ProbabilityVector, t: int, seed: int, run: int) -> np.ndarray:

@@ -222,8 +222,9 @@ def subspace_probs(
     if dec.dim != psi.dim:
         raise InvalidInput(f"decomposition dimension {dec.dim} != state dimension {psi.dim}")
     amps = _amps_in_basis(psi, basis)
-    squares = np.abs(amps)
-    return ProbabilityVector(exact_sums(np.square(squares, out=squares), dec.block, dec.m_count))
+    squares = np.abs(amps)  # the exact sums use it up
+    return ProbabilityVector(exact_sums(_fresh(np.square(squares, out=squares)), dec.block,
+                                        dec.m_count))
 
 
 def mu_uncertainty(

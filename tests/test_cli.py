@@ -3,6 +3,7 @@ import json
 import math
 import subprocess
 import sys
+import tracemalloc
 import warnings
 
 import numpy as np
@@ -885,16 +886,94 @@ class TestColumns:
                                  np.random.default_rng(5).random(1227)])
         pairs = [(f"weight[{i + 1}]", v) for i, v in enumerate(values.tolist())]
         # the array's last label, weight[1234], is the widest and sets the width
-        assert io.table_text("t", [("a", 1.5), ("weight", values), "note"]) == (
+        assert "".join(io.table_chunks("t", [("a", 1.5), ("weight", values), "note"])) == (
             table_reference("t", [("a", 1.5)] + pairs)[:-1] + "\n  note\n")
         rows = [[i, v] for i, v in enumerate(values.tolist())]
         assert io.csv_text(["i", "v"], [values, ["x", 2.5]]) == csv_reference(
             ["i", "v"], rows + [["x", 2.5]])
         assert json_text({"v": values}) == json_text({"v": values.tolist()})
         empty = np.zeros(0)
-        assert io.table_text("t", [("a", 1), ("w", empty)]) == "t\n  a  1\n"
+        assert "".join(io.table_chunks("t", [("a", 1), ("w", empty)])) == "t\n  a  1\n"
         assert io.csv_text(["i", "v"], [empty]) == "i,v\n"
         assert json_text(empty) == "[]"
+
+
+class TestStreamedRender:
+    """A long column is rendered in chunks: the bytes of the whole-text
+    renderers, written in turn to stdout or to the --out file, holding one
+    chunk at a time."""
+
+    N = 2**17
+
+    def result(self) -> io.Result:
+        values = np.random.default_rng(17).random(self.N) * 1e-3
+        out = io.Result("mu", "a long column", ["block", "probability"])
+        out.put("n", self.N, "dimension N")
+        out.put("block_probs", values, "p", csv=True)
+        out.put("mu_uncertainty", 1.25, "mu-uncertainty", csv=True)
+        return out
+
+    @staticmethod
+    def whole_text(out: io.Result, fmt: str) -> str:
+        """The output as the renderers built it before they yielded chunks:
+        every line formatted, then joined once."""
+        values = out.payload["block_probs"]
+        if fmt == "json":
+            array = "[" + ", ".join(map("{:.17g}".format, values.tolist())) + "]"
+            return (f'{{\n  "command": "mu",\n  "n": {TestStreamedRender.N},\n'
+                    f'  "block_probs": {array},\n  "mu_uncertainty": 1.25\n}}\n')
+        if fmt == "csv":
+            lines = ["block,probability", *map("{},{:.17g}".format, range(values.size),
+                                               values.tolist()), "mu_uncertainty,1.25"]
+            return "\n".join(lines) + "\n"
+        width = len("mu-uncertainty")  # the longest label, longer than p[131072]
+        pair = f"  {{:<{width}}}  {{:.12g}}".format
+        lines = ["a long column", f"  {'dimension N':<{width}}  {TestStreamedRender.N}",
+                 *map(pair, map("p[{}]".format, range(1, values.size + 1)), values.tolist()),
+                 f"  {'mu-uncertainty':<{width}}  1.25"]
+        return "\n".join(lines) + "\n"
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_chunks_join_to_the_whole_text(self, fmt):
+        out = self.result()
+        chunks = list(out.chunks(fmt))
+        whole = self.whole_text(out, fmt)
+        # the index of the first difference, not the diff of two 4 MB texts
+        assert next((i for i, (a, b) in enumerate(zip("".join(chunks), whole)) if a != b),
+                    None) is None
+        assert "".join(chunks) == out.render(fmt) and len(out.render(fmt)) == len(whole)
+        assert len(chunks) > self.N // 4096  # one chunk or more per 4,096 entries
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_rendering_to_a_sink_holds_one_chunk(self, fmt, tmp_path):
+        # the whole-text renderers peaked at 14 (json) to 21 (table) MiB, the chunks at 0.5 MiB
+        out = self.result()
+        with open(tmp_path / "sink", "w") as sink:
+            sink.writelines(out.chunks(fmt))  # warm-up: first-use caches
+            gc.collect()
+            tracemalloc.start()
+            try:
+                sink.writelines(out.chunks(fmt))
+                peak = tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+        assert peak < 2**20, peak
+
+    def test_out_writes_the_bytes_of_stdout(self, capsys, tmp_path):
+        rng = np.random.default_rng(3)
+        amps = rng.standard_normal(self.N) + 1j * rng.standard_normal(self.N)
+        amps /= np.linalg.norm(amps)
+        state, dec = tmp_path / "state.json", tmp_path / "dec.json"
+        state.write_text(json.dumps({"dim": self.N, "amps": np.stack([amps.real, amps.imag],
+                                                                     -1).tolist()}))
+        dec.write_text(json.dumps({"groups": [[i] for i in range(self.N)]}))
+        for fmt in ("table", "csv", "json"):
+            code, stdout, _ = run(capsys, "mu", state, dec, "--format", fmt)
+            assert code == 0 and len(stdout) > 16 * self.N  # every entry is in it
+            target = tmp_path / f"out.{fmt}"
+            assert run(capsys, "mu", state, dec, "--format", fmt, "--out", target)[:2] == (0, "")
+            assert hash(target.read_text()) == hash(stdout)  # no diff of 4 MB texts on failure
+        assert not list(tmp_path.glob("*.tmp"))
 
 
 @pytest.fixture

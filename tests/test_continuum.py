@@ -2,6 +2,7 @@ import gc
 import math
 import sys
 import tracemalloc
+import weakref
 
 import numpy as np
 import pytest
@@ -31,7 +32,8 @@ from effnum import (
     relative_mu_continuum,
     riemann_sum,
 )
-from effnum.counting import BLOCK
+from effnum import continuum, io
+from effnum.counting import BLOCK, _fresh
 
 MINIMAL = CountingFunction.minimal()
 HALF = CountingFunction.canonical(0.5)
@@ -460,6 +462,52 @@ class TestRefinement:
         diffs = [abs(a - b) for a, b in zip(ratios, ratios[1:])]
         assert all(later < earlier for earlier, later in zip(diffs, diffs[1:]))
         assert result.residual < diffs[-1]
+
+    @pytest.mark.parametrize("block", [BLOCK, 1000], ids=["BLOCK", "1000"])
+    @pytest.mark.parametrize("kind", ["gaussian-1d", "half-box-1d"])
+    def test_a_level_is_the_whole_array_formula_bit_for_bit(self, monkeypatch, kind, block):
+        # 3 base cells: the levels are 3 * 2**(k-1) cells, never a multiple of the block
+        monkeypatch.setattr(continuum, "BLOCK", block)
+        doc = {"kind": kind, "box": [-0.25, 1.5], "center": 0.61, "sigma": 0.07, "base_cells": 3}
+        problem, _ = io.PROBLEM_KINDS[kind](doc)
+        if kind == "gaussian-1d":
+            def intensity(x):
+                return np.exp(-((x - 0.61) ** 2) / (2.0 * 0.07 * 0.07))
+        else:
+            def intensity(x):
+                return (x < 0.5 * (-0.25 + 1.5)).astype(float)
+        for k in range(1, 13):
+            m = 3 * 2 ** (k - 1)
+            vals = intensity(-0.25 + (np.arange(m) + 0.5) * (1.75 / m))
+            assert problem.weights(k).tobytes() == (m * (vals / np.sum(vals))).tobytes(), k
+
+    def test_a_level_holds_about_its_array(self):
+        # the whole-array formula held x, the intensity and two copies of the
+        # level: 3.0 times its array
+        doc = {"kind": "gaussian-1d", "box": [0.0, 1.0], "center": 0.4, "sigma": 0.1,
+               "base_cells": 2}
+        problem, _ = io.PROBLEM_KINDS["gaussian-1d"](doc)
+        problem.weights(3)  # warm-up: first-use caches
+        gc.collect()
+        tracemalloc.start()
+        try:
+            level = problem.weights(18)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert level.nbytes == 2 * 2**20 and peak < 2 * level.nbytes, peak / level.nbytes
+
+    def test_a_level_is_dropped_before_the_next_is_built(self):
+        levels = []
+
+        def weights(k):
+            assert all(level() is None for level in levels), k
+            arr = _fresh(np.ones(4 * k))  # kept by the level's WeightVector, not copied
+            levels.append(weakref.ref(arr))
+            return arr
+
+        problem = RefinementProblem(weights, lambda k: math.ldexp(1.0, 1 - k))
+        assert [row.m_count for row in refine_sequence(problem, 4, MINIMAL).rows] == [4, 8, 12, 16]
 
     def test_cell_cap_is_checked_before_any_level_is_built(self):
         sampled = []

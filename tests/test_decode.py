@@ -15,6 +15,7 @@ from __future__ import annotations
 import gc
 import json
 import tempfile
+import time
 import tracemalloc
 from io import StringIO
 from itertools import chain
@@ -296,12 +297,13 @@ class _Recording(StringIO):
 
 def test_lists_are_read_in_pieces_and_any_other_member_at_once():
     n = 2**14
-    for member in ({"rows": json.loads(_density_text(128, 1))["rows"]},  # 0.8 MB
-                   {"amps": [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1)},
-                   {"groups": [[i] for i in range(n)]},
-                   {"basis": {"rows": json.loads(_density_text(64, 2))["rows"]}}):
-        text = _Recording(json.dumps({"dim": n, **member}))
-        assert decode._walk(decode._Window(text))["dim"] == n
+    # a density's "dim" is its declared size, which the cap limits
+    for dim, member in ((128, {"rows": json.loads(_density_text(128, 1))["rows"]}),  # 0.8 MB
+                        (n, {"amps": [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1)}),
+                        (n, {"groups": [[i] for i in range(n)]}),
+                        (n, {"basis": {"rows": json.loads(_density_text(64, 2))["rows"]}})):
+        text = _Recording(json.dumps({"dim": dim, **member}))
+        assert decode._walk(decode._Window(text))["dim"] == dim
         assert set(text.sizes) == {decode.WINDOW_CHARS}  # never the rest of the file at once
     text = _Recording(json.dumps({"dim": n, "eigtuples": [[0.0]] * n}))
     assert decode._walk(decode._Window(text))["dim"] == n
@@ -444,7 +446,8 @@ def test_refused_rows_are_read_by_json_loads(tmp_path, capsys, case):
 
 def test_rows_wider_than_the_cap_are_read_by_their_shape(tmp_path, capsys):
     wide = DEFAULT_DIM_CAP + 1
-    text = json.dumps({"dim": wide, "rows": _pairs(wide, wide)})
+    # "dim" after "rows": a "dim" above the cap met first refuses the rows unread
+    text = json.dumps({"rows": _pairs(wide, wide), "dim": wide})
     tracemalloc.start()
     try:
         rows = decode._walk(decode._Window(StringIO(text)))["rows"]
@@ -456,3 +459,40 @@ def test_rows_wider_than_the_cap_are_read_by_their_shape(tmp_path, capsys):
     path = tmp_path / "rho.json"
     path.write_text(text)
     _refused_as_before(path, f"expected a {wide}x{wide} matrix, got shape (2, {wide})", capsys)
+
+
+def test_a_declared_size_above_the_cap_is_refused_before_any_row(tmp_path, capsys):
+    # every row decoded, this 134 MB file took 6.9 s to refuse
+    wide = DEFAULT_DIM_CAP + 1
+    row = "[" + ", ".join(["[0, 0]"] * wide) + "]"
+    path = tmp_path / "rho.json"
+    with open(path, "w") as file:
+        file.write(f'{{"dim": {wide}, "rows": [')
+        file.write(", ".join([row] * wide))
+        file.write("]}")
+    message = f"density matrix dimension {wide} exceeds the supported cap {DEFAULT_DIM_CAP}"
+    main(["check", str(tmp_path / "absent.json")])  # warm-up: first-use imports and caches
+    capsys.readouterr()
+    gc.collect()
+    tracemalloc.start()
+    try:
+        start = time.perf_counter()
+        code = main(["qnum", str(path)])
+        seconds = time.perf_counter() - start
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (code, capsys.readouterr().err) == (2, f"error: {path}: {message}\n")
+    assert seconds < 0.5 and peak < 64 * 2**20, (seconds, peak)
+    _refused_as_before(path, message, capsys)
+
+
+def test_a_file_above_the_byte_cap_is_refused_unread(tmp_path, capsys):
+    path = tmp_path / "huge.json"
+    with open(path, "wb") as file:  # sparse: no byte of it is written to disk
+        file.truncate(decode.MAX_FILE_BYTES + 1)
+    with mock.patch.object(decode._Window, "_read", side_effect=AssertionError("read")):
+        assert main(["mu", str(path), str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: {path}: {decode.MAX_FILE_BYTES + 1} bytes exceed the file cap "
+        f"{decode.MAX_FILE_BYTES}\n")
