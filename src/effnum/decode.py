@@ -3,13 +3,18 @@ run of items at a time into arrays.
 
 ``_walk`` reads an open file through a window (``_Window``) and decodes
 each list that ``MEMBERS`` names -- a state's "amps", a grid's "values", a
-density's or a basis's "rows", a decomposition's "groups" -- a run of
-items at a time into one array (two for "groups": their indices and
-sizes), so neither the file's whole text nor a tree of Python lists of a
-whole list exists at once.  It gives up, returning None, on any document
-it cannot read so, which ``io._load_json`` then reads with ``json.loads``.
-``_number_array`` reads numbers in nested lists for it and for the readers
-of ``effnum.io``.
+density's or a basis's "rows", a decomposition's "groups" and
+"eigtuples", a constant problem's "weights" and each "p" of a family's
+"members" -- a run of items at a time into one array (two for "groups":
+their indices and sizes), so neither the file's whole text nor a tree of
+Python lists of a whole list exists at once.  The window is read
+``WINDOW_CHARS`` at a time, and a run of flat items is cut at about
+``RUN_CHARS``, a quarter of that: a run's copy in brackets and its Python
+lists, about 10 times its text, are what a decode holds beyond its
+arrays, while a larger read costs fewer calls.  It gives up, returning
+None, on any document it cannot read so, which ``io._load_json`` then
+reads with ``json.loads``.  ``_number_array`` reads numbers in nested
+lists for it and for the readers of ``effnum.io``.
 """
 
 from __future__ import annotations
@@ -17,6 +22,7 @@ from __future__ import annotations
 import json
 import math
 import os
+import re
 from functools import partial
 from itertools import chain
 from typing import Any, Callable
@@ -28,7 +34,9 @@ from .states import DEFAULT_DIM_CAP, Blocks
 
 _decode = json.JSONDecoder().raw_decode
 _space = json.decoder.WHITESPACE.match
-WINDOW_CHARS = 1 << 16  # the window is read, and a run of items cut, this many characters at a time
+_item_end = re.compile(r"[,\]]").search
+WINDOW_CHARS = 1 << 16  # the window is read this many characters at a time
+RUN_CHARS = 1 << 14  # a run of flat items is cut at about this many characters
 # Largest input file read: the largest document the caps accept is a density
 # of DEFAULT_DIM_CAP**2 entries, each at most 54 characters at 17 significant
 # digits ("[-1.2345678901234567e-05, -1.2345678901234567e-05], "), 0.9 GB.
@@ -129,8 +137,9 @@ def _walk(window: _Window) -> dict | None:
 def _object(window: _Window, i: int, members: dict) -> tuple[dict, int]:
     """(the object at ``window.text[i]``, the index of the first non-space
     character after it), decoded member by member: a member ``members``
-    names is a list decoded by ``_items`` or an object decoded by
-    ``_object`` with the table it gives, and any other is decoded at once,
+    names is a list decoded by ``_items``, an object decoded by ``_object``
+    with the table it gives, or a list of such objects (a one-table list),
+    and any other is decoded at once,
     reading the rest of the file if it runs past the window.  No reader
     quotes such a list in an error message."""
     if not window.text.startswith("{", i):
@@ -145,6 +154,8 @@ def _object(window: _Window, i: int, members: dict) -> tuple[dict, int]:
                 f"density matrix dimension {dim} exceeds the supported cap {DEFAULT_DIM_CAP}")
         if isinstance(how, dict) and window.text.startswith("{", i):
             value, i = _object(window, i, how)
+        elif isinstance(how, list) and window.text.startswith("[", i):
+            value, i = _objects(window, i, *how)
         elif isinstance(how, tuple):
             value, i = _items(window, i, *how)
         else:
@@ -157,23 +168,48 @@ def _object(window: _Window, i: int, members: dict) -> tuple[dict, int]:
     return doc, window.take(_nothing, i + 1, WINDOW_CHARS)[1]
 
 
+def _objects(window: _Window, i: int, members: dict) -> tuple[list, int]:
+    """(the list of objects at ``window.text[i]``, the index of the first
+    non-space character after it), each object decoded by ``_object`` with
+    the table ``members``.  ValueError for an empty list or any item that
+    is not an object."""
+    docs = []
+    while True:  # window.text[i] is the "[" or "," before an object
+        doc, i = _object(window, window.take(_nothing, i + 1, WINDOW_CHARS)[1], members)
+        docs.append(doc)
+        if not window.text.startswith(",", i):
+            break
+    if not window.text.startswith("]", i):
+        raise ValueError("not a list of objects")
+    return docs, window.take(_nothing, i + 1, WINDOW_CHARS)[1]
+
+
 def _run(text: str, i: int, depth: int) -> tuple[list, int]:
     """(the next items, the index after them) of the list of items nested
     ``depth`` deep whose "[" or "," before an item is ``text[i]``.  A row
     of pairs (depth 2) is long enough to be a run by itself and is decoded
-    where it lies.  Flat items are cut at the last "]" within
-    ``WINDOW_CHARS``, or the first if it lies further, and decoded by one
-    ``raw_decode`` of their text in brackets; a cut in the wrong place, in
-    a string say, fails the decode or the readers' checks.  If the list's
-    own "]" closes them, the index is that of the "]".  ValueError if no
-    item ends before the window's last character."""
+    where it lies.  Flat items are cut within ``RUN_CHARS``, or after the
+    first item if it is longer: plain numbers (depth 0) at the list's own
+    "]" or else at the last ",", lists of numbers or indices (depth 1) at
+    the last "]".  The items are decoded by one ``raw_decode`` of their
+    text in brackets; a cut in the wrong place, in a string say, fails the
+    decode or the readers' checks.  If the list's own "]" closes them, the
+    index is that of the "]".  ValueError if no item ends in the window
+    (for lists, before its last character)."""
     if depth == 2:
         row, end = _value(text, i + 1)
         return [row], end
     i += 1
-    last = len(text) - 1
-    cut = text.rfind("]", i, min(last, i + WINDOW_CHARS)) + 1 or text.find("]", i, last) + 1
-    if not cut:
+    if depth == 0:
+        stop = min(len(text), i + RUN_CHARS)
+        cut = text.find("]", i, stop)
+        cut = cut if cut >= 0 else text.rfind(",", i, stop)
+        if cut < 0 and (after := _item_end(text, stop)):  # one number longer than a run
+            cut = after.start()
+    else:
+        last = len(text) - 1
+        cut = text.rfind("]", i, min(last, i + RUN_CHARS)) + 1 or text.find("]", i, last) + 1
+    if cut <= 0:
         raise ValueError("no item ends in the window")
     run = "[" + text[i:cut] + "]"
     items, end = _decode(run)
@@ -201,13 +237,14 @@ class _Pile:
     """Runs of equal-shaped items written one after another into one array,
     first sized for ``expect`` items and grown by a quarter when a run
     overflows it; ``array`` cuts it to the items written.  No reader takes
-    an item of more than 2 x ``DEFAULT_DIM_CAP`` numbers (a row wider than
-    the cap), so such items are counted, not kept: ``array`` is then a
-    read-only zero array of their shape, which holds no memory."""
+    a row of more than 2 x ``DEFAULT_DIM_CAP`` numbers (a row wider than
+    the cap), so items of more than ``bound`` numbers are counted, not
+    kept: ``array`` is then a read-only zero array of their shape, which
+    holds no memory."""
 
-    def __init__(self, run: np.ndarray, expect: int):
+    def __init__(self, run: np.ndarray, expect: int, bound: float = math.inf):
         self.shape, self.count = run.shape[1:], 0
-        self.kept = math.prod(self.shape) <= 2 * DEFAULT_DIM_CAP
+        self.kept = math.prod(self.shape) <= bound
         if self.kept:
             self.arr = np.empty((max(expect, len(run)), *self.shape), run.dtype)
 
@@ -237,7 +274,8 @@ def _items(window: _Window, i: int, depth: int, convert: Callable,
     Python objects.  The list is ``build(*arrays)``, or the one array.
 
     A list of rows is a matrix: its first row's width N sizes it for N
-    rows, and it must hold N if they are kept.  Any other list is sized by
+    rows, and it must hold N if they are kept, which they are unless wider
+    than the cap.  Any other list is sized by
     its first run and by the file's size after the list's start, which a
     large list fills.  ValueError for an empty list, a trailing comma,
     items ``convert`` refuses or items of unequal shape."""
@@ -256,7 +294,8 @@ def _items(window: _Window, i: int, depth: int, convert: Callable,
             width = runs[0].shape[1] if depth == 2 and runs[0].ndim > 1 else 0
             ahead = 1.0 if window.text.startswith("]", i) else (
                 (window.size - start) / (window.start + i - start))
-            piles = [_Pile(run, width or math.ceil(len(run) * max(ahead, 1.0) * 1.02))
+            bound = 2 * DEFAULT_DIM_CAP if depth == 2 else math.inf
+            piles = [_Pile(run, width or math.ceil(len(run) * max(ahead, 1.0) * 1.02), bound)
                      for run in runs]
         for pile, run in zip(piles, runs):
             pile.add(run)
@@ -269,13 +308,21 @@ def _items(window: _Window, i: int, depth: int, convert: Callable,
 
 
 # The members ``_walk`` decodes as lists of items, by key: (depth, convert,
-# build) for ``_items``, or the table of an object one level down.
+# build) for ``_items``, the table of an object one level down, or that
+# table in a list for a list of such objects.  Depth 0 is a list of plain
+# numbers, 1 a list of lists of numbers or indices, each cut into runs of
+# about RUN_CHARS, and 2 a list of matrix rows, one run per row.  Runs are
+# smaller than the WINDOW_CHARS read, so that a run's copy and lists stay
+# a fraction of the window's text.
 MEMBERS = {
     "amps": (1, _numbers),
     "values": (1, _numbers),
     "rows": (2, _numbers),
     "groups": (1, _indices, Blocks),
+    "eigtuples": (1, _numbers),
+    "weights": (0, _numbers),
     "basis": {"rows": (2, _numbers)},
+    "members": [{"p": (0, _numbers)}],
 }
 
 

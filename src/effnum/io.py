@@ -197,7 +197,7 @@ def _decomposition(doc: dict, dim: int | None = None):
 
     eig = doc.get("eigtuples")
     if eig is not None:  # no command reads the labels; the library's setup checks them
-        states.MeasurementSetup(dec, _float_array(eig, "eigtuples"))
+        states.MeasurementSetup(dec, counting._fresh(_float_array(eig, "eigtuples")))
     return dec, basis
 
 
@@ -245,7 +245,7 @@ def _interval(doc: dict) -> tuple[float, float]:
 
 
 def _constant_problem(doc: dict):
-    weights = _float_field(doc, "weights", listed=True)
+    weights = counting._fresh(_float_field(doc, "weights", listed=True))
     spacing = _float_field(doc, "base_spacing") if "base_spacing" in doc else 1.0
     return continuum.constant_refinement_problem(weights, spacing), "constant weights"
 
@@ -311,7 +311,7 @@ def _explicit_family(doc: dict):
     for member in members:
         n = _int_field(member, "n")
         p = _float_field(member, "p", listed=True)
-        family.append((n, counting.ProbabilityVector(p)))
+        family.append((n, counting.ProbabilityVector(counting._fresh(p))))
     return family
 
 

@@ -14,8 +14,9 @@ a starting index that is never past its answer, and a short forward walk
 finishes it.  The indices equal ``np.searchsorted(cumulative, u,
 side="right")`` exactly; K is a power of two so that the bucket bounds
 k/K and the bucket u*K are computed without rounding.  The CLI's sampler
-draws, searches and bins ``BLOCK // 4`` (2**14) trials at a time and keeps
-only the M outcome counts, so a run holds O(M) plus one block, never t.
+draws, searches and bins ``SAMPLE_BLOCK`` (2**13) trials at a time and
+keeps only the M outcome counts, so a run holds O(M) plus one block, never
+t.
 
 The plug-in estimator evaluates the effective outcome count on empirical
 frequencies count / t.  Each is one correctly rounded division, the same
@@ -52,6 +53,11 @@ from .states import OrthogonalDecomposition, OrthonormalBasis, PureState, subspa
 GENERATOR_ID = "philox4x32-10/inverse-cdf"
 MIN_TRIALS_FOR_ESTIMATE = 100
 MAX_TRIALS = 2**24  # sample_outcomes holds 8 bytes per trial (16 while it joins the blocks)
+# Trials drawn, searched and binned at a time: a block's uniforms, indices
+# and search temporaries are several arrays of its size, so an eighth of
+# BLOCK holds a run of 10^6 trials at M = 4096 to a 0.39 MiB tracemalloc
+# peak (0.64 at a quarter of BLOCK), for about 7% more time per trial.
+SAMPLE_BLOCK = BLOCK // 8
 DEFAULT_BOOTSTRAP = 200
 # Kernel values, at most, of the bootstrap replicas summed by one exact_sums
 # call, one segment per replica: at small M one call's fixed cost is paid
@@ -109,10 +115,8 @@ def sample_outcomes(
 
 def _index_chunks(probs: ProbabilityVector, t: int, seed: int, run: int) -> Iterator[np.ndarray]:
     """The outcome indices of t trials drawn from the collapse probabilities,
-    ``BLOCK // 4`` trials at a time; t and the seed are checked before any
-    draw.  A block's uniforms, indices and search temporaries are several
-    arrays of its size, so a quarter of ``BLOCK``, 2**14 trials, keeps them
-    under 1 MiB.
+    ``SAMPLE_BLOCK`` (2**13) trials at a time; t and the seed are checked
+    before any draw.
 
     The uniforms come from Philox keyed by ``seed`` and jumped ``run``
     times, as if 2**128 draws were made per jump, so the runs of one seed
@@ -129,9 +133,8 @@ def _index_chunks(probs: ProbabilityVector, t: int, seed: int, run: int) -> Iter
     cumulative = np.cumsum(probs.p)
     cumulative[-1] = max(cumulative[-1], 1.0)  # guard the last bin against rounding
     guide = _guide_table(cumulative)
-    step = BLOCK // 4
-    return (_indexed_search(cumulative, rng.random(min(step, t - start)), guide)
-            for start in range(0, t, step))
+    return (_indexed_search(cumulative, rng.random(min(SAMPLE_BLOCK, t - start)), guide)
+            for start in range(0, t, SAMPLE_BLOCK))
 
 
 def _outcome_counts(probs: ProbabilityVector, t: int, seed: int, run: int) -> np.ndarray:

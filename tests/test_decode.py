@@ -2,9 +2,10 @@
 
 ``io._load_json`` reads the open file through a window and decodes the
 lists ``decode.MEMBERS`` names -- a state's "amps", a grid's "values", a
-density's "rows", a decomposition's "groups" and its basis's "rows" -- a
-run of items at a time into arrays (``io._walk``), and leaves every other
-document to ``json.loads``.  The differential test writes documents of
+density's "rows", a decomposition's "groups", its "eigtuples" and its
+basis's "rows", a constant problem's "weights" and a family's members'
+"p" -- a run of items at a time into arrays (``decode._walk``), and leaves
+every other document to ``json.loads``.  The differential test writes documents of
 each kind in many textual forms, valid and corrupt, and reads each twice:
 as ``_load_json`` does, and with the walk switched off, so that
 ``json.loads`` decodes the whole document as before.
@@ -27,7 +28,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
-from effnum import decode, io
+from effnum import continuum, decode, io
 from effnum.cli import main
 from effnum.errors import InvalidInput
 from effnum.states import DEFAULT_DIM_CAP, Blocks
@@ -173,8 +174,11 @@ def _seen(key, value):
     """A member as a reader sees it: a listed member's numbers as bits, and
     groups as their indices and sizes, whether ``_walk`` or ``json.loads``
     decoded them; any other member as its repr."""
-    if key in ("amps", "values", "rows"):
+    if key in ("amps", "values", "rows", "eigtuples", "weights", "p"):
         return _bits(decode._number_array(value))
+    if key == "members" and type(value) is list:
+        return [[(k, _seen(k, v)) for k, v in member.items()] if isinstance(member, dict)
+                else repr(member) for member in value]
     if key == "groups":
         try:
             blocks = value if isinstance(value, Blocks) else Blocks(
@@ -301,13 +305,16 @@ def test_lists_are_read_in_pieces_and_any_other_member_at_once():
     for dim, member in ((128, {"rows": json.loads(_density_text(128, 1))["rows"]}),  # 0.8 MB
                         (n, {"amps": [[1.0, 0.0]] + [[0.0, 0.0]] * (n - 1)}),
                         (n, {"groups": [[i] for i in range(n)]}),
-                        (n, {"basis": {"rows": json.loads(_density_text(64, 2))["rows"]}})):
+                        (n, {"basis": {"rows": json.loads(_density_text(64, 2))["rows"]}}),
+                        (n, {"eigtuples": [[float(i)] for i in range(n)]}),
+                        (n, {"weights": [1.0] * n}),
+                        (n, {"members": [{"n": n, "p": [1 / n] * n}] * 2})):
         text = _Recording(json.dumps({"dim": dim, **member}))
         assert decode._walk(decode._Window(text))["dim"] == dim
         assert set(text.sizes) == {decode.WINDOW_CHARS}  # never the rest of the file at once
-    text = _Recording(json.dumps({"dim": n, "eigtuples": [[0.0]] * n}))
+    text = _Recording(json.dumps({"dim": n, "labels": [[0.0]] * n}))
     assert decode._walk(decode._Window(text))["dim"] == n
-    # "eigtuples" ran past the window: the rest of the file, once
+    # "labels", a member no reader reads, ran past the window: the rest of the file, once
     assert text.sizes == [decode.WINDOW_CHARS, -1]
 
 
@@ -461,6 +468,13 @@ def test_rows_wider_than_the_cap_are_read_by_their_shape(tmp_path, capsys):
     _refused_as_before(path, f"expected a {wide}x{wide} matrix, got shape (2, {wide})", capsys)
 
 
+def test_labels_wider_than_a_row_are_kept():
+    # only rows are counted, not kept, above 2 x DEFAULT_DIM_CAP numbers
+    labels = np.arange(2 * (2 * DEFAULT_DIM_CAP + 1), dtype=float).reshape(2, -1)
+    text = json.dumps({"groups": [[0], [1]], "eigtuples": labels.tolist()})
+    assert _bits(decode._walk(decode._Window(StringIO(text)))["eigtuples"]) == _bits(labels)
+
+
 def test_a_declared_size_above_the_cap_is_refused_before_any_row(tmp_path, capsys):
     # every row decoded, this 134 MB file took 6.9 s to refuse
     wide = DEFAULT_DIM_CAP + 1
@@ -496,3 +510,203 @@ def test_a_file_above_the_byte_cap_is_refused_unread(tmp_path, capsys):
     assert capsys.readouterr().err == (
         f"error: {path}: {decode.MAX_FILE_BYTES + 1} bytes exceed the file cap "
         f"{decode.MAX_FILE_BYTES}\n")
+
+
+@st.composite
+def number_lists(draw, max_size=12):
+    """A list of number texts, sometimes corrupted: a number JSON forbids,
+    a nested list, no items, or a comma before its end."""
+    items = draw(st.lists(NUMBERS, min_size=1, max_size=max_size))
+    k = draw(st.integers(0, len(items) - 1))
+    form = draw(st.sampled_from([None] * 6 + ["number", "nested", "empty", "trailing"]))
+    if form == "number":
+        items[k] = draw(CORRUPT_NUMBERS)
+    elif form == "nested":
+        items[k] = [items[k]]
+    elif form == "empty":
+        items = []
+    elif form == "trailing":
+        return draw(_text(items))[:-1] + "," + draw(SPACE) + "]"
+    return items
+
+
+@st.composite
+def label_lists(draw):
+    """Outcome labels: rows of equally many number texts, sometimes
+    ragged, flat, corrupted, empty or with a comma before their end."""
+    width = draw(st.integers(0, 3))
+    rows = draw(st.lists(st.lists(NUMBERS, min_size=width, max_size=width),
+                         min_size=1, max_size=8))
+    k = draw(st.integers(0, len(rows) - 1))
+    form = draw(st.sampled_from([None] * 6 + ["ragged", "flat", "number", "empty", "trailing"]))
+    if form == "ragged":
+        rows[k] = rows[k] + ["0"]
+    elif form == "flat":
+        rows = list(chain.from_iterable(rows)) or ["0"]
+    elif form == "number" and width:
+        rows[k][0] = draw(CORRUPT_NUMBERS)
+    elif form == "empty":
+        rows = []
+    elif form == "trailing":
+        return draw(_text(rows))[:-1] + "," + draw(SPACE) + "]"
+    return rows
+
+
+@st.composite
+def member_lists(draw):
+    """A family's members, objects of "n" and "p" in either order, sometimes
+    empty, with an item that is no object or a comma before their end."""
+    members = []
+    for n in draw(st.lists(st.integers(1, 6), min_size=1, max_size=4)):
+        p = draw(st.one_of(st.just([repr(1 / n)] * n), number_lists(6)))
+        members.append(tuple(draw(st.permutations([('"n"', str(n)), ('"p"', p)]))))
+    form = draw(st.sampled_from([None] * 6 + ["not-an-object", "empty", "trailing"]))
+    if form == "not-an-object":
+        members.insert(draw(st.integers(0, len(members))), draw(st.sampled_from(["3", "[]"])))
+    elif form == "empty":
+        members = []
+    elif form == "trailing":
+        return draw(_text(members))[:-1] + "," + draw(SPACE) + "]"
+    return members
+
+
+@st.composite
+def listed_documents(draw) -> str:
+    """The text of a constant problem, a decomposition with labels or an
+    explicit family, members in any order."""
+    kind = draw(st.sampled_from(["weights", "eigtuples", "members"]))
+    if kind == "weights":
+        members = [('"kind"', '"constant"'), ('"weights"', draw(number_lists()))]
+        members += draw(st.sampled_from([[], [('"base_spacing"', "0.5")]]))
+    elif kind == "eigtuples":
+        labels = draw(label_lists())
+        m = len(labels) if isinstance(labels, list) else 2
+        members = [('"groups"', [[str(i)] for i in range(m)]), ('"eigtuples"', labels)]
+    else:
+        members = [('"kind"', '"explicit"'), ('"members"', draw(member_lists()))]
+    return draw(SPACE) + draw(_text(tuple(draw(st.permutations(members))))) + draw(SPACE)
+
+
+def _made(obj):
+    """The arrays of a reader's object: a refinement problem's first level
+    and its description, a family's members, or a decomposition's arrays."""
+    if isinstance(obj, str):
+        return obj
+    if isinstance(obj, continuum.RefinementProblem):
+        return _bits(obj.weights(1)), obj.spacing(1)
+    if isinstance(obj, list):
+        return [(n, _bits(member.p)) for n, member in obj]
+    if isinstance(obj, tuple):
+        return [_made(o) for o in obj]
+    return _arrays(obj)
+
+
+def _checked_outcome(path):
+    """Each member as the readers see it, and the kind and object that
+    ``io._checked`` reads from the document; or the InvalidInput text."""
+    try:
+        doc = io._load_json(path)
+        members = [(k, _seen(k, v)) for k, v in doc.items()]
+        with np.errstate(all="ignore"):  # as the command line reads them
+            name, made = io._checked(doc)
+    except InvalidInput as exc:
+        return str(exc)
+    return members, name, _made(made)
+
+
+@settings(max_examples=400, deadline=None, derandomize=True)
+@given(listed_documents(), st.integers(1, 48))
+# a run of plain numbers cut at each comma, and at the list's own "]"
+@example('{"kind": "constant", "weights": [1, 2.5, 0.5]}', 1)
+@example('{"kind": "constant", "weights": [1, 2.5, 0.5]}', 9)
+@example('{"groups": [[0], [1]], "eigtuples": [[1.0, 2], [3, 4.0]]}', 1)
+@example('{"kind": "explicit", "members": [{"p": [0.5, 0.5], "n": 2}, {"n": 1, "p": [1]}]}', 3)
+def test_listed_numbers_are_read_as_json_loads_reads_them(text, run_chars):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "doc.json"
+        path.write_text(text)
+        with mock.patch.object(decode, "RUN_CHARS", run_chars):
+            streamed = _checked_outcome(path)
+        with mock.patch.object(io, "_walk", lambda text: None):
+            whole = _checked_outcome(path)
+    assert streamed == whole
+
+
+def test_a_list_of_numbers_is_cut_into_runs():
+    n = 5000
+    text = json.dumps({"kind": "constant", "weights": [float(i) for i in range(n)]})
+    runs = []
+
+    def run(text, i, depth):
+        items, end = real(text, i, depth)
+        runs.append(len(items))
+        return items, end
+
+    real = decode._run
+    with mock.patch.object(decode, "_run", run):
+        weights = decode._walk(decode._Window(StringIO(text)))["weights"]
+    assert np.array_equal(weights, np.arange(n, dtype=float))
+    # about RUN_CHARS of 8-character items per run, never the whole list
+    assert len(runs) > 1 and max(runs) <= decode.RUN_CHARS // 6 and sum(runs) == n
+
+
+# Listed members that the whole-document decode refuses: (command, document,
+# the end of its error output, in which {path} is the file's path).
+MALFORMED = {
+    "ragged-eigtuples": ("check", '{"groups": [[0], [1]], "eigtuples": [[1.0], [2.0, 3.0]]}',
+                         "  {path}: INVALID ('eigtuples' takes finite JSON numbers only, "
+                         "got [[1.0], [2.0, 3.0]])\n"),
+    "flat-eigtuples": ("check", '{"groups": [[0], [1]], "eigtuples": [1.0, 2.0]}',
+                       "  {path}: INVALID (need one eigenvalue tuple per subspace: "
+                       "got 1 for 2 blocks)\n"),
+    "empty-eigtuples": ("check", '{"groups": [[0], [1]], "eigtuples": []}',
+                        "  {path}: INVALID (need one eigenvalue tuple per subspace: "
+                        "got 1 for 2 blocks)\n"),
+    "trailing-eigtuples": ("check", '{"groups": [[0], [1]], "eigtuples": [[1.0], [2.0],]}',
+                           "  {path}: INVALID (1:51: invalid JSON: Expecting value)\n"),
+    "string-weight": ("refine", '{"kind": "constant", "weights": [1, "1"]}',
+                      "error: {path}: 'weights' takes finite JSON numbers only, got [1, '1']\n"),
+    "true-weight": ("refine", '{"kind": "constant", "weights": [1, true]}',
+                    "error: {path}: 'weights' takes finite JSON numbers only, got [1, True]\n"),
+    "empty-weights": ("refine", '{"kind": "constant", "weights": []}',
+                      "error: {path}: weight vector must be non-empty\n"),
+    "trailing-weights": ("refine", '{"kind": "constant", "weights": [1, 1,]}',
+                         "error: {path}:1:39: invalid JSON: Expecting value\n"),
+    "nan-p": ("dfd", '{"kind": "explicit", "members": [{"n": 2, "p": [0.5, NaN]}]}',
+              "error: {path}: 'p' takes finite JSON numbers only, got [0.5, nan]\n"),
+    "empty-p": ("dfd", '{"kind": "explicit", "members": [{"n": 2, "p": []}]}',
+                "error: {path}: probability vector must be non-empty\n"),
+    "trailing-p": ("dfd", '{"kind": "explicit", "members": [{"n": 2, "p": [0.5, 0.5,]}]}',
+                   "error: {path}:1:58: invalid JSON: Expecting value\n"),
+    "empty-members": ("dfd", '{"kind": "explicit", "members": []}',
+                      "error: need at least 3 family members to fit a slope\n"),
+    "trailing-members": ("dfd", '{"kind": "explicit", "members": [{"n": 2, "p": [0.5, 0.5]},]}',
+                         "error: {path}:1:60: invalid JSON: Expecting value\n"),
+    "number-member": ("dfd", '{"kind": "explicit", "members": [{"n": 2, "p": [0.5, 0.5]}, 3]}',
+                      "error: {path}: missing required key 'n'\n"),
+}
+
+
+@pytest.mark.parametrize("run_chars", [4, decode.RUN_CHARS])
+@pytest.mark.parametrize("case", list(MALFORMED))
+def test_malformed_listed_numbers_are_refused_as_before(tmp_path, capsys, case, run_chars):
+    command, text, ending = MALFORMED[case]
+    path = tmp_path / "doc.json"
+    path.write_text(text)
+    with mock.patch.object(decode, "RUN_CHARS", run_chars):
+        assert main([command, str(path)]) == 2
+    assert capsys.readouterr().err.endswith(ending.format(path=path))
+
+
+@pytest.mark.parametrize("member", ["weights", "eigtuples"])
+def test_a_long_list_of_numbers_peaks_at_about_its_array(tmp_path, member):
+    # decoded whole by json.loads from the whole text, 2^18 weights peaked at 6.7
+    # times their array and 2^18 one-number labels at 17.9 times
+    n = 2**18
+    values = np.random.default_rng(14).random(n)
+    listed = values.tolist() if member == "weights" else values[:, None].tolist()
+    path, small = tmp_path / "long.json", tmp_path / "small.json"
+    path.write_text(json.dumps({member: listed}))
+    small.write_text(json.dumps({member: listed[:4]}))
+    peak = _read_peak(io._load_json, path, small)
+    assert peak < 1.5 * 8 * n, peak / (8 * n)

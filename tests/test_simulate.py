@@ -26,7 +26,7 @@ from effnum import (
 )
 from effnum import cli, io, simulate, states
 from effnum.counting import BLOCK
-from effnum.simulate import DEFAULT_BOOTSTRAP, PluginEstimate, _indexed_search
+from effnum.simulate import DEFAULT_BOOTSTRAP, SAMPLE_BLOCK, PluginEstimate, _indexed_search
 
 from conftest import FIXTURES
 
@@ -373,18 +373,18 @@ def test_runs_of_a_trial_table_are_independent_streams(monkeypatch, capsys):
 
 
 class TestStreamedSampler:
-    """The trials are drawn and binned ``BLOCK // 4`` at a time."""
+    """The trials are drawn and binned ``simulate.SAMPLE_BLOCK`` at a time."""
 
     @pytest.mark.parametrize("run", [0, 1])
-    @pytest.mark.parametrize("t", [1, BLOCK // 4 - 1, BLOCK // 4 + 1, BLOCK - 1, BLOCK, BLOCK + 1,
-                                   3 * BLOCK + 5])
+    @pytest.mark.parametrize("t", [1, SAMPLE_BLOCK - 1, SAMPLE_BLOCK + 1, BLOCK // 4 - 1,
+                                   BLOCK // 4 + 1, BLOCK - 1, BLOCK, BLOCK + 1, 3 * BLOCK + 5])
     def test_chunks_equal_one_draw(self, t, run):
         p = np.random.default_rng(t).gamma(0.5, size=1000)
         probs = ProbabilityVector(p / p.sum())
         uniforms = Generator(Philox(key=np.uint64(7)).jumped(run)).random(t)
         chunks = list(simulate._index_chunks(probs, t, 7, run))
-        assert [chunk.size for chunk in chunks[:-1]] == [BLOCK // 4] * (len(chunks) - 1)
-        assert 1 <= chunks[-1].size <= BLOCK // 4
+        assert [chunk.size for chunk in chunks[:-1]] == [SAMPLE_BLOCK] * (len(chunks) - 1)
+        assert 1 <= chunks[-1].size <= SAMPLE_BLOCK
         assert np.array_equal(np.concatenate(chunks),
                               _indexed_search(guarded_cdf(probs.p), uniforms))
 

@@ -276,6 +276,33 @@ def test_a_reader_hands_its_array_over(monkeypatch, tmp_path, name):
     assert kept(obj) is read[-1] and not kept(obj).flags.writeable
 
 
+# Each reader of a listed float member that a command keeps: (its loader,
+# the document, the array the object it reads keeps).
+FLOAT_READERS = {
+    "constant weights": (io.load_refine_problem, {"kind": "constant", "weights": [0.5, 1.5]},
+                         lambda read: read[0].weights(1)),
+    "family member": (io.load_dfd_family,
+                      {"kind": "explicit", "members": [{"n": 2, "p": [0.25, 0.75]}]},
+                      lambda read: list(read)[0][1].p),
+}
+
+
+@pytest.mark.parametrize("name", list(FLOAT_READERS))
+def test_a_float_reader_hands_its_array_over(monkeypatch, tmp_path, name):
+    load, doc, kept = FLOAT_READERS[name]
+    path = tmp_path / "doc.json"
+    path.write_text(json.dumps(doc))
+    read, float_array = [], io._float_array
+
+    def spy(*args):
+        read.append(float_array(*args))
+        return read[-1]
+
+    monkeypatch.setattr(io, "_float_array", spy)
+    arr = kept(load(path))
+    assert arr is read[-1] and not arr.flags.writeable
+
+
 def test_arrays_are_copied_from_the_caller():
     p, eta, values = np.array([0.25, 0.75]), np.ones(4), np.ones((2, 2), complex)
     vector, family = effnum.ProbabilityVector(p), effnum.SectorFamily([eta], [eta], GRID)
