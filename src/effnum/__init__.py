@@ -72,9 +72,8 @@ _EXPORTS = {
         "riemann_sum",
     ),
     "simulate": (
-        "OutcomeSequence",
+        "OutcomeCounts",
         "PluginEstimate",
-        "empirical_fractions",
         "empirical_probs",
         "plugin_mu_estimate",
         "sample_outcomes",

@@ -187,7 +187,7 @@ def _cmd_simulate(args) -> io.Result:
     out.payload.update(m=dec.m_count, seed=args.seed, generator=simulate.GENERATOR_ID,
                        counting_function=c.label, exact=exact, runs=[])
     for i, t in enumerate(trial_counts):
-        est = simulate._estimate(simulate._outcome_counts(probs, t, args.seed, i), args.seed, i, c)
+        est = simulate.plugin_mu_estimate(simulate.sample_outcomes(probs, t, args.seed, i), c)
         run = {"trials": t, "estimate": est.estimate, "stderr": est.stderr,
                "exact": exact, "abs_error": abs(est.estimate - exact)}
         out.payload["runs"].append(run)

@@ -13,7 +13,7 @@ smallest power of two at least twice the block count, gives each uniform
 a starting index that is never past its answer, and a short forward walk
 finishes it.  The indices equal ``np.searchsorted(cumulative, u,
 side="right")`` exactly; K is a power of two so that the bucket bounds
-k/K and the bucket u*K are computed without rounding.  The CLI's sampler
+k/K and the bucket u*K are computed without rounding.  ``sample_outcomes``
 draws, searches and bins ``SAMPLE_BLOCK`` (2**13) trials at a time and
 keeps only the M outcome counts, so a run holds O(M) plus one block, never
 t.
@@ -21,10 +21,9 @@ t.
 The plug-in estimator evaluates the effective outcome count on empirical
 frequencies count / t.  Each is one correctly rounded division, the same
 float as ``Fraction(count, t)`` rounds to, so no rational arithmetic is
-needed; ``empirical_fractions`` still gives the exact rationals.  It is
-biased for nonlinear kernels (the population quantity is defined on exact
-probabilities); the bootstrap standard error is reported so the
-bias/noise tradeoff is visible, and no debiasing is attempted.  The
+needed.  It is biased for nonlinear kernels (the population quantity is
+defined on exact probabilities); the bootstrap standard error is reported
+so the bias/noise tradeoff is visible, and no debiasing is attempted.  The
 bootstrap sums its replicas' kernel values at most ``BOOTSTRAP_BATCH`` at a
 time.
 """
@@ -48,11 +47,12 @@ from .counting import (
     weights_from_probs,
 )
 from .errors import InvalidInput, InvariantViolation
-from .states import OrthogonalDecomposition, OrthonormalBasis, PureState, subspace_probs
 
 GENERATOR_ID = "philox4x32-10/inverse-cdf"
 MIN_TRIALS_FOR_ESTIMATE = 100
-MAX_TRIALS = 2**24  # sample_outcomes holds 8 bytes per trial (16 while it joins the blocks)
+# Trials per run, at most: a run's time follows t (2**24 trials draw and bin
+# in about 0.2 s on one Xeon core), and its counts and t stay exact doubles.
+MAX_TRIALS = 2**24
 # Trials drawn, searched and binned at a time: a block's uniforms, indices
 # and search temporaries are several arrays of its size, so an eighth of
 # BLOCK holds a run of 10^6 trials at M = 4096 to a 0.39 MiB tracemalloc
@@ -66,24 +66,27 @@ DEFAULT_BOOTSTRAP = 200
 BOOTSTRAP_BATCH = 2**12
 
 
-class OutcomeSequence(Frozen):
-    """Recorded outcomes of repeated measurements of one prepared state.
+class OutcomeCounts(Frozen):
+    """How often each of M outcomes occurred in t repeated measurements of
+    one prepared state.
 
-    ``run`` is the run of its seed's table (see ``_index_chunks``), which
-    keys its bootstrap.
+    ``seed`` and ``run`` name the stream the trials came from (see
+    ``_index_chunks``) and key the bootstrap of ``plugin_mu_estimate``.
     """
 
-    def __init__(self, trials, seed: int, m_count: int, run: int = 0):
-        seed = _as_seed(seed)
-        arr = np.asarray(trials, dtype=np.int64)
-        if arr.ndim != 1 or arr.size == 0:
-            raise InvalidInput("trials must be a non-empty index vector")
-        m_count = as_dim(m_count, "block count")
-        if m_count < 1:
-            raise InvalidInput("block count must be positive")
-        if arr.min() < 0 or arr.max() >= m_count:
-            raise InvalidInput(f"trial indices must lie in [0, {m_count})")
-        self._store(trials=arr, seed=seed, m_count=m_count, run=run, t_count=int(arr.size))
+    def __init__(self, counts, seed: int, run: int = 0):
+        seed, run = _as_seed(seed), _as_run(run)
+        arr = np.asarray(counts)
+        if arr.ndim != 1 or arr.size == 0 or arr.dtype.kind not in "iu":
+            raise InvalidInput("counts must be a non-empty vector of integers")
+        arr = arr.astype(np.int64, copy=False)
+        if arr.min() < 0:
+            raise InvalidInput("counts must be non-negative")
+        # the float sum tells a total that wrapped past 2**63 from one that fits
+        t_count = int(arr.sum())
+        if not 1 <= t_count <= 2**53 or arr.sum(dtype=float) > 2.0**62:
+            raise InvalidInput("counts must record from 1 to 2**53 trials")
+        self._store(counts=arr, seed=seed, run=run, t_count=t_count, m_count=int(arr.size))
 
 
 def _as_seed(seed) -> int:
@@ -94,39 +97,44 @@ def _as_seed(seed) -> int:
     return seed
 
 
-def sample_outcomes(
-    psi: PureState,
-    dec: OrthogonalDecomposition,
-    basis: OrthonormalBasis | None,
-    t: int,
-    seed: int,
-) -> OutcomeSequence:
-    """Draw t i.i.d. subspace outcomes for the state under the decomposition.
+def _as_run(run) -> int:
+    """``run`` as an int if it is a non-negative integer, else InvalidInput."""
+    run = as_dim(run, "run")
+    if run < 0:
+        raise InvalidInput(f"run must be non-negative, got {run}")
+    return run
 
-    Deterministic for a fixed seed: uniforms come from Philox4x32-10 keyed
-    by ``seed`` and are mapped through the cumulative collapse
-    probabilities.  A t beyond ``MAX_TRIALS`` raises InvalidInput before
-    anything of size t is allocated.
+
+def sample_outcomes(probs: ProbabilityVector, t: int, seed: int, run: int = 0) -> OutcomeCounts:
+    """How often each outcome occurs in t i.i.d. draws from ``probs``, the
+    collapse probabilities of a state under a decomposition
+    (``subspace_probs``).
+
+    Deterministic for a fixed seed and run: the draws are run ``run`` of
+    ``_index_chunks``, binned a block at a time, so the trials themselves
+    are never held.  A t beyond ``MAX_TRIALS`` raises InvalidInput before
+    any draw.
     """
-    probs = subspace_probs(psi, dec, basis)
-    trials = np.concatenate(list(_index_chunks(probs, t, seed, 0)))
-    return OutcomeSequence(trials=_fresh(trials), seed=seed, m_count=probs.n)
+    counts = np.zeros(probs.n, dtype=np.int64)
+    for chunk in _index_chunks(probs, t, seed, run):
+        counts += np.bincount(chunk, minlength=probs.n)
+    return OutcomeCounts(_fresh(counts), seed, run)
 
 
 def _index_chunks(probs: ProbabilityVector, t: int, seed: int, run: int) -> Iterator[np.ndarray]:
     """The outcome indices of t trials drawn from the collapse probabilities,
-    ``SAMPLE_BLOCK`` (2**13) trials at a time; t and the seed are checked
-    before any draw.
+    ``SAMPLE_BLOCK`` (2**13) trials at a time; t, the seed and the run are
+    checked before any draw.
 
     The uniforms come from Philox keyed by ``seed`` and jumped ``run``
     times, as if 2**128 draws were made per jump, so the runs of one seed
-    share no draw; run 0 is the unjumped stream of ``sample_outcomes``.
+    share no draw; run 0 is the unjumped stream.
     Drawing the uniforms a block at a time gives the same doubles as
     drawing all t at once.
     """
     if not 1 <= t <= MAX_TRIALS:
         raise InvalidInput(f"trial count must lie in [1, {MAX_TRIALS}], got {t}")
-    t, seed = int(t), _as_seed(seed)
+    t, seed, run = int(t), _as_seed(seed), _as_run(run)
     from numpy.random import Generator, Philox
 
     rng = Generator(Philox(key=np.uint64(seed)).jumped(run))
@@ -135,16 +143,6 @@ def _index_chunks(probs: ProbabilityVector, t: int, seed: int, run: int) -> Iter
     guide = _guide_table(cumulative)
     return (_indexed_search(cumulative, rng.random(min(SAMPLE_BLOCK, t - start)), guide)
             for start in range(0, t, SAMPLE_BLOCK))
-
-
-def _outcome_counts(probs: ProbabilityVector, t: int, seed: int, run: int) -> np.ndarray:
-    """How often each outcome occurs in run ``run`` of t trials
-    (``_index_chunks``), binned a block at a time: the trials themselves are
-    never held."""
-    counts = np.zeros(probs.n, dtype=np.intp)
-    for chunk in _index_chunks(probs, t, seed, run):
-        counts += np.bincount(chunk, minlength=probs.n)
-    return counts
 
 
 def _guide_table(cumulative: np.ndarray) -> np.ndarray:
@@ -176,22 +174,13 @@ def _indexed_search(cumulative: np.ndarray, uniforms: np.ndarray,
     return index
 
 
-def empirical_fractions(seq: OutcomeSequence) -> tuple:
-    """Outcome frequencies as exact rationals, ``fractions.Fraction(count, t)``;
-    they sum to 1 exactly."""
-    from fractions import Fraction
-
-    counts = np.bincount(seq.trials, minlength=seq.m_count)
-    return tuple(Fraction(int(k), seq.t_count) for k in counts)
-
-
-def empirical_probs(seq: OutcomeSequence) -> ProbabilityVector:
+def empirical_probs(counts: OutcomeCounts) -> ProbabilityVector:
     """Outcome frequencies count / t as floats.
 
-    Count and t are exact doubles (both below 2**53), so each division
+    Count and t are exact doubles (t is at most 2**53), so each division
     rounds once and equals ``float(Fraction(count, t))``.
     """
-    return ProbabilityVector(np.bincount(seq.trials, minlength=seq.m_count) / seq.t_count)
+    return ProbabilityVector(_fresh(counts.counts / counts.t_count))
 
 
 class PluginEstimate(NamedTuple):
@@ -200,31 +189,25 @@ class PluginEstimate(NamedTuple):
     n_bootstrap: int
 
 
-def plugin_mu_estimate(seq: OutcomeSequence, c: CountingFunction | None = None) -> PluginEstimate:
+def plugin_mu_estimate(counts: OutcomeCounts, c: CountingFunction | None = None) -> PluginEstimate:
     """Plug-in estimate of the effective outcome count, with bootstrap error.
 
     The estimate applies the kernel (default: minimal) to the empirical
     counting weights.  The standard error comes from ``DEFAULT_BOOTSTRAP``
     multinomial resamples of the counts, each driven by a sub-seed derived
-    from the sequence's seed and run, so repeated calls are bit-identical
-    and the runs of one seed's table resample from streams of their own.  A
+    from the counts' seed and run, so repeated calls are bit-identical and
+    the runs of one seed's table resample from streams of their own.  A
     replica's weights M * (counts / t) are reduced as ``effnum`` reduces
     them; counts that are non-negative and sum to t already make valid
     probabilities and weights, so only those two facts are checked.
     """
-    counts = np.bincount(seq.trials, minlength=seq.m_count)
-    return _estimate(counts, seq.seed, seq.run, c)
-
-
-def _estimate(counts: np.ndarray, seed: int, run: int, c: CountingFunction | None) -> PluginEstimate:
-    """``plugin_mu_estimate`` from the outcome counts of a run's trials."""
-    t = int(counts.sum())
+    t, seed, run = counts.t_count, counts.seed, counts.run
     if t < MIN_TRIALS_FOR_ESTIMATE:
         raise InvalidInput(f"need at least {MIN_TRIALS_FOR_ESTIMATE} trials, got {t}")
     from numpy.random import Generator, Philox, SeedSequence
 
     c = CountingFunction.minimal() if c is None else c
-    freqs = ProbabilityVector(_fresh(counts / t))
+    freqs = empirical_probs(counts)
     estimate = effnum(weights_from_probs(freqs), c)
 
     m = freqs.n

@@ -3,8 +3,8 @@
 The oracles deliberately avoid the code paths they are checking: the
 Hermitian eigensolver here is a hand-rolled cyclic Jacobi iteration (the
 library delegates to LAPACK), characteristic-polynomial roots come from
-Newton's identities, and quadrature oracles re-do Riemann sums with plain
-ndarray arithmetic.
+Newton's identities, quadrature oracles re-do Riemann sums with plain
+ndarray arithmetic, and outcome frequencies are exact rationals.
 
 The identity checkers at the end state identities of the paper: additivity
 of the relative fraction under a cut of the support, its invariance under a
@@ -15,6 +15,7 @@ and ``mu_entropy``, so the identities are checked on library code.
 
 from __future__ import annotations
 
+from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
@@ -23,6 +24,7 @@ from effnum import (
     CountingFunction,
     Grid,
     InvalidInput,
+    OutcomeCounts,
     ProbabilityVector,
     SpectralDensityPair,
     mu_entropy,
@@ -142,6 +144,12 @@ def cell_centers(grid: Grid) -> np.ndarray:
     ]
     mesh = np.meshgrid(*axes, indexing="ij")
     return np.stack([m.ravel() for m in mesh], axis=-1)
+
+
+def empirical_fractions(counts: OutcomeCounts) -> tuple[Fraction, ...]:
+    """Outcome frequencies as exact rationals, ``Fraction(count, t)``; they
+    sum to 1 exactly."""
+    return tuple(Fraction(int(k), counts.t_count) for k in counts.counts)
 
 
 def superadditivity_gap(p: ProbabilityVector, q: ProbabilityVector, alpha: float) -> float:

@@ -54,6 +54,7 @@ from effnum import (
     refine_sequence,
     relative_mu_continuum,
     sample_outcomes,
+    subspace_probs,
     weights_from_probs,
 )
 
@@ -260,12 +261,12 @@ def test_09_degree_of_freedom_density_scaling():
 def test_10_simulator_consistency():
     start = time.monotonic()
     psi = PureState(np.array([math.sqrt(0.5), 0.5, 0.5], dtype=complex))
-    dec = OrthogonalDecomposition.singletons(3)
+    probs = subspace_probs(psi, OrthogonalDecomposition.singletons(3))
 
     hits = 0
     for s in range(50):
-        seq = sample_outcomes(psi, dec, None, 1_000_000, seed=9000 + s)
-        est = plugin_mu_estimate(seq, c=MINIMAL)
+        counts = sample_outcomes(probs, 1_000_000, seed=9000 + s)
+        est = plugin_mu_estimate(counts, c=MINIMAL)
         if abs(est.estimate - 2.5) <= 5.0 * est.stderr:
             hits += 1
     assert hits >= 48
@@ -274,8 +275,7 @@ def test_10_simulator_consistency():
     for t in (1_000, 10_000, 100_000, 1_000_000):
         errors = []
         for s in range(50):
-            seq = sample_outcomes(psi, dec, None, t, seed=7000 + s)
-            freqs = empirical_probs(seq)
+            freqs = empirical_probs(sample_outcomes(probs, t, seed=7000 + s))
             errors.append(abs(effnum(weights_from_probs(freqs), MINIMAL) - 2.5))
         medians.append(float(np.median(errors)))
     assert medians[0] > medians[1] > medians[2] > medians[3]

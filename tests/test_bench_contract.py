@@ -12,7 +12,7 @@ import sys
 
 import pytest
 
-from conftest import fresh_env
+from conftest import FIXTURES, fresh_env
 
 TRACING = pathlib.Path(__file__).parents[1] / "bench" / "tracing.py"
 
@@ -84,3 +84,41 @@ def test_tracer_installs_over_lazily_loaded_modules():
     assert "effnum.continuum" in report["lazy"]  # install meets unloaded modules
     assert report["unwrapped"] == [] and report["installed"]
     assert report["left"] == [[], []]  # uninstall restored every binding
+
+
+# The recorder's spans and counters for one `simulate` job of two runs, in a
+# fresh interpreter, and the bindings left after uninstall.
+SIMULATE_PROBE = """
+import contextlib, importlib.util, inspect, io, json, sys
+import effnum.cli
+
+spec = importlib.util.spec_from_file_location("bench_tracing", sys.argv[1])
+tracing = importlib.util.module_from_spec(spec)
+spec.loader.exec_module(tracing)
+
+recorder = tracing.Recorder()
+recorder.install()
+with contextlib.redirect_stdout(io.StringIO()):
+    code = effnum.cli.main(["simulate", "state_p525.json", "dec_singletons3.json",
+                            "--trials", "1000,5000", "--seed", "3"])
+recorder.uninstall()
+modules = [m for name, m in sys.modules.items() if name == "effnum" or name.startswith("effnum.")]
+traced = lambda value: getattr(value, "__qualname__", "").startswith("Recorder._wrap.")
+left = [m.__name__ + "." + key for m in modules for key, value in vars(m).items()
+        if traced(value) or inspect.isclass(value) and traced(value.__init__)]
+summary = recorder.summary()
+print(json.dumps({"code": code, "calls": {k: v["calls"] for k, v in summary.items()},
+                  "counts": recorder.counts, "left": left}))
+"""
+
+
+def test_simulate_runs_through_the_traced_sampler_and_estimator():
+    out = subprocess.run([sys.executable, "-c", SIMULATE_PROBE, str(TRACING)], env=fresh_env(),
+                         cwd=FIXTURES, capture_output=True, text=True, check=True).stdout
+    report = json.loads(out)
+    assert report["code"] == 0
+    assert report["calls"]["simulate.sample_outcomes"] == 2
+    assert report["counts"]["simulate.sample_outcomes.trials"] == 6000
+    assert report["calls"]["simulate.plugin_mu_estimate"] == 2
+    assert report["counts"]["simulate.plugin_mu_estimate.replicas"] == 400
+    assert report["left"] == []

@@ -693,9 +693,9 @@ class TestSharedParser:
 
 class TestStartupImports:
     """A command loads only the modules it uses: numpy.random for simulate,
-    fractions for ``empirical_fractions``, dataclasses for none, and only the
-    effnum submodules it runs.  Importing ``effnum.cli``, ``--help`` and a
-    usage error load no numpy."""
+    fractions and dataclasses for none, and only the effnum submodules it
+    runs.  Importing ``effnum.cli``, ``--help`` and a usage error load no
+    numpy."""
 
     PROBE = """
 import contextlib, io, json, sys

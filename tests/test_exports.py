@@ -24,14 +24,13 @@ EXPORTED = {
     "continuum": "Grid GridWaveFunction RefinementProblem RefinementResult SectorFamily "
                  "SpectralDensityPair constant_refinement_problem effective_volume "
                  "interval_refinement_problem refine_sequence relative_mu_continuum riemann_sum",
-    "simulate": "OutcomeSequence PluginEstimate empirical_fractions empirical_probs "
-                "plugin_mu_estimate sample_outcomes",
+    "simulate": "OutcomeCounts PluginEstimate empirical_probs plugin_mu_estimate sample_outcomes",
 }
 NAMES = [(module, name) for module, names in EXPORTED.items() for name in names.split()]
 
 
 def test_the_export_list_is_complete():
-    assert len(NAMES) == 53
+    assert len(NAMES) == 52
     assert sorted(effnum.__all__) == sorted(name for _, name in NAMES)
 
 
@@ -54,12 +53,13 @@ def test_an_unknown_name_is_an_attribute_error():
 
 # A kernel-suffixed wrapper is its function called with the kernel; the next
 # were second paths to a quantity one of the exported functions computes; the
-# last are identity checkers that no command runs, now in tests/oracles.py.
+# last are identity checkers and an exact-rational oracle that no command
+# runs, now in tests/oracles.py.
 GONE = ["quantum_effnum_min", "mu_entanglement_min", "mu_uncertainty_min", "mu_entropy_min",
         "mu_entropy_alpha", "mixed_relative_mu", "effective_jordan_content", "DofModel",
-        "k_equivalent", "dfd", "basis_change", "PartitionAdditivityResult",
+        "k_equivalent", "dfd", "basis_change", "OutcomeSequence", "PartitionAdditivityResult",
         "partition_additivity_check", "ReparamCheckResult", "reparametrization_check",
-        "superadditivity_gap"]
+        "superadditivity_gap", "empirical_fractions"]
 
 
 @pytest.mark.parametrize("name", GONE)

@@ -44,7 +44,7 @@ VALUES = {
     effnum.SectorFamily: lambda: effnum.SectorFamily.from_grid(GRID, [(UNIFORM, UNIFORM)]),
     effnum.SpectralDensityPair: lambda: effnum.SpectralDensityPair.from_grid(GRID, UNIFORM,
                                                                             UNIFORM),
-    effnum.OutcomeSequence: lambda: effnum.OutcomeSequence([0, 2, 1], seed=5, m_count=3, run=1),
+    effnum.OutcomeCounts: lambda: effnum.OutcomeCounts([1, 0, 2], seed=5, run=1),
 }
 
 # Each record's fields, in the order of its json keys and csv columns.
@@ -178,8 +178,8 @@ FROM_CALLER = {
     effnum.SpectralDensityPair: lambda: _from(
         functools.partial(effnum.SpectralDensityPair.from_grid, GRID), UNIFORM.copy(),
         UNIFORM.copy()),
-    effnum.OutcomeSequence: lambda: _from(
-        lambda trials: effnum.OutcomeSequence(trials, seed=5, m_count=3), np.array([0, 2, 1])),
+    effnum.OutcomeCounts: lambda: _from(functools.partial(effnum.OutcomeCounts, seed=5),
+                                        np.array([1, 0, 2])),
 }
 
 
@@ -211,8 +211,8 @@ HANDED_OVER = {
     "maximally_mixed": lambda: effnum.DensityMatrix.maximally_mixed(3),
     "partial_trace": lambda: effnum.partial_trace(effnum.DensityMatrix.maximally_mixed(6),
                                                   effnum.BipartiteStructure(2, 3), "A"),
-    "sample_outcomes": lambda: effnum.sample_outcomes(effnum.PureState.basis_vector(1, 3), DEC,
-                                                      None, 10, seed=1),
+    "sample_outcomes": lambda: effnum.sample_outcomes(effnum.ProbabilityVector([0.25, 0.75]), 10,
+                                                      seed=1),
 }
 
 
