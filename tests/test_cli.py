@@ -1,6 +1,12 @@
+import ast
+import errno
 import gc
+import io as stdlib_io
 import json
 import math
+import os
+import pathlib
+import re
 import subprocess
 import sys
 import tracemalloc
@@ -1085,3 +1091,139 @@ class TestLoadJsonPausesTheCollector:
         finally:
             gc.enable()
         assert seen == [("_walk", False), ("loads", False)]
+
+
+def python_m_cli(*argv, **options) -> subprocess.CompletedProcess:
+    """``python -m effnum.cli ARGV`` in a new interpreter importing this tree."""
+    return subprocess.run([sys.executable, "-m", "effnum.cli", *map(str, argv)],
+                          env=fresh_env(), **options)
+
+
+class _FailingRaw(stdlib_io.RawIOBase):
+    """A raw stream whose writes raise ``exc`` until ``exc`` is None."""
+
+    def __init__(self, exc):
+        self.exc = exc
+
+    def writable(self):
+        return True
+
+    def write(self, data):
+        if self.exc is not None:
+            raise self.exc
+        return len(data)
+
+
+class TestProcessEntry:
+    """``effnum`` and ``python -m effnum.cli`` run ``cli.run``: ``main``, its
+    output flushed, then ``os._exit``; a write to stdout that fails is exit 2."""
+
+    N = 2**14  # every format of mu's output is several pipe buffers long
+
+    @pytest.fixture(scope="class")
+    def long_job(self, tmp_path_factory):
+        rng = np.random.default_rng(12)
+        amps = rng.standard_normal(self.N) + 1j * rng.standard_normal(self.N)
+        amps /= np.linalg.norm(amps)
+        folder = tmp_path_factory.mktemp("long")
+        state, dec = folder / "state.json", folder / "dec.json"
+        state.write_text(json.dumps({"dim": self.N,
+                                     "amps": np.stack([amps.real, amps.imag], -1).tolist()}))
+        dec.write_text(json.dumps({"groups": [[i] for i in range(self.N)]}))
+        return ["mu", state, dec]
+
+    @pytest.mark.parametrize("fmt", ["table", "csv", "json"])
+    def test_every_byte_reaches_a_pipe_and_a_file(self, capsys, tmp_path, long_job, fmt):
+        code, expected, err = run(capsys, *long_job, "--format", fmt)
+        assert (code, err) == (0, "") and len(expected) > 4 * 65536
+        piped = python_m_cli(*long_job, "--format", fmt, capture_output=True, text=True)
+        assert (piped.returncode, piped.stderr) == (0, "")
+        assert hash(piped.stdout) == hash(expected)  # no diff of long texts on failure
+        target = tmp_path / "out.txt"
+        with open(target, "w") as sink:
+            filed = python_m_cli(*long_job, "--format", fmt, stdout=sink)
+        assert filed.returncode == 0 and hash(target.read_text()) == hash(expected)
+
+    @pytest.mark.parametrize("argv, code, message", [
+        (["mu", "state_bad_norm.json", "dec_singletons3.json"], 2,
+         "error: state_bad_norm.json: state norm^2 must equal 1"),
+        (["qnum", "density_bad.json"], 3,
+         "error: density_bad.json: matrix is not positive semidefinite"),
+        (["mu", "state_bell.json", "dec_pairs4.json", "--out", "/nonexistent/d/x.json"], 2,
+         "error: cannot write /nonexistent/d/x.json: "),
+    ], ids=["validation", "invariant", "unwritable-out"])
+    def test_exit_codes_survive_the_exit(self, argv, code, message):
+        done = python_m_cli(*argv, cwd=FIXTURES, capture_output=True, text=True)
+        assert (done.returncode, done.stdout) == (code, "")
+        assert done.stderr.startswith(message) and done.stderr.count("\n") == 1
+
+    @pytest.mark.parametrize("exc", [BrokenPipeError(errno.EPIPE, "Broken pipe"),
+                                     OSError(errno.ENOSPC, "No space left on device")],
+                             ids=["broken-pipe", "no-space"])
+    @pytest.mark.parametrize("long", [False, True], ids=["at-flush", "while-writing"])
+    def test_a_failed_write_is_exit_two(self, capsys, monkeypatch, long_job, exc, long):
+        raw = _FailingRaw(exc)
+        monkeypatch.setattr(sys, "stdout", stdlib_io.TextIOWrapper(stdlib_io.BufferedWriter(raw)))
+        argv = long_job if long else ["mu", FIXTURES / "state_bell.json",
+                                      FIXTURES / "dec_pairs4.json"]
+        try:
+            code, _, err = run(capsys, *argv)
+        finally:
+            raw.exc = None  # the stream's buffer may be flushed when it is collected
+        assert code == 2
+        assert err == f"error: cannot write standard output: {exc.strerror}\n"
+
+    def test_run_flushes_and_passes_on_the_code(self, capsys, monkeypatch):
+        calls = []
+
+        class Exited(Exception):
+            pass
+
+        def exit_(code):
+            calls.append(("exit", code))
+            raise Exited
+
+        class Sink(stdlib_io.StringIO):
+            def flush(self):
+                calls.append("flush")
+
+        monkeypatch.setattr(os, "_exit", exit_)
+        monkeypatch.setattr(sys, "stdout", Sink())
+        for argv, code in ([["mu", "state_bell.json", "dec_pairs4.json"], 0],
+                           [["qnum", "density_bad.json"], 3]):
+            calls.clear()
+            monkeypatch.setattr(sys, "argv", ["effnum", *fixture_args(argv)])
+            with pytest.raises(Exited):
+                cli.run()
+            # main flushes what it wrote; run flushes stdout once more, then exits
+            flushes = ["flush"] * (2 if code == 0 else 1)
+            assert calls == flushes + [("exit", code)]
+        capsys.readouterr()
+
+    def test_a_full_device_is_one_error_line(self):
+        if not os.path.exists("/dev/full"):
+            pytest.skip("no /dev/full")
+        with open("/dev/full", "w") as full:
+            done = python_m_cli("mu", "state_bell.json", "dec_pairs4.json", cwd=FIXTURES,
+                                stdout=full, stderr=subprocess.PIPE, text=True)
+        assert done.returncode == 2
+        assert done.stderr == "error: cannot write standard output: No space left on device\n"
+
+    def test_a_closed_pipe_is_one_error_line(self, long_job):
+        child = subprocess.Popen([sys.executable, "-m", "effnum.cli", *map(str, long_job)],
+                                 env=fresh_env(), stdout=subprocess.PIPE,
+                                 stderr=subprocess.PIPE, text=True)
+        child.stdout.close()  # the child's output is longer than the pipe holds
+        err = child.stderr.read()
+        child.stderr.close()
+        assert child.wait() == 2
+        assert err == "error: cannot write standard output: Broken pipe\n"
+
+    def test_the_script_and_python_m_share_one_entry(self):
+        pyproject = (FIXTURES.parents[1] / "pyproject.toml").read_text()
+        script = re.search(r'^effnum = "effnum\.cli:(\w+)"$', pyproject, re.M).group(1)
+        tree = ast.parse(pathlib.Path(cli.__file__).read_text())
+        guard = next(node for node in tree.body if isinstance(node, ast.If)
+                     and ast.unparse(node.test) == "__name__ == '__main__'")
+        assert [ast.unparse(node) for node in guard.body] == [f"{script}()"]
+        assert script != "main" and callable(getattr(cli, script))
