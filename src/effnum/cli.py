@@ -1,4 +1,6 @@
 """Command-line frontend: each ``_cmd_*`` handler fills one ``io.Result``.
+``main`` parses the kernel selector, and each handler its own arguments,
+before any input file is read.
 
 Exit codes: 0 success, 2 input validation failure, 3 domain invariant
 violation, 4 numerical non-convergence.  Indices are 0-based in files and
@@ -52,21 +54,18 @@ from . import continuum, counting, density, entropy, io, simulate, states
 from .errors import ConvergenceError, InvalidInput, InvariantViolation
 
 
-def _cmd_mu(args) -> io.Result:
-    psi = io.load_state(args.state)
-    dec, basis = io.load_decomposition(args.decomposition, psi.dim)
-    c = io.parse_counting_selector(args.cf)
-    probs = states.subspace_probs(psi, dec, basis)
-    weights = counting.weights_from_probs(probs)
-    out = io.Result("mu", "measurement uncertainty (blocks 1-based)", ["block", "probability"])
-    out.put("n", psi.dim, "dimension N")
-    out.put("m", dec.m_count, "blocks M")
-    out.put("counting_function", c.label, "kernel")
-    out.put("block_probs", probs.p, "p", csv=True)
-    out.put("mu_uncertainty", counting.effnum(weights, c), "mu-uncertainty", csv=True)
-    out.put("mu_uncertainty_min", counting.effnum(weights, counting.CountingFunction.minimal()),
-            "minimal (star)", csv=True)
-    return out
+def _parse_counting_selector(text: str) -> counting.CountingFunction:
+    """Parse the kernel selector ``--cf``: ``star`` or ``alpha=<x>``."""
+    text = text.strip()
+    if text == "star":
+        return counting.CountingFunction.minimal()
+    if text.startswith("alpha="):
+        try:
+            alpha = float(text[len("alpha="):])
+        except ValueError as exc:
+            raise InvalidInput(f"cannot parse exponent in selector {text!r}") from exc
+        return counting.CountingFunction.canonical(alpha)
+    raise InvalidInput(f'counting-function selector must be "star" or "alpha=<x>", got {text!r}')
 
 
 def _parse_log_base(text: str) -> tuple[str, float]:
@@ -83,10 +82,32 @@ def _parse_log_base(text: str) -> tuple[str, float]:
     return text, math.log(base)
 
 
-def _cmd_qnum(args) -> io.Result:
-    rho = io.load_density(args.density)
-    c = io.parse_counting_selector(args.cf)
+def _parse_dims(text: str) -> density.BipartiteStructure:
+    match = re.fullmatch(r"(\d+)x(\d+)", text.strip())
+    if not match:
+        raise InvalidInput(f'--dims must look like "2x3", got {text!r}')
+    return density.BipartiteStructure(int(match.group(1)), int(match.group(2)))
+
+
+def _cmd_mu(args, c: counting.CountingFunction) -> io.Result:
+    psi = io.load_state(args.state)
+    dec, basis = io.load_decomposition(args.decomposition, psi.dim)
+    probs = states.subspace_probs(psi, dec, basis)
+    weights = counting.weights_from_probs(probs)
+    out = io.Result("mu", "measurement uncertainty (blocks 1-based)", ["block", "probability"])
+    out.put("n", psi.dim, "dimension N")
+    out.put("m", dec.m_count, "blocks M")
+    out.put("counting_function", c.label, "kernel")
+    out.put("block_probs", probs.p, "p", csv=True)
+    out.put("mu_uncertainty", counting.effnum(weights, c), "mu-uncertainty", csv=True)
+    out.put("mu_uncertainty_min", counting.effnum(weights, counting.CountingFunction.minimal()),
+            "minimal (star)", csv=True)
+    return out
+
+
+def _cmd_qnum(args, c: counting.CountingFunction) -> io.Result:
     base_label, divisor = _parse_log_base(args.log_base)
+    rho = io.load_density(args.density)
     out = io.Result("qnum", "density-matrix state content (ranks 1-based)",
                     ["eigenvalue_rank", "eigenvalue"])
     out.put("n", rho.dim, "dimension N")
@@ -103,17 +124,9 @@ def _cmd_qnum(args) -> io.Result:
     return out
 
 
-def _parse_dims(text: str) -> density.BipartiteStructure:
-    match = re.fullmatch(r"(\d+)x(\d+)", text.strip())
-    if not match:
-        raise InvalidInput(f'--dims must look like "2x3", got {text!r}')
-    return density.BipartiteStructure(int(match.group(1)), int(match.group(2)))
-
-
-def _cmd_entangle(args) -> io.Result:
-    psi = io.load_state(args.state)
+def _cmd_entangle(args, c: counting.CountingFunction) -> io.Result:
     bp = _parse_dims(args.dims)
-    c = io.parse_counting_selector(args.cf)
+    psi = io.load_state(args.state)
     # Both reductions share the Schmidt weights, so both sides read one
     # count per kernel and agree exactly; one SVD serves the whole command.
     weights = density.entanglement_weights(psi, bp)
@@ -133,9 +146,8 @@ def _cmd_entangle(args) -> io.Result:
     return out
 
 
-def _cmd_effvol(args) -> io.Result:
+def _cmd_effvol(args, c: counting.CountingFunction) -> io.Result:
     psi = io.load_grid_wavefunction(args.wavefunction)
-    c = io.parse_counting_selector(args.cf)
     value = continuum.effective_volume(psi, c)
     minimal = continuum.effective_volume(psi, counting.CountingFunction.minimal())
     total = psi.grid.total_volume
@@ -151,9 +163,8 @@ def _cmd_effvol(args) -> io.Result:
     return out
 
 
-def _cmd_refine(args) -> io.Result:
+def _cmd_refine(args, c: counting.CountingFunction) -> io.Result:
     problem, description = io.load_refine_problem(args.problem)
-    c = io.parse_counting_selector(args.cf)
     # levels are built here, after the reader returns; their errors name the file too
     fit = io._named(args.problem, continuum.refine_sequence, problem, args.levels, c)
     out = io.Result("refine", f"refinement of {description} ({c.label})",
@@ -170,16 +181,15 @@ def _cmd_refine(args) -> io.Result:
     return out
 
 
-def _cmd_simulate(args) -> io.Result:
-    psi = io.load_state(args.state)
-    dec, basis = io.load_decomposition(args.decomposition, psi.dim)
-    c = io.parse_counting_selector(args.cf)
+def _cmd_simulate(args, c: counting.CountingFunction) -> io.Result:
     try:
         trial_counts = [int(t) for t in str(args.trials).split(",") if t]
     except ValueError as exc:
         raise InvalidInput(f"--trials must list integers, got {args.trials!r}") from exc
     if not trial_counts:
         raise InvalidInput("--trials must name at least one trial count")
+    psi = io.load_state(args.state)
+    dec, basis = io.load_decomposition(args.decomposition, psi.dim)
     probs = states.subspace_probs(psi, dec, basis)
     exact = counting.effnum(counting.weights_from_probs(probs), c)
     title = f"measurement simulation (seed {args.seed}, {simulate.GENERATOR_ID})"
@@ -196,9 +206,8 @@ def _cmd_simulate(args) -> io.Result:
     return out
 
 
-def _cmd_dfd(args) -> io.Result:
+def _cmd_dfd(args, c: counting.CountingFunction) -> io.Result:
     family = io.load_dfd_family(args.family)
-    c = io.parse_counting_selector(args.cf)
     fit = entropy.dfd_gamma_scan(family, c)
     out = io.Result("dfd", f"degree-of-freedom density scan ({c.label})", ["n", "ratio", "k_eq"])
     out.payload.update(counting_function=c.label, steps=[s._asdict() for s in fit.steps],
@@ -210,8 +219,7 @@ def _cmd_dfd(args) -> io.Result:
     return out
 
 
-def _cmd_check(args) -> io.Result:
-    c = io.parse_counting_selector(args.cf)
+def _cmd_check(args, c: counting.CountingFunction) -> io.Result:
     report = counting.validate_counting_function(c)
     out = io.Result("check", f"kernel {c.label}:", ["target", "passed", "detail"])
     out.payload.update(counting_function=c.label,
@@ -344,9 +352,10 @@ def main(argv: list[str] | None = None) -> int:
     import numpy as np  # after parsing: --help and usage errors load no numpy
 
     try:
+        c = _parse_counting_selector(args.cf)  # before the handler reads any file
         # overflows give inf or NaN, which the checks reject without a warning
         with _BlasThreads(), np.errstate(all="ignore"):
-            _emit(args.handler(args).chunks(args.format), args.out)
+            _emit(args.handler(args, c).chunks(args.format), args.out)
     except tuple(_EXIT_CODES) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return next(code for kind, code in _EXIT_CODES.items() if isinstance(exc, kind))

@@ -30,7 +30,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .errors import InvalidInput
-from .states import DEFAULT_DIM_CAP, Blocks
+from .states import DEFAULT_DIM_CAP, Blocks, _check_dim_cap
 
 _decode = json.JSONDecoder().raw_decode
 _space = json.decoder.WHITESPACE.match
@@ -148,10 +148,8 @@ def _object(window: _Window, i: int, members: dict) -> tuple[dict, int]:
     while True:  # window.text[i] is the "{" or "," before a member
         key, i = window.take(_key, i + 1, WINDOW_CHARS)
         how = members.get(key)
-        if key == "rows" and members is MEMBERS and type(dim := doc.get("dim")) is int and (
-                dim > DEFAULT_DIM_CAP):  # a density's declared size, checked before any row
-            raise InvalidInput(
-                f"density matrix dimension {dim} exceeds the supported cap {DEFAULT_DIM_CAP}")
+        if key == "rows" and members is MEMBERS and type(dim := doc.get("dim")) is int:
+            _check_dim_cap(dim, "density matrix")  # a declared size, checked before any row
         if isinstance(how, dict) and window.text.startswith("{", i):
             value, i = _object(window, i, how)
         elif isinstance(how, list) and window.text.startswith("[", i):
@@ -274,8 +272,7 @@ def _items(window: _Window, i: int, depth: int, convert: Callable,
     Python objects.  The list is ``build(*arrays)``, or the one array.
 
     A list of rows is a matrix: its first row's width N sizes it for N
-    rows, and it must hold N if they are kept, which they are unless wider
-    than the cap.  Any other list is sized by
+    rows, and the readers check its shape.  Any other list is sized by
     its first run and by the file's size after the list's start, which a
     large list fills.  ValueError for an empty list, a trailing comma,
     items ``convert`` refuses or items of unequal shape."""
@@ -301,8 +298,8 @@ def _items(window: _Window, i: int, depth: int, convert: Callable,
             pile.add(run)
         if not window.text.startswith(",", i):
             break
-    if not window.text.startswith("]", i) or (width and piles[0].kept and piles[0].count != width):
-        raise ValueError("not a list of items, or not a square matrix")
+    if not window.text.startswith("]", i):
+        raise ValueError("not a list of items")
     arrays = [pile.array() for pile in piles]
     return (build(*arrays) if build else arrays[0]), window.take(_nothing, i + 1, WINDOW_CHARS)[1]
 

@@ -29,7 +29,7 @@ import numpy as np
 from .counting import (BLOCK, CountingFunction, Frozen, WeightVector, _fresh, _owned, as_dim,
                        effnum, exact_sums)
 from .errors import ConvergenceError, InvalidInput, InvariantViolation
-from .states import DEFAULT_DIM_CAP, PureState
+from .states import PureState, _check_dim_cap
 
 HERMITICITY_TOL = 1e-10
 TRACE_TOL = 1e-10
@@ -49,10 +49,7 @@ class DensityMatrix(Frozen):
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidInput(f"density matrix must be square, got shape {mat.shape}")
         n = mat.shape[0]
-        if n > DEFAULT_DIM_CAP:
-            raise InvalidInput(
-                f"density matrix dimension {n} exceeds the supported cap {DEFAULT_DIM_CAP}"
-            )
+        _check_dim_cap(n, "density matrix")
         mat = _owned(mat)  # the checks and the solve work in it
         # NaN would pass the comparisons below, which are all false for it.
         if not np.all(np.isfinite(mat)):

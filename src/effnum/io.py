@@ -34,20 +34,6 @@ MAX_POWER_EXPONENT = 24
 MAX_FAMILY_STATES = 2 ** (MAX_POWER_EXPONENT + 1)
 
 
-def parse_counting_selector(text: str) -> counting.CountingFunction:
-    """Parse the CLI kernel selector: ``star`` or ``alpha=<x>``."""
-    text = text.strip()
-    if text == "star":
-        return counting.CountingFunction.minimal()
-    if text.startswith("alpha="):
-        try:
-            alpha = float(text[len("alpha="):])
-        except ValueError as exc:
-            raise InvalidInput(f"cannot parse exponent in selector {text!r}") from exc
-        return counting.CountingFunction.canonical(alpha)
-    raise InvalidInput(f'counting-function selector must be "star" or "alpha=<x>", got {text!r}')
-
-
 def _load_json(path: str | Path) -> Any:
     """The document in the file at ``path``, decoded with the cyclic garbage
     collector paused: a decoded document holds no reference cycles, so a

@@ -35,6 +35,12 @@ BASIS_ORTHO_TOL = 1e-10
 DEFAULT_DIM_CAP = 4096
 
 
+def _check_dim_cap(n: int, what: str) -> None:
+    """Refuse an N x N ``what``, so named in the message, above ``DEFAULT_DIM_CAP``."""
+    if n > DEFAULT_DIM_CAP:
+        raise InvalidInput(f"{what} dimension {n} exceeds the supported cap {DEFAULT_DIM_CAP}")
+
+
 class PureState(Frozen):
     """Unit-norm complex amplitude vector.
 
@@ -71,10 +77,7 @@ class OrthonormalBasis(Frozen):
         mat = np.asarray(vectors, dtype=complex)
         if mat.ndim != 2 or mat.shape[0] != mat.shape[1]:
             raise InvalidInput(f"basis must be a square matrix, got shape {mat.shape}")
-        if mat.shape[0] > DEFAULT_DIM_CAP:
-            raise InvalidInput(
-                f"basis dimension {mat.shape[0]} exceeds the supported cap {DEFAULT_DIM_CAP}"
-            )
+        _check_dim_cap(mat.shape[0], "basis")
         defect = _orthonormality_defect(mat)
         if not defect <= BASIS_ORTHO_TOL:
             raise InvalidInput(

@@ -506,6 +506,62 @@ class TestExitCodes:
         assert code == 0
 
 
+# Arguments with which each command succeeds on the fixtures.
+COMMAND_ARGS = {
+    "mu": ["state_bell.json", "dec_pairs4.json"],
+    "qnum": ["density_werner.json"],
+    "entangle": ["state_bell.json", "--dims", "2x2"],
+    "effvol": ["grid_gauss1d.json"],
+    "refine": ["problem_constant.json"],
+    "simulate": ["state_uniform4.json", "dec_singletons4.json", "--trials", "100"],
+    "dfd": ["family_explicit.json"],
+    "check": ["state_bell.json"],
+}
+
+
+@pytest.fixture
+def no_file_read(monkeypatch):
+    """Fails the test if a command reads an input file."""
+    def read(path):
+        raise AssertionError(f"read {path}")
+
+    monkeypatch.setattr(io, "_load_json", read)
+
+
+class TestArgumentsBeforeFiles:
+    @pytest.mark.parametrize("command", list(COMMAND_ARGS))
+    @pytest.mark.parametrize("cf, message", [
+        ("beta", "counting-function selector must be \"star\" or \"alpha=<x>\", got 'beta'"),
+        ("alpha=x", "cannot parse exponent in selector 'alpha=x'"),
+        ("alpha=2", "canonical exponent must lie in (0, 1], got 2.0"),
+    ], ids=["unknown", "unparsed", "out-of-range"])
+    def test_a_bad_selector_stops_before_any_file_is_read(self, capsys, no_file_read, command,
+                                                           cf, message):
+        argv = fixture_args([command, *COMMAND_ARGS[command], "--cf", cf])
+        assert run(capsys, *argv) == (2, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("argv, message", [
+        (["qnum", "density_werner.json", "--log-base", "nan"],
+         "--log-base must be a finite number > 1, got 'nan'"),
+        (["entangle", "state_bell.json", "--dims", "2y2"], "--dims must look like \"2x3\", got '2y2'"),
+        (["simulate", "state_uniform4.json", "dec_singletons4.json", "--trials", "abc"],
+         "--trials must list integers, got 'abc'"),
+    ], ids=["log-base", "dims", "trials"])
+    def test_a_bad_option_stops_before_any_file_is_read(self, capsys, no_file_read, argv, message):
+        assert run(capsys, *fixture_args(argv)) == (2, "", f"error: {message}\n")
+
+    def test_a_bad_selector_is_reported_before_a_missing_file(self, capsys):
+        code, _, err = run(capsys, "qnum", "/nonexistent/x.json", "--cf", "beta")
+        assert code == 2
+        assert err.startswith("error: counting-function selector") and "/nonexistent" not in err
+
+    def test_a_bad_selector_is_reported_before_an_invalid_density(self, capsys):
+        bad = FIXTURES / "density_bad.json"
+        assert run(capsys, "qnum", bad)[0] == 3  # not positive semidefinite
+        code, _, err = run(capsys, "qnum", bad, "--cf", "beta")
+        assert code == 2 and err.startswith("error: counting-function selector")
+
+
 class TestOutputFiles:
     def test_out_writes_the_rendered_text(self, capsys, tmp_path):
         target = tmp_path / "result.json"

@@ -423,8 +423,9 @@ def _pairs(*widths) -> list:
     return [[[0.5 if i == j else 0, 0] for j in range(w)] for i, w in enumerate(widths)]
 
 
-# Rows that are not N rows of N pairs: ``_rows`` refuses them, and
-# ``json.loads`` reads the file; (dim, rows, the error message).
+# Rows that are not N rows of N pairs, which the readers refuse; (dim,
+# rows, the error message).  ``_walk`` decodes equal rows of any count and
+# refuses ragged ones, which ``json.loads`` then reads.
 REFUSED_ROWS = {
     "three-rows-of-two": (2, _pairs(2, 2, 2), "expected a 2x2 matrix, got shape (3, 2)"),
     "two-rows-of-three": (3, _pairs(3, 3), "expected a 3x3 matrix, got shape (2, 3)"),
@@ -445,10 +446,32 @@ def _refused_as_before(path, message, capsys):
 def test_refused_rows_are_read_by_json_loads(tmp_path, capsys, case):
     dim, rows, message = REFUSED_ROWS[case]
     text = json.dumps({"dim": dim, "rows": rows})
-    assert decode._walk(decode._Window(StringIO(text))) is None
+    doc = decode._walk(decode._Window(StringIO(text)))
+    if case == "ragged":
+        assert doc is None
+    else:
+        assert _bits(doc["rows"]) == _bits(np.array(rows, float))
     path = tmp_path / "rho.json"
     path.write_text(text)
     _refused_as_before(path, message, capsys)
+
+
+@pytest.mark.parametrize("extra", [-1, 1], ids=["a-row-short", "a-row-over"])
+def test_misshapen_rows_are_refused_holding_about_one_matrix(tmp_path, extra):
+    # sent to json.loads whole, either peaked at 12.1 matrices; decoded, at 1.4
+    n = 256
+    doc = json.loads(_density_text(n, 9))
+    doc["rows"] = doc["rows"][:n - 1] if extra < 0 else doc["rows"] + doc["rows"][:1]
+    path, small = tmp_path / "rho.json", tmp_path / "small.json"
+    path.write_text(json.dumps(doc))
+    small.write_text('{"dim": 2, "rows": [[[1, 0], [0, 0]]]}')
+
+    def refuse(p):
+        with pytest.raises(InvalidInput, match=r"expected a \d+x\d+ matrix, got shape"):
+            io.load_density(p)
+
+    peak = _read_peak(refuse, path, small)
+    assert peak < 3 * 16 * n * n, peak / (16 * n * n)
 
 
 def test_rows_wider_than_the_cap_are_read_by_their_shape(tmp_path, capsys):

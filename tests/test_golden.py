@@ -22,6 +22,7 @@ import re
 import numpy as np
 import pytest
 
+from effnum import cli
 from effnum.cli import build_parser, main
 
 from conftest import FIXTURES
@@ -96,7 +97,8 @@ def test_payload_leaves_are_plain_values_or_float_vectors():
         for argv in commands():
             args = build_parser().parse_args(argv)
             seen.add(args.command)
-            for leaf in payload_leaves(args.handler(args).payload):
+            kernel = cli._parse_counting_selector(args.cf)
+            for leaf in payload_leaves(args.handler(args, kernel).payload):
                 if isinstance(leaf, np.ndarray):
                     assert leaf.ndim == 1 and leaf.dtype == float, (argv, leaf)
                 else:
