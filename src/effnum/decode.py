@@ -46,18 +46,18 @@ MAX_FILE_BYTES = 64 * DEFAULT_DIM_CAP**2
 class _Window:
     """An open text file read forward: ``text`` holds what has been read and
     not yet dropped, ``start`` is the offset of its first character in the
-    file, ``size`` the file's size in bytes (0 if it has none), and
-    ``ended`` says whether ``text`` runs to the end of the file.  A file
-    above ``MAX_FILE_BYTES`` raises InvalidInput before any of it is read."""
+    file, and ``ended`` says whether ``text`` runs to the end of the file.
+    A file above ``MAX_FILE_BYTES`` raises InvalidInput before any of it is
+    read."""
 
     def __init__(self, file):
         self.file, self.text, self.start, self.ended = file, "", 0, False
         try:
-            self.size = os.fstat(file.fileno()).st_size
+            size = os.fstat(file.fileno()).st_size
         except OSError:  # a file in memory has no descriptor
-            self.size = 0
-        if self.size > MAX_FILE_BYTES:
-            raise InvalidInput(f"{self.size} bytes exceed the file cap {MAX_FILE_BYTES}")
+            size = 0
+        if size > MAX_FILE_BYTES:
+            raise InvalidInput(f"{size} bytes exceed the file cap {MAX_FILE_BYTES}")
 
     def take(self, parse: Callable, i: int, size: int = -1, need: int = 0) -> tuple[Any, int]:
         """(value, index of the first non-space character after it) for
@@ -233,12 +233,12 @@ def _indices(items: list) -> tuple[np.ndarray, np.ndarray]:
 
 class _Pile:
     """Runs of equal-shaped items written one after another into one array,
-    first sized for ``expect`` items and grown by a quarter when a run
-    overflows it; ``array`` cuts it to the items written.  No reader takes
-    a row of more than 2 x ``DEFAULT_DIM_CAP`` numbers (a row wider than
-    the cap), so items of more than ``bound`` numbers are counted, not
-    kept: ``array`` is then a read-only zero array of their shape, which
-    holds no memory."""
+    first sized for its first run or for ``expect`` items, if more, and
+    grown by a quarter when a run overflows it; ``array`` cuts it to the
+    items written.  No reader takes a row of more than 2 x
+    ``DEFAULT_DIM_CAP`` numbers (a row wider than the cap), so items of
+    more than ``bound`` numbers are counted, not kept: ``array`` is then a
+    read-only zero array of their shape, which holds no memory."""
 
     def __init__(self, run: np.ndarray, expect: int, bound: float = math.inf):
         self.shape, self.count = run.shape[1:], 0
@@ -272,13 +272,13 @@ def _items(window: _Window, i: int, depth: int, convert: Callable,
     Python objects.  The list is ``build(*arrays)``, or the one array.
 
     A list of rows is a matrix: its first row's width N sizes it for N
-    rows, and the readers check its shape.  Any other list is sized by
-    its first run and by the file's size after the list's start, which a
-    large list fills.  ValueError for an empty list, a trailing comma,
-    items ``convert`` refuses or items of unequal shape."""
+    rows, and the readers check its shape.  Any other list is first sized
+    by its first run, and grows as more runs are read.  ValueError for an
+    empty list, a trailing comma, items ``convert`` refuses or items of
+    unequal shape."""
     if not window.text.startswith("[", i):
         raise ValueError("not a list")
-    start, piles, need = window.start + i, None, 0
+    piles, need = None, 0
     while True:  # window.text[i] is the "[" or "," before a run
         before = window.start + i
         items, i = window.take(partial(_run, depth=depth), i, WINDOW_CHARS, need)
@@ -289,11 +289,8 @@ def _items(window: _Window, i: int, depth: int, convert: Callable,
         runs = convert(items)
         if piles is None:
             width = runs[0].shape[1] if depth == 2 and runs[0].ndim > 1 else 0
-            ahead = 1.0 if window.text.startswith("]", i) else (
-                (window.size - start) / (window.start + i - start))
             bound = 2 * DEFAULT_DIM_CAP if depth == 2 else math.inf
-            piles = [_Pile(run, width or math.ceil(len(run) * max(ahead, 1.0) * 1.02), bound)
-                     for run in runs]
+            piles = [_Pile(run, width, bound) for run in runs]
         for pile, run in zip(piles, runs):
             pile.add(run)
         if not window.text.startswith(",", i):

@@ -48,7 +48,7 @@ from .counting import (
 )
 from .errors import InvalidInput, InvariantViolation
 
-GENERATOR_ID = "philox4x32-10/inverse-cdf"
+GENERATOR_ID = "philox4x64-10/inverse-cdf"
 MIN_TRIALS_FOR_ESTIMATE = 100
 # Trials per run, at most: a run's time follows t (2**24 trials draw and bin
 # in about 0.2 s on one Xeon core), and its counts and t stay exact doubles.

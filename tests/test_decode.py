@@ -491,6 +491,25 @@ def test_rows_wider_than_the_cap_are_read_by_their_shape(tmp_path, capsys):
     _refused_as_before(path, f"expected a {wide}x{wide} matrix, got shape (2, {wide})", capsys)
 
 
+def test_a_family_member_is_sized_by_its_own_list(tmp_path, monkeypatch):
+    # sized by the file after its start, the first member reserved 20 times its list
+    first = []
+
+    class Pile(decode._Pile):
+        def __init__(self, *args):
+            super().__init__(*args)
+            first.append(len(self.arr))
+
+    monkeypatch.setattr(decode, "_Pile", Pile)
+    path = tmp_path / "family.json"
+    path.write_text(json.dumps({"kind": "explicit",
+                                "members": [{"n": n, "p": [1 / n] * n} for n in (2**12, 2**16)]}))
+    with open(path) as file:
+        members = decode._walk(decode._Window(file))["members"]
+    assert [member["p"].size for member in members] == [2**12, 2**16]
+    assert first[0] <= 2**12
+
+
 def test_labels_wider_than_a_row_are_kept():
     # only rows are counted, not kept, above 2 x DEFAULT_DIM_CAP numbers
     labels = np.arange(2 * (2 * DEFAULT_DIM_CAP + 1), dtype=float).reshape(2, -1)
@@ -528,11 +547,12 @@ def test_a_file_above_the_byte_cap_is_refused_unread(tmp_path, capsys):
     path = tmp_path / "huge.json"
     with open(path, "wb") as file:  # sparse: no byte of it is written to disk
         file.truncate(decode.MAX_FILE_BYTES + 1)
-    with mock.patch.object(decode._Window, "_read", side_effect=AssertionError("read")):
-        assert main(["mu", str(path), str(path)]) == 2
-    assert capsys.readouterr().err == (
-        f"error: {path}: {decode.MAX_FILE_BYTES + 1} bytes exceed the file cap "
-        f"{decode.MAX_FILE_BYTES}\n")
+    for argv in (["mu", str(path), str(path)], ["qnum", str(path)]):
+        with mock.patch.object(decode._Window, "_read", side_effect=AssertionError("read")):
+            assert main(argv) == 2
+        assert capsys.readouterr().err == (
+            f"error: {path}: {decode.MAX_FILE_BYTES + 1} bytes exceed the file cap "
+            f"{decode.MAX_FILE_BYTES}\n")
 
 
 @st.composite

@@ -337,6 +337,15 @@ def test_float_frequency_is_the_rounded_fraction(t, data):
     assert empirical_probs(counts).p.tolist() == [float(f) for f in empirical_fractions(counts)]
 
 
+def test_the_generator_id_names_the_philox_that_runs():
+    # Philox NxW-10 holds a counter of N words and a key of N/2, each of W bits
+    state = Philox().state["state"]
+    counter, key = state["counter"], state["key"]
+    assert 2 * key.size == counter.size and key.dtype == counter.dtype
+    name = f"philox{counter.size}x{8 * counter.dtype.itemsize}-10/inverse-cdf"
+    assert simulate.GENERATOR_ID == name == "philox4x64-10/inverse-cdf"
+
+
 def test_simulate_computes_the_collapse_probabilities_once(monkeypatch, capsys):
     calls, original = [], states.subspace_probs
 
